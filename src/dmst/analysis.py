@@ -25,22 +25,26 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import (
-    DmsaLayerParams,
+    AttentionKind,
     MhsaLayerParams,
-    TssaLayerParams,
-    dmsa_layer_forward,
     mhsa_layer_forward,
     rope_precompute,
     rotate_pairs,
-    tssa_layer_forward,
 )
 from .coding_rate import CodingRateConfig, Membership, SubspaceBank, rate_variational_decoupled
 from .errors import FormatError, InvalidInput
-from .functional import gelu, relu, sigmoid
 from .memcount import count_floats
-from .model import ModelConfig, model_forward
+from .model import (
+    ModelConfig,
+    _dmsa_attention,
+    _tssa_attention,
+    model_forward,
+    sparsify_scores,
+    split_heads,
+    tssa_membership,
+)
 from .rng import stream
-from .sparsify import ActivationKind, soft_threshold_matrix
+from .sparsify import ActivationKind
 
 PGM_MAXVAL = 255
 
@@ -105,32 +109,19 @@ def _block_rate(
     value_w = params[f"{prefix}.value_proj"].data  # (d, d), columns index output
     bank = SubspaceBank(tuple(value_w[:, k * p : (k + 1) * p] for k in range(K)))
 
-    if config.attention.value == "dmsa":
+    if config.attention is AttentionKind.DMSA:
         memb_w = params[f"{prefix}.membership_proj"].data  # (d, K)
         path_in = tokens_nd
         if config.use_rope:
             table = rope_precompute(tokens_nd.shape[0], d)
             path_in = rotate_pairs(tokens_nd, table)
-        raw = (path_in @ memb_w).T  # (K, n)
-        if config.sparsity_axis in ("token", "both") and (
-            config.activation is ActivationKind.SOFT_THRESHOLD
-        ):
-            Pi, _, _ = soft_threshold_matrix(raw)
-        elif config.activation in (ActivationKind.SOFT_THRESHOLD, ActivationKind.SIGMOID):
-            Pi = sigmoid(raw)
-        elif config.activation is ActivationKind.RELU:
-            Pi = relu(raw)
-        else:
-            Pi = np.clip(gelu(raw), 0.0, None)  # rate math needs nonnegative weights
+        raw = ad.Tensor((path_in @ memb_w).T)  # (K, n)
+        Pi = sparsify_scores(raw, config, gate=False).data
+        if config.activation is ActivationKind.GELU:
+            Pi = np.clip(Pi, 0.0, None)  # rate math needs nonnegative weights
     else:
-        # TSSA grouping: softmax over heads of normalized projection energy.
-        w = (tokens_nd @ value_w).reshape(-1, K, p).transpose(1, 0, 2)
-        norms = np.sqrt(np.sum(w * w, axis=1, keepdims=True))
-        units = w / np.maximum(norms, 1e-12)
-        energy = np.sum(units * units, axis=2)
-        shifted = energy - energy.max(axis=0, keepdims=True)
-        e = np.exp(shifted)
-        Pi = e / e.sum(axis=0, keepdims=True)
+        w = split_heads(ad.Tensor(tokens_nd[None] @ value_w), K)
+        Pi = tssa_membership(w).data[0]
 
     cfg = CodingRateConfig(epsilon=float(np.sqrt(d)))  # folded coefficient, f(x) = log(1+x)
     return rate_variational_decoupled(unit.T, Membership(Pi), bank, cfg)
@@ -288,11 +279,14 @@ def profile_attention_memory(
     heads: int = 8,
     seed: int = 0,
 ) -> list[tuple[str, int, int]]:
-    """Counted activation floats of one forward pass at each token count.
+    """Counted activation floats of one attention forward at each token count.
 
-    Layer math runs in float32; the counter tallies every intermediate array
-    the operator materializes, so softmax attention shows its quadratic
-    score cost while the second-moment operators stay linear.
+    ``dmsa`` and ``tssa`` run the model's attention sublayer on a ``(1, n,
+    dim)`` input in float64, counting every array an autodiff node allocates;
+    ``mhsa`` runs the standalone float32 softmax baseline, which counts its
+    own intermediates. The number is the cumulative total of counted floats
+    over the forward, not a resident peak, so softmax attention shows its
+    quadratic score cost while the second-moment operators stay linear.
     """
     if op not in PROFILE_OPS:
         raise InvalidInput(f"op must be one of {PROFILE_OPS}, got {op!r}")
@@ -302,27 +296,9 @@ def profile_attention_memory(
         raise InvalidInput("token counts must be positive")
     rng = stream(seed, f"profile-{op}")
     d = dim
-    rows: list[tuple[str, int, int]] = []
     scale = 1.0 / np.sqrt(d)
-    max_n = max(token_counts)
-    if op == "dmsa":
-        params = DmsaLayerParams(
-            value_proj=rng.normal(size=(d, d)) * scale,
-            membership_proj=rng.normal(size=(heads, d)) * scale,
-            out_proj=rng.normal(size=(d, d)) * scale,
-            out_bias=np.zeros(d),
-            rope_table=rope_precompute(max_n, d),
-            topk=min(4, heads),
-        )
-    elif op == "tssa":
-        params = TssaLayerParams(
-            value_proj=rng.normal(size=(d, d)) * scale,
-            out_proj=rng.normal(size=(d, d)) * scale,
-            out_bias=np.zeros(d),
-            heads=heads,
-        )
-    else:
-        params = MhsaLayerParams(
+    if op == "mhsa":
+        mhsa = MhsaLayerParams(
             q_proj=(rng.normal(size=(d, d)) * scale).astype(np.float32),
             k_proj=(rng.normal(size=(d, d)) * scale).astype(np.float32),
             v_proj=(rng.normal(size=(d, d)) * scale).astype(np.float32),
@@ -330,14 +306,30 @@ def profile_attention_memory(
             out_bias=np.zeros(d, dtype=np.float32),
             heads=heads,
         )
-    for n in token_counts:
-        tokens = rng.normal(size=(n, d)).astype(np.float32)
-        with count_floats() as counter:
+
+        def forward(tokens: np.ndarray) -> None:
+            mhsa_layer_forward(tokens.astype(np.float32), mhsa)
+
+    else:
+        config = ModelConfig(dim=d, heads=heads, topk=min(4, heads), attention=AttentionKind(op))
+        layer = {"attn.value_proj": ad.Tensor(rng.normal(size=(d, d)) * scale)}
+        if op == "dmsa":
+            layer["attn.membership_proj"] = ad.Tensor(rng.normal(size=(d, heads)) * scale)
+        layer["attn.out_proj"] = ad.Tensor(rng.normal(size=(d, d)) * scale)
+        layer["attn.out_bias"] = ad.Tensor(np.zeros(d))
+        rope_table = rope_precompute(max(token_counts), d)
+
+        def forward(tokens: np.ndarray) -> None:
+            x = ad.Tensor(tokens[None])
             if op == "dmsa":
-                dmsa_layer_forward(tokens, params)
-            elif op == "tssa":
-                tssa_layer_forward(tokens, params)
+                _dmsa_attention(x, config, layer, "attn", rope_table)
             else:
-                mhsa_layer_forward(tokens, params)
+                _tssa_attention(x, config, layer, "attn")
+
+    rows: list[tuple[str, int, int]] = []
+    for n in token_counts:
+        tokens = rng.normal(size=(n, d))
+        with count_floats() as counter:
+            forward(tokens)
         rows.append((op, n, counter.peak_floats))
     return rows

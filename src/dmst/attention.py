@@ -3,15 +3,17 @@
 The central operator, DMSA (decoupled membership-subspace attention), is the
 exact negation of the token gradient of the decoupled variational rate: each
 application nudges every token toward a sparse union of subspaces selected by
-an externally supplied membership. The layer form realizes the same
-computation with learned projections, a soft-threshold head gate, sigmoid
-memberships, and rotary position information on the membership path only.
+an externally supplied membership. Its layer form, with learned projections,
+a soft-threshold head gate, sigmoid memberships and rotary position
+information on the membership path only, is the attention sublayer of
+:mod:`dmst.model`, as is the TSSA baseline (membership coupled to the value
+projections).
 
-Two baselines share the file: TSSA (token-statistics attention with
-membership coupled to the value projections) and standard multi-head softmax
-attention with its explicit quadratic score matrix. All single-sample layer
-forwards register their intermediates with :mod:`dmst.memcount` so memory
-contracts can be asserted on counted floats.
+This file keeps the math-form operator, the rotary tables, and two baselines
+that the model does not train: standard multi-head softmax attention with its
+explicit quadratic score matrix, which registers its intermediates with
+:mod:`dmst.memcount` so memory contracts can be asserted on counted floats,
+and gated channel attention with its masked-basis/matmul equivalence.
 
 Layer forwards take row-major ``(token, channel)`` inputs; the pure math
 operators keep the ``d x n`` column convention of :mod:`dmst.coding_rate`.
@@ -33,13 +35,8 @@ from .coding_rate import (
     grad_rate_wrt_tokens,
 )
 from .errors import InvalidInput, NumericalFault
-from .functional import gelu, relu, sigmoid
+from .functional import sigmoid
 from .memcount import track
-from .sparsify import ActivationKind, soft_threshold_matrix
-
-# Guard added to membership normalizers before division, kept verbatim from
-# the layer definition so layer and operator agree only up to ~1e-8/n_k.
-MEMBERSHIP_EPS = 1e-8
 
 ROPE_BASE = 10000.0
 
@@ -48,7 +45,6 @@ class AttentionKind(Enum):
     DMSA = "dmsa"
     TSSA = "tssa"
     MHSA = "mhsa"
-    GATED_CHANNEL = "gated"
 
 
 def tokens_to_columns(tokens: np.ndarray) -> TokenMatrix:
@@ -91,21 +87,24 @@ def rope_precompute(max_len: int, dim: int, base: float = ROPE_BASE) -> np.ndarr
 def rotate_pairs(tokens: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Rotate adjacent channel pairs of row-major tokens by per-position angles.
 
-    Row ``i`` of ``tokens`` is rotated with row ``i`` of ``table``; the caller
-    slices the table to select positions.
+    ``tokens`` is ``(..., n, d)``; row ``i`` of every leading index is
+    rotated with row ``i`` of ``table``, and the caller slices the table to
+    select positions. The negated table applies the inverse rotation.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
-    n, d = tokens.shape
+    if tokens.ndim < 2:
+        raise InvalidInput(f"tokens must be (..., n, d), got ndim={tokens.ndim}")
+    n, d = tokens.shape[-2:]
     if table.shape[0] < n:
         raise InvalidInput(f"rope table covers {table.shape[0]} positions, need {n}")
     if table.shape[1] * 2 != d:
         raise InvalidInput(f"rope table is for dim {table.shape[1] * 2}, tokens have {d}")
     angles = table[:n]
     cos, sin = np.cos(angles), np.sin(angles)
-    even, odd = tokens[:, 0::2], tokens[:, 1::2]
+    even, odd = tokens[..., 0::2], tokens[..., 1::2]
     out = np.empty_like(tokens)
-    out[:, 0::2] = even * cos - odd * sin
-    out[:, 1::2] = even * sin + odd * cos
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
     return out
 
 
@@ -146,245 +145,6 @@ def token_update(
     if not np.isfinite(step):
         raise InvalidInput(f"step must be finite, got {step}")
     return Z - step * grad_rate_wrt_tokens(Z, Pi, U_S, cfg)
-
-
-# ---------------------------------------------------------------------------
-# DMSA layer
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DmsaLayerParams:
-    """Learned projections and switches of one DMSA layer.
-
-    ``value_proj`` rows split into ``K`` head blocks of ``p = d // K`` rows;
-    ``membership_proj`` maps a token to one raw membership score per head.
-    ``sparsity_axis`` selects where the soft threshold acts: ``head`` gates
-    whole heads from the token-mean of the membership scores, ``token``
-    projects each head's scores across tokens, ``both`` does both.
-    ``epsilon_fold`` folds the rate coefficient ``d/eps^2`` to one inside the
-    second-moment rescaling, which is the layer's native form.
-    """
-
-    value_proj: np.ndarray
-    membership_proj: np.ndarray
-    out_proj: np.ndarray
-    out_bias: np.ndarray
-    rope_table: np.ndarray | None = None
-    sparsity_axis: str = "head"
-    topk: int = 4
-    activation: ActivationKind = ActivationKind.SOFT_THRESHOLD
-    epsilon_fold: bool = True
-    epsilon: float = 1.0
-
-    def __post_init__(self) -> None:
-        self.value_proj = np.asarray(self.value_proj, dtype=np.float64)
-        self.membership_proj = np.asarray(self.membership_proj, dtype=np.float64)
-        self.out_proj = np.asarray(self.out_proj, dtype=np.float64)
-        self.out_bias = np.asarray(self.out_bias, dtype=np.float64)
-        d = self.value_proj.shape[0]
-        if self.value_proj.shape != (d, d) or self.out_proj.shape != (d, d):
-            raise InvalidInput("value_proj and out_proj must be square d x d")
-        if self.membership_proj.ndim != 2 or self.membership_proj.shape[1] != d:
-            raise InvalidInput("membership_proj must be K x d")
-        if self.out_bias.shape != (d,):
-            raise InvalidInput("out_bias must have shape (d,)")
-        if d % self.heads != 0:
-            raise InvalidInput(f"dim {d} is not divisible by {self.heads} heads")
-        if self.sparsity_axis not in ("head", "token", "both"):
-            raise InvalidInput(f"unknown sparsity_axis {self.sparsity_axis!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.value_proj.shape[0]
-
-    @property
-    def heads(self) -> int:
-        return self.membership_proj.shape[0]
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
-
-
-def _activate(raw: np.ndarray, kind: ActivationKind) -> np.ndarray:
-    if kind is ActivationKind.SIGMOID:
-        return sigmoid(raw)
-    if kind is ActivationKind.RELU:
-        return relu(raw)
-    if kind is ActivationKind.GELU:
-        return gelu(raw)
-    raise InvalidInput(f"no elementwise form for activation {kind!r}")
-
-
-def head_gate(gate_scores: np.ndarray, kind: ActivationKind, topk: int) -> np.ndarray:
-    """Per-head mask from token-averaged membership scores.
-
-    The soft-threshold kind projects onto the simplex with a top-k support;
-    other kinds apply elementwise (used by the activation ablations).
-    """
-    if kind is ActivationKind.SOFT_THRESHOLD:
-        k = min(int(topk), gate_scores.shape[-1])
-        out, _, _ = soft_threshold_matrix(gate_scores[None, :], topk=k)
-        return out[0]
-    return _activate(gate_scores, kind)
-
-
-def dmsa_layer_forward(
-    tokens: np.ndarray,
-    params: DmsaLayerParams,
-    *,
-    membership_override: np.ndarray | None = None,
-    head_mask_override: np.ndarray | None = None,
-    return_state: bool = False,
-):
-    """One DMSA layer on a single ``(n, d)`` token sequence.
-
-    Pipeline: project values and split into heads; rotate a copy of the
-    input for the membership path; score memberships per head; gate heads
-    with a soft threshold of the token-mean scores; rescale each head
-    channel by ``1 / (1 + dots)`` where ``dots`` is the membership-weighted
-    second moment of the masked head features; emit the negated, membership
-    weighted, rescaled features through the output projection. Linear in the
-    token count. The overrides substitute fixed memberships or head masks
-    for consistency harnesses.
-    """
-    x = np.asarray(tokens, dtype=np.float64)
-    if x.ndim != 2:
-        raise InvalidInput(f"tokens must be (n, d), got ndim={x.ndim}")
-    n, d = x.shape
-    if d != params.dim:
-        raise InvalidInput(f"tokens have dim {d}, layer expects {params.dim}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInput("tokens contain non-finite entries")
-    K, p = params.heads, params.head_dim
-
-    values = track(x @ params.value_proj.T)
-    w = values.reshape(n, K, p).transpose(1, 0, 2)  # (K, n, p) head view
-
-    rotated = track(rotate_pairs(x, params.rope_table)) if params.rope_table is not None else x
-    scores = track(rotated @ params.membership_proj.T)  # (n, K)
-
-    if head_mask_override is not None:
-        mask = np.asarray(head_mask_override, dtype=np.float64)
-        if mask.shape != (K,):
-            raise InvalidInput(f"head mask override must have shape ({K},)")
-    elif params.sparsity_axis in ("head", "both"):
-        gate = track(scores.mean(axis=0))
-        mask = track(head_gate(gate, params.activation, params.topk))
-    else:
-        mask = np.ones(K)
-
-    w = track(w * mask[:, None, None])
-
-    if membership_override is not None:
-        Pi = np.asarray(membership_override, dtype=np.float64)
-        if Pi.shape != (K, n):
-            raise InvalidInput(f"membership override must have shape ({K}, {n})")
-    else:
-        raw = scores.T  # (K, n)
-        if params.sparsity_axis in ("token", "both") and (
-            params.activation is ActivationKind.SOFT_THRESHOLD
-        ):
-            Pi, _, _ = soft_threshold_matrix(raw)
-        elif params.activation is ActivationKind.SOFT_THRESHOLD:
-            Pi = sigmoid(raw)  # head-axis layers keep sigmoid memberships
-        else:
-            Pi = _activate(raw, params.activation)
-        Pi = track(np.ascontiguousarray(Pi))
-
-    norm = track(Pi / (Pi.sum(axis=1, keepdims=True) + MEMBERSHIP_EPS))
-    dots = track(np.matmul(norm[:, None, :], w * w))  # (K, 1, p)
-    coeff = 1.0 if params.epsilon_fold else d / params.epsilon**2
-    attn = track(coeff / (1.0 + coeff * dots))
-    out_heads = track(-(w * Pi[:, :, None]) * attn)
-
-    merged = track(out_heads.transpose(1, 0, 2).reshape(n, d))
-    out = track(merged @ params.out_proj.T + params.out_bias)
-    if not np.all(np.isfinite(out)):
-        raise NumericalFault(
-            f"DMSA layer produced non-finite output (axis={params.sparsity_axis}, "
-            f"activation={params.activation.value})"
-        )
-    if return_state:
-        state = {"membership": Pi, "head_mask": mask, "dots": dots[:, 0, :], "scores": scores}
-        return out, state
-    return out
-
-
-# ---------------------------------------------------------------------------
-# TSSA baseline
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TssaLayerParams:
-    """Token-statistics attention with membership coupled to the value heads.
-
-    The temperature is a fixed constant rather than a learned parameter, so
-    a TSSA stack differs from a DMSA stack by exactly the membership
-    projection (K x d floats per layer).
-    """
-
-    value_proj: np.ndarray
-    out_proj: np.ndarray
-    out_bias: np.ndarray
-    heads: int
-    temperature: float = 1.0
-
-    def __post_init__(self) -> None:
-        self.value_proj = np.asarray(self.value_proj, dtype=np.float64)
-        self.out_proj = np.asarray(self.out_proj, dtype=np.float64)
-        self.out_bias = np.asarray(self.out_bias, dtype=np.float64)
-        d = self.value_proj.shape[0]
-        if self.value_proj.shape != (d, d) or self.out_proj.shape != (d, d):
-            raise InvalidInput("value_proj and out_proj must be square d x d")
-        if d % self.heads != 0:
-            raise InvalidInput(f"dim {d} is not divisible by {self.heads} heads")
-
-    @property
-    def dim(self) -> int:
-        return self.value_proj.shape[0]
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
-
-
-def tssa_layer_forward(tokens: np.ndarray, params: TssaLayerParams) -> np.ndarray:
-    """Token-statistics attention on a single ``(n, d)`` sequence.
-
-    Memberships are a softmax over heads of per-token projection energies
-    (after normalizing each head channel over tokens), so membership and
-    subspaces are coupled; the second-moment rescaling matches the DMSA
-    layer. Linear in the token count.
-    """
-    x = np.asarray(tokens, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.dim:
-        raise InvalidInput(f"tokens must be (n, {params.dim})")
-    n, d = x.shape
-    K, p = params.heads, params.head_dim
-
-    values = track(x @ params.value_proj.T)
-    w = values.reshape(n, K, p).transpose(1, 0, 2)  # (K, n, p)
-
-    norms = track(np.sqrt(np.sum(w * w, axis=1, keepdims=True)))
-    w_unit = track(w / np.maximum(norms, 1e-12))
-    energy = track(np.sum(w_unit * w_unit, axis=2))  # (K, n)
-    shifted = params.temperature * energy
-    shifted = shifted - shifted.max(axis=0, keepdims=True)
-    expd = track(np.exp(shifted))
-    Pi = track(expd / expd.sum(axis=0, keepdims=True))  # (K, n), columns sum to 1
-
-    norm = track(Pi / (Pi.sum(axis=1, keepdims=True) + MEMBERSHIP_EPS))
-    dots = track(np.matmul(norm[:, None, :], w * w))
-    attn = track(1.0 / (1.0 + dots))
-    out_heads = track(-(w * Pi[:, :, None]) * attn)
-    merged = track(out_heads.transpose(1, 0, 2).reshape(n, d))
-    out = track(merged @ params.out_proj.T + params.out_bias)
-    if not np.all(np.isfinite(out)):
-        raise NumericalFault("TSSA layer produced non-finite output")
-    return out
 
 
 # ---------------------------------------------------------------------------

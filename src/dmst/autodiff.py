@@ -5,7 +5,9 @@ A :class:`Tensor` wraps an ndarray and remembers how it was produced; calling
 topological order and accumulates gradients into every tensor that requires
 them. Only the operations the classifier needs are provided, each with an
 exact adjoint, including the simplex soft threshold (through its active-set
-Jacobian) and the pairwise rotary rotation.
+Jacobian) and the pairwise rotary rotation. While a :mod:`dmst.memcount`
+counter is active, every node's array is registered with it unless it is a
+view into a parent's array.
 
 Everything is single threaded numpy, so a fixed seed yields bit-identical
 training runs on a given platform.
@@ -17,10 +19,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .attention import rotate_pairs
 from .errors import InvalidInput
 from .functional import gelu as _gelu_fwd
 from .functional import gelu_grad as _gelu_grad
 from .functional import sigmoid as _sigmoid_fwd
+from .memcount import counting, track
 from .sparsify import soft_threshold_backward, soft_threshold_matrix
 
 
@@ -131,6 +135,8 @@ def _node(
     backward: Callable[[np.ndarray], None],
 ) -> Tensor:
     out = Tensor(data)
+    if counting() and not any(np.may_share_memory(out.data, p.data) for p in parents):
+        track(out.data)
     live = tuple(p for p in parents if p.requires_grad)
     if live:
         out.requires_grad = True
@@ -413,25 +419,11 @@ def rope_rotate(a, table: np.ndarray) -> Tensor:
     transpose), so the pass is exactly norm preserving in both directions.
     """
     a = as_tensor(a)
-    n, d = a.shape[-2], a.shape[-1]
-    if table.shape[0] < n or table.shape[1] * 2 != d:
-        raise InvalidInput(
-            f"rope table {table.shape} incompatible with tokens ({n}, {d})"
-        )
-    angles = table[:n]
-    cos, sin = np.cos(angles), np.sin(angles)
-
-    def rotate(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        even, odd = x[..., 0::2], x[..., 1::2]
-        out = np.empty_like(x)
-        out[..., 0::2] = even * cos - odd * s
-        out[..., 1::2] = even * s + odd * cos
-        return out
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, rotate(g, -sin))
+        _accumulate(a, rotate_pairs(g, -table))
 
-    return _node(rotate(a.data, sin), (a,), backward)
+    return _node(rotate_pairs(a.data, table), (a,), backward)
 
 
 def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:

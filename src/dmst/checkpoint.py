@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidInput
 from .model import ModelConfig, config_from_dict, config_to_dict
 
 MAGIC = b"DMST1"
@@ -90,5 +90,8 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         raise FormatError(
             f"checkpoint {path}: payload holds {floats.size} floats, manifest covers {expected_offset}"
         )
-    config = config_from_dict(header["config"])
+    try:
+        config = config_from_dict(header["config"])
+    except (InvalidInput, TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint {path} has an invalid config: {exc}") from None
     return config, params

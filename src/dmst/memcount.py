@@ -1,10 +1,12 @@
 """Instrumented counting of activation floats allocated by attention operators.
 
 Memory contracts in this package are stated over *counted* floats, not OS
-process measurements: every intermediate array an operator materializes is
-registered with the active counters, and the reported peak is the total
-number of floats registered during one forward pass (the footprint of
-retaining all activations). This makes the measurement deterministic and
+process measurements. Every array an autodiff node allocates is registered
+with the active counters (views into a parent's array are not), and the
+standalone numpy baselines register their intermediates with :func:`track`.
+The reported number is the cumulative total of floats registered during one
+forward pass: the footprint of retaining every activation, not the resident
+peak at any instant. This makes the measurement deterministic and
 independent of allocator behavior, while still exposing the quadratic
 explicit-score cost of softmax attention versus the linear cost of the
 second-moment operators.
@@ -40,7 +42,11 @@ class AllocationCounter:
 
     @property
     def peak_floats(self) -> int:
-        """Counted activation floats for the instrumented region."""
+        """Cumulative count of floats registered in the region, not a resident peak.
+
+        Arrays freed during the region stay counted, so this bounds the
+        resident peak from above; the name is kept for the CSV column.
+        """
         return self.total_floats
 
 
@@ -53,6 +59,11 @@ def count_floats() -> Iterator[AllocationCounter]:
         yield counter
     finally:
         _stack().remove(counter)
+
+
+def counting() -> bool:
+    """Whether any counter is active on this thread."""
+    return bool(_stack())
 
 
 def track(arr: np.ndarray) -> np.ndarray:

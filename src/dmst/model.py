@@ -23,6 +23,10 @@ from .sparsify import ActivationKind
 
 MLP_HIDDEN_RATIO_DEFAULT = 4.0
 
+# Guard added to membership normalizers before division, so the layer and
+# the math-form operator agree only up to ~1e-8/n_k.
+MEMBERSHIP_EPS = 1e-8
+
 
 @dataclass
 class ModelConfig:
@@ -53,6 +57,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise InvalidInput(f"depth must be nonnegative, got {self.depth}")
+        if self.heads < 1:
+            raise InvalidInput(f"heads must be positive, got {self.heads}")
         if self.dim <= 0 or self.dim % self.heads != 0:
             raise InvalidInput(f"dim {self.dim} must be a positive multiple of heads {self.heads}")
         if self.dim % 2 != 0:
@@ -92,11 +98,14 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 
 def config_from_dict(raw: dict) -> ModelConfig:
+    """Inverse of :func:`config_to_dict`; unknown keys and enum values raise ``InvalidInput``."""
     raw = dict(raw)
-    if "attention" in raw:
-        raw["attention"] = AttentionKind(raw["attention"])
-    if "activation" in raw:
-        raw["activation"] = ActivationKind(raw["activation"])
+    for key, kind in (("attention", AttentionKind), ("activation", ActivationKind)):
+        if key in raw:
+            try:
+                raw[key] = kind(raw[key])
+            except ValueError:
+                raise InvalidInput(f"unknown {key} {raw[key]!r}") from None
     known = {f.name for f in fields(ModelConfig)}
     unknown = set(raw) - known
     if unknown:
@@ -179,6 +188,68 @@ def _layer_norm(x: ad.Tensor, scale: ad.Tensor, shift: ad.Tensor, eps: float = 1
     return centered * inv * scale + shift
 
 
+def sparsify_scores(scores: ad.Tensor, config: ModelConfig, *, gate: bool) -> ad.Tensor:
+    """The block's sparsifying activation of raw scores, along the last axis.
+
+    With ``gate`` the scores are the ``(..., K)`` token means and the result
+    is the head mask; the soft threshold then keeps at most ``topk`` heads.
+    Otherwise the scores are ``(..., K, n)`` and the result is the membership
+    Pi: the soft threshold projects each head's token weights onto the
+    simplex, except on head-axis blocks, which spend the simplex on the gate
+    and keep sigmoid memberships. The other kinds act elementwise.
+    """
+    kind = config.activation
+    if kind is ActivationKind.SOFT_THRESHOLD:
+        if gate:
+            return ad.soft_threshold_rows(scores, topk=min(config.topk, scores.shape[-1]))
+        if config.sparsity_axis != "head":
+            return ad.soft_threshold_rows(scores)
+        kind = ActivationKind.SIGMOID
+    if kind is ActivationKind.SIGMOID:
+        return ad.sigmoid(scores)
+    if kind is ActivationKind.RELU:
+        return ad.relu(scores)
+    return ad.gelu(scores)
+
+
+def split_heads(values: ad.Tensor, heads: int) -> ad.Tensor:
+    """``(B, n, d)`` projections to ``(B, K, n, d // K)`` head features."""
+    B, n, d = values.shape
+    return ad.transpose(ad.reshape(values, (B, n, heads, d // heads)), (0, 2, 1, 3))
+
+
+def tssa_membership(w: ad.Tensor) -> ad.Tensor:
+    """TSSA memberships ``(B, K, n)`` from head features ``(B, K, n, p)``.
+
+    Each head channel is normalized over tokens; a token's membership is the
+    softmax over heads of its energy in each head (temperature fixed at 1),
+    so membership and subspaces are coupled.
+    """
+    sq = ad.sum_(w * w, axis=2, keepdims=True)  # (B, K, 1, p)
+    unit = w * ad.pow_scalar(sq + 1e-12, -0.5)
+    energy = ad.sum_(unit * unit, axis=3)  # (B, K, n)
+    return ad.softmax(energy, axis=1)
+
+
+def second_moment_tail(
+    w: ad.Tensor, Pi: ad.Tensor, out_proj: ad.Tensor, out_bias: ad.Tensor
+) -> ad.Tensor:
+    """The rescaling step shared by DMSA and TSSA, through the output projection.
+
+    Each head channel of ``w`` ``(B, K, n, p)`` is divided by one plus its
+    second moment under the normalized memberships ``Pi`` ``(B, K, n)``; the
+    output is the negated, membership-weighted result with heads merged back
+    to ``(B, n, d)``. Linear in the token count.
+    """
+    B, K, n, hd = w.shape
+    norm = Pi / (ad.sum_(Pi, axis=-1, keepdims=True) + MEMBERSHIP_EPS)
+    dots = ad.reshape(norm, (B, K, 1, n)) @ (w * w)  # (B, K, 1, hd)
+    attn = 1.0 / (1.0 + dots)
+    out = -(w * ad.reshape(Pi, (B, K, n, 1))) * attn
+    merged = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (B, n, K * hd))
+    return merged @ out_proj + out_bias
+
+
 def _dmsa_attention(
     x: ad.Tensor,
     config: ModelConfig,
@@ -187,51 +258,30 @@ def _dmsa_attention(
     rope_table: np.ndarray | None,
     capture: dict | None = None,
 ) -> ad.Tensor:
-    B, n, d = x.shape
-    K = config.heads
-    hd = d // K
+    """DMSA sublayer on ``(B, n, d)`` tokens.
 
-    values = x @ p[f"{prefix}.value_proj"]
-    w = ad.transpose(ad.reshape(values, (B, n, K, hd)), (0, 2, 1, 3))  # (B, K, n, hd)
+    Values split into heads; memberships come from a separate projection of
+    the (rotary-rotated) tokens, so they are decoupled from the subspaces.
+    Head-axis blocks gate whole heads with the activation of the token-mean
+    membership scores.
+    """
+    B = x.shape[0]
+    K = config.heads
+    w = split_heads(x @ p[f"{prefix}.value_proj"], K)  # (B, K, n, hd)
 
     rotated = ad.rope_rotate(x, rope_table) if rope_table is not None else x
     scores = rotated @ p[f"{prefix}.membership_proj"]  # (B, n, K)
 
     if config.sparsity_axis in ("head", "both"):
-        gate = ad.mean(scores, axis=1)  # (B, K)
-        if config.activation is ActivationKind.SOFT_THRESHOLD:
-            mask = ad.soft_threshold_rows(gate, topk=min(config.topk, K))
-        elif config.activation is ActivationKind.SIGMOID:
-            mask = ad.sigmoid(gate)
-        elif config.activation is ActivationKind.RELU:
-            mask = ad.relu(gate)
-        else:
-            mask = ad.gelu(gate)
+        mask = sparsify_scores(ad.mean(scores, axis=1), config, gate=True)  # (B, K)
         w = w * ad.reshape(mask, (B, K, 1, 1))
+        if capture is not None:
+            capture["head_mask"] = mask.data.copy()
 
-    raw = ad.transpose(scores, (0, 2, 1))  # (B, K, n)
-    if config.sparsity_axis in ("token", "both") and (
-        config.activation is ActivationKind.SOFT_THRESHOLD
-    ):
-        Pi = ad.soft_threshold_rows(raw)
-    elif config.activation is ActivationKind.SOFT_THRESHOLD:
-        Pi = ad.sigmoid(raw)
-    elif config.activation is ActivationKind.SIGMOID:
-        Pi = ad.sigmoid(raw)
-    elif config.activation is ActivationKind.RELU:
-        Pi = ad.relu(raw)
-    else:
-        Pi = ad.gelu(raw)
-
-    norm = Pi / (ad.sum_(Pi, axis=-1, keepdims=True) + 1e-8)
-    dots = ad.reshape(norm, (B, K, 1, n)) @ (w * w)  # (B, K, 1, hd)
-    attn = 1.0 / (1.0 + dots)
-    out = -(w * ad.reshape(Pi, (B, K, n, 1))) * attn
-    merged = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (B, n, d))
-    result = merged @ p[f"{prefix}.out_proj"] + p[f"{prefix}.out_bias"]
+    Pi = sparsify_scores(ad.transpose(scores, (0, 2, 1)), config, gate=False)  # (B, K, n)
     if capture is not None:
         capture["membership"] = Pi.data.copy()
-    return result
+    return second_moment_tail(w, Pi, p[f"{prefix}.out_proj"], p[f"{prefix}.out_bias"])
 
 
 def _tssa_attention(
@@ -241,27 +291,12 @@ def _tssa_attention(
     prefix: str,
     capture: dict | None = None,
 ) -> ad.Tensor:
-    B, n, d = x.shape
-    K = config.heads
-    hd = d // K
-
-    values = x @ p[f"{prefix}.value_proj"]
-    w = ad.transpose(ad.reshape(values, (B, n, K, hd)), (0, 2, 1, 3))  # (B, K, n, hd)
-
-    sq = ad.sum_(w * w, axis=2, keepdims=True)  # (B, K, 1, hd)
-    unit = w * ad.pow_scalar(sq + 1e-12, -0.5)
-    energy = ad.sum_(unit * unit, axis=3)  # (B, K, n)
-    Pi = ad.softmax(energy, axis=1)  # over heads; temperature fixed at 1
-
-    norm = Pi / (ad.sum_(Pi, axis=-1, keepdims=True) + 1e-8)
-    dots = ad.reshape(norm, (B, K, 1, n)) @ (w * w)
-    attn = 1.0 / (1.0 + dots)
-    out = -(w * ad.reshape(Pi, (B, K, n, 1))) * attn
-    merged = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (B, n, d))
-    result = merged @ p[f"{prefix}.out_proj"] + p[f"{prefix}.out_bias"]
+    """TSSA sublayer (the ToST baseline): memberships coupled to the value heads."""
+    w = split_heads(x @ p[f"{prefix}.value_proj"], config.heads)  # (B, K, n, hd)
+    Pi = tssa_membership(w)
     if capture is not None:
         capture["membership"] = Pi.data.copy()
-    return result
+    return second_moment_tail(w, Pi, p[f"{prefix}.out_proj"], p[f"{prefix}.out_bias"])
 
 
 def model_forward(
@@ -273,8 +308,9 @@ def model_forward(
     """Logits for a batch of token sequences ``(B, n, input_dim)`` or images.
 
     Four-dimensional input is patchified first. When ``capture`` is a list,
-    one dict per block is appended with the block's membership matrix and the
-    token matrix after the attention residual (both as plain arrays).
+    one dict per block is appended with the block's membership matrix, its
+    head mask on head-gated DMSA blocks, and the token matrix after the
+    attention residual (all as plain arrays).
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim == 4:

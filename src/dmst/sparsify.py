@@ -17,7 +17,6 @@ import numpy as np
 
 from .coding_rate import Membership, SubspaceBank
 from .errors import InvalidInput
-from .functional import gelu, relu, sigmoid
 
 __all__ = [
     "ActivationKind",
@@ -26,7 +25,6 @@ __all__ = [
     "soft_threshold_topk",
     "soft_threshold_matrix",
     "soft_threshold_backward",
-    "activate_membership",
     "sparse_membership_tokens",
     "sparse_subspace",
 ]
@@ -133,29 +131,6 @@ def soft_threshold_topk(s: np.ndarray, k: int) -> SparseWeights:
     out, thresholds, _ = soft_threshold_matrix(s[None, :], topk=k)
     values = out[0]
     return SparseWeights(values, float(thresholds[0]), np.flatnonzero(values > 0.0))
-
-
-def activate_membership(raw: np.ndarray, kind: ActivationKind) -> Membership:
-    """Map raw ``K x n`` membership scores through a sparsifying activation.
-
-    The soft-threshold variant projects each token column (across groups)
-    onto the simplex; the remaining kinds apply elementwise.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 2:
-        raise InvalidInput(f"raw membership must be K x n, got ndim={raw.ndim}")
-    if not np.all(np.isfinite(raw)):
-        raise InvalidInput("raw membership contains non-finite entries")
-    if kind is ActivationKind.SOFT_THRESHOLD:
-        out, _, _ = soft_threshold_matrix(raw.T)
-        return Membership(out.T)
-    if kind is ActivationKind.SIGMOID:
-        return Membership(sigmoid(raw))
-    if kind is ActivationKind.RELU:
-        return Membership(relu(raw))
-    if kind is ActivationKind.GELU:
-        return Membership(gelu(raw))
-    raise InvalidInput(f"unknown activation kind {kind!r}")
 
 
 def sparse_membership_tokens(Pi: Membership, topk: int | None = None) -> Membership:

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .attention import (
-    DmsaLayerParams,
-    dmsa_layer_forward,
+    GatedChannelParams,
     dmsa_operator,
     gated_channel_forward,
     gated_channel_reference,
-    GatedChannelParams,
 )
 from .coding_rate import (
     CodingRateConfig,
@@ -35,6 +34,7 @@ from .coding_rate import (
     rate_variational_decoupled,
 )
 from .errors import InvalidInput
+from .model import second_moment_tail, split_heads
 from .rng import orthonormal_basis, stream
 from .sparsify import soft_threshold, soft_threshold_topk
 
@@ -354,18 +354,15 @@ def suite_equivalence(seed: int = 0) -> list[Check]:
         bank = SubspaceBank(bases, orthonormal=True)
         tokens = rng.normal(size=(n, d))
         Pi = Membership(rng.uniform(0.05, 1.0, size=(K, n)))
-        layer = DmsaLayerParams(
-            value_proj=np.vstack([U.T for U in bases]),
-            membership_proj=rng.normal(size=(K, d)),
-            out_proj=np.hstack(bases) / n,
-            out_bias=np.zeros(d),
-            epsilon_fold=True,
+        # value heads U_k^T x, an all-ones head mask, the pinned membership,
+        # and output columns U_k / n realize the operator's folded form
+        values = ad.Tensor(tokens[None]) @ ad.Tensor(np.hstack(bases))
+        w = split_heads(values, K) * ad.Tensor(np.ones((1, K, 1, 1)))
+        layer = second_moment_tail(
+            w, ad.Tensor(Pi.data[None]), ad.Tensor(np.vstack([U.T for U in bases]) / n),
+            ad.Tensor(np.zeros(d)),
         )
-        out = dmsa_layer_forward(
-            tokens, layer,
-            membership_override=Pi.data,
-            head_mask_override=np.ones(K),
-        )
+        out = layer.data[0]
         cfg = CodingRateConfig(epsilon=float(np.sqrt(d)))
         op = dmsa_operator(tokens.T, Pi, bank, cfg)
         err = float(np.max(np.abs(out.T - op)))

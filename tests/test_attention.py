@@ -1,18 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from dmst import autodiff as ad
 from dmst.attention import (
-    MEMBERSHIP_EPS,
-    DmsaLayerParams,
+    AttentionKind,
     GatedChannelParams,
     MhsaLayerParams,
-    TssaLayerParams,
     columns_to_tokens,
-    dmsa_layer_forward,
     dmsa_operator,
     gated_channel_forward,
     gated_channel_reference,
-    head_gate,
     mhsa_attention_weights,
     mhsa_layer_forward,
     rope_apply,
@@ -20,7 +19,6 @@ from dmst.attention import (
     rotate_pairs,
     token_update,
     tokens_to_columns,
-    tssa_layer_forward,
 )
 from dmst.coding_rate import (
     CodingRateConfig,
@@ -31,8 +29,19 @@ from dmst.coding_rate import (
 )
 from dmst.errors import InvalidInput
 from dmst.functional import gelu, relu, sigmoid
+from dmst.model import (
+    MEMBERSHIP_EPS,
+    ModelConfig,
+    _dmsa_attention,
+    _tssa_attention,
+    init_params,
+    model_forward,
+    second_moment_tail,
+    split_heads,
+)
 from dmst.rng import orthonormal_basis
-from dmst.sparsify import ActivationKind, soft_threshold
+from dmst.sparsify import ActivationKind
+from dmst.verify import simplex_project_bisection
 
 
 def random_bank(rng, d, K, p):
@@ -42,15 +51,14 @@ def random_bank(rng, d, K, p):
     return SubspaceBank(bases, orthonormal=True)
 
 
-def random_layer(rng, d, K, n, **kwargs):
-    return DmsaLayerParams(
-        value_proj=rng.normal(scale=0.5, size=(d, d)),
-        membership_proj=rng.normal(scale=0.5, size=(K, d)),
-        out_proj=rng.normal(scale=0.5, size=(d, d)),
-        out_bias=rng.normal(scale=0.1, size=d),
-        rope_table=rope_precompute(n, d),
-        **kwargs,
-    )
+def random_layer(rng, d, K, membership=True):
+    """Attention sublayer parameters in the model's ``x @ W`` layout."""
+    layer = {"attn.value_proj": ad.Tensor(rng.normal(scale=0.5, size=(d, d)))}
+    if membership:
+        layer["attn.membership_proj"] = ad.Tensor(rng.normal(scale=0.5, size=(d, K)))
+    layer["attn.out_proj"] = ad.Tensor(rng.normal(scale=0.5, size=(d, d)))
+    layer["attn.out_bias"] = ad.Tensor(rng.normal(scale=0.1, size=d))
+    return layer
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +148,17 @@ def test_rope_apply_matches_row_major_rotation():
     assert np.array_equal(rope_apply(Z, table), rotate_pairs(Z.T, table).T)
 
 
+def test_rotate_pairs_rotates_each_leading_index_alike():
+    rng = np.random.default_rng(23)
+    table = rope_precompute(5, 4)
+    x = rng.normal(size=(2, 3, 5, 4))
+    batched = rotate_pairs(x, table)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(batched[idx], rotate_pairs(x[idx], table))
+    # the negated table is the inverse rotation
+    assert np.max(np.abs(rotate_pairs(batched, -table) - x)) < 1e-12
+
+
 def test_rope_rejects_bad_shapes():
     with pytest.raises(InvalidInput):
         rope_precompute(8, 7)  # odd dim has no channel pairs
@@ -150,6 +169,8 @@ def test_rope_rejects_bad_shapes():
         rotate_pairs(np.ones((8, 6)), table)  # more tokens than positions
     with pytest.raises(InvalidInput):
         rotate_pairs(np.ones((2, 4)), table)  # dim mismatch
+    with pytest.raises(InvalidInput):
+        rotate_pairs(np.ones(6), table)  # no token axis
 
 
 def test_token_layout_round_trip():
@@ -161,38 +182,28 @@ def test_token_layout_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# DMSA layer vs a scalar-loop reference
+# DMSA and TSSA sublayers vs scalar-loop references
 # ---------------------------------------------------------------------------
 
 
-def reference_dmsa_layer(x, params):
-    # independent oracle: per-head, per-token loops instead of batched matmuls
-    n, d = x.shape
-    K, p = params.heads, params.head_dim
-    values = x @ params.value_proj.T
-    rotated = rotate_pairs(x, params.rope_table) if params.rope_table is not None else x
-    scores = rotated @ params.membership_proj.T
+ELEMENTWISE = {
+    ActivationKind.SIGMOID: sigmoid,
+    ActivationKind.RELU: relu,
+    ActivationKind.GELU: gelu,
+}
 
-    if params.sparsity_axis in ("head", "both"):
-        mask = head_gate(scores.mean(axis=0), params.activation, params.topk)
-    else:
-        mask = np.ones(K)
 
-    raw = scores.T
-    if params.sparsity_axis in ("token", "both") and (
-        params.activation is ActivationKind.SOFT_THRESHOLD
-    ):
-        Pi = np.vstack([soft_threshold(raw[k]).values for k in range(K)])
-    elif params.activation is ActivationKind.SOFT_THRESHOLD:
-        Pi = sigmoid(raw)
-    elif params.activation is ActivationKind.SIGMOID:
-        Pi = sigmoid(raw)
-    elif params.activation is ActivationKind.RELU:
-        Pi = relu(raw)
-    else:
-        Pi = gelu(raw)
+def simplex_topk(s, k):
+    # top-k support by a stable sort, then bisection onto the simplex
+    keep = np.argsort(-s, kind="stable")[:k]
+    out = np.zeros_like(s)
+    out[keep] = simplex_project_bisection(s[keep])
+    return out
 
-    coeff = 1.0 if params.epsilon_fold else d / params.epsilon**2
+
+def reference_tail(values, mask, Pi, layer, K):
+    n, d = values.shape
+    p = d // K
     merged = np.zeros((n, d))
     for k in range(K):
         wk = values[:, k * p : (k + 1) * p] * mask[k]
@@ -200,79 +211,113 @@ def reference_dmsa_layer(x, params):
         dots = np.zeros(p)
         for c in range(p):
             dots[c] = sum(Pi[k, i] / mass * wk[i, c] ** 2 for i in range(n))
-        attn = coeff / (1.0 + coeff * dots)
+        attn = 1.0 / (1.0 + dots)
         for i in range(n):
             merged[i, k * p : (k + 1) * p] = -(wk[i] * Pi[k, i]) * attn
-    return merged @ params.out_proj.T + params.out_bias
+    return merged @ layer["attn.out_proj"].data + layer["attn.out_bias"].data
+
+
+def reference_dmsa_layer(x, layer, config, table):
+    # independent oracle: per-head, per-token loops instead of batched matmuls
+    K = config.heads
+    values = x @ layer["attn.value_proj"].data
+    rotated = rotate_pairs(x, table) if table is not None else x
+    scores = rotated @ layer["attn.membership_proj"].data  # (n, K)
+    soft = config.activation is ActivationKind.SOFT_THRESHOLD
+
+    if config.sparsity_axis in ("head", "both"):
+        gate = scores.mean(axis=0)
+        if soft:
+            mask = simplex_topk(gate, min(config.topk, K))
+        else:
+            mask = ELEMENTWISE[config.activation](gate)
+    else:
+        mask = np.ones(K)
+
+    if soft and config.sparsity_axis == "head":
+        Pi = sigmoid(scores.T)
+    elif soft:
+        Pi = np.vstack([simplex_project_bisection(scores[:, k]) for k in range(K)])
+    else:
+        Pi = ELEMENTWISE[config.activation](scores.T)
+    return reference_tail(values, mask, Pi, layer, K)
+
+
+def reference_tssa_layer(x, layer, K):
+    # per-token softmax over heads of the energy in each token-normalized head
+    n, d = x.shape
+    p = d // K
+    values = x @ layer["attn.value_proj"].data
+    Pi = np.zeros((K, n))
+    for i in range(n):
+        energy = np.zeros(K)
+        for k in range(K):
+            for c in range(k * p, (k + 1) * p):
+                energy[k] += values[i, c] ** 2 / (np.sum(values[:, c] ** 2) + 1e-12)
+        e = np.exp(energy - energy.max())
+        Pi[:, i] = e / e.sum()
+    return reference_tail(values, np.ones(K), Pi, layer, K)
+
+
+def dmsa_sublayer(x, layer, config, table):
+    return _dmsa_attention(ad.Tensor(x[None]), config, layer, "attn", table).data[0]
+
+
+def tssa_sublayer(x, layer, K):
+    config = ModelConfig(dim=x.shape[1], heads=K, attention=AttentionKind.TSSA)
+    return _tssa_attention(ad.Tensor(x[None]), config, layer, "attn").data[0]
 
 
 @pytest.mark.parametrize(
-    "axis,activation",
-    [
-        ("head", ActivationKind.SOFT_THRESHOLD),
-        ("token", ActivationKind.SOFT_THRESHOLD),
-        ("both", ActivationKind.SOFT_THRESHOLD),
-        ("head", ActivationKind.SIGMOID),
-        ("head", ActivationKind.RELU),
-        ("head", ActivationKind.GELU),
-    ],
+    "axis,activation", list(itertools.product(("head", "token", "both"), ActivationKind))
 )
 def test_dmsa_layer_matches_scalar_reference(axis, activation):
     rng = np.random.default_rng(8)
     d, K, n = 8, 4, 6
-    params = random_layer(rng, d, K, n, sparsity_axis=axis, topk=2, activation=activation)
+    config = ModelConfig(dim=d, heads=K, sparsity_axis=axis, topk=2, activation=activation)
+    layer = random_layer(rng, d, K)
     x = rng.normal(size=(n, d))
-    assert np.max(np.abs(dmsa_layer_forward(x, params) - reference_dmsa_layer(x, params))) < 1e-10
+    table = rope_precompute(n, d)
+    out = dmsa_sublayer(x, layer, config, table)
+    assert np.max(np.abs(out - reference_dmsa_layer(x, layer, config, table))) < 1e-10
+
+
+def small_model(**kwargs):
+    return ModelConfig(depth=2, dim=8, heads=4, mlp_ratio=1.0, input_dim=5, **kwargs)
 
 
 def test_dmsa_layer_without_rope_ignores_token_order_in_state():
     # with no rotary table the membership path sees raw tokens, so permuting
     # tokens permutes the per-token state columns without changing values
     rng = np.random.default_rng(9)
-    d, K, n = 6, 2, 5
-    params = random_layer(rng, d, K, n, sparsity_axis="token")
-    params.rope_table = None
-    x = rng.normal(size=(n, d))
+    config = small_model(sparsity_axis="token", use_rope=False)
+    params = init_params(config)
+    n = 5
+    x = rng.normal(size=(2, n, 5))
     perm = rng.permutation(n)
-    out, state = dmsa_layer_forward(x, params, return_state=True)
-    out_p, state_p = dmsa_layer_forward(x[perm], params, return_state=True)
-    assert np.max(np.abs(out_p - out[perm])) < 1e-12
-    assert np.max(np.abs(state_p["membership"] - state["membership"][:, perm])) < 1e-12
-
-
-def test_dmsa_layer_state_shapes_and_overrides():
-    rng = np.random.default_rng(10)
-    d, K, n = 8, 4, 5
-    params = random_layer(rng, d, K, n)
-    x = rng.normal(size=(n, d))
-    Pi = rng.uniform(0.1, 1.0, size=(K, n))
-    mask = np.ones(K)
-    out, state = dmsa_layer_forward(
-        x, params, membership_override=Pi, head_mask_override=mask, return_state=True
-    )
-    assert out.shape == (n, d)
-    assert np.array_equal(state["membership"], Pi)
-    assert np.array_equal(state["head_mask"], mask)
-    assert state["dots"].shape == (K, params.head_dim)
-    assert state["scores"].shape == (n, K)
-    with pytest.raises(InvalidInput):
-        dmsa_layer_forward(x, params, membership_override=Pi[:, :-1])
-    with pytest.raises(InvalidInput):
-        dmsa_layer_forward(x, params, head_mask_override=np.ones(K + 1))
-    with pytest.raises(InvalidInput):
-        dmsa_layer_forward(x[:, :-1], params)
+    cols = np.concatenate([[0], 1 + perm])  # the class token stays first
+    state, state_p = [], []
+    model_forward(config, params, x, capture=state)
+    model_forward(config, params, x[:, perm], capture=state_p)
+    for block, block_p in zip(state, state_p):
+        assert np.max(np.abs(block_p["membership"] - block["membership"][:, :, cols])) < 1e-12
+        after, after_p = block["tokens_after_attention"], block_p["tokens_after_attention"]
+        assert np.max(np.abs(after_p - after[:, cols])) < 1e-12
 
 
 def test_dmsa_layer_constant_scores_gate_heads_uniformly():
     # equal token-mean scores across heads make the simplex projection split
     # the gate evenly, so every head survives with weight 1/K
     rng = np.random.default_rng(11)
-    d, K, n = 8, 4, 6
-    params = random_layer(rng, d, K, n, sparsity_axis="head", topk=K)
-    params.membership_proj = np.zeros((K, d))
-    x = rng.normal(size=(n, d))
-    _, state = dmsa_layer_forward(x, params, return_state=True)
-    assert np.max(np.abs(state["head_mask"] - 1.0 / K)) < 1e-12
+    config = small_model(sparsity_axis="head", topk=4)
+    params = init_params(config)
+    for i in range(config.depth):
+        params[f"blocks.{i}.attn.membership_proj"] = ad.Tensor(np.zeros((8, 4)))
+    capture = []
+    model_forward(config, params, rng.normal(size=(3, 6, 5)), capture=capture)
+    for block in capture:
+        assert block["head_mask"].shape == (3, 4)
+        assert np.max(np.abs(block["head_mask"] - 1.0 / 4)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +326,9 @@ def test_dmsa_layer_constant_scores_gate_heads_uniformly():
 
 
 def test_dmsa_layer_matches_operator_on_orthonormal_bank():
-    # layer with value rows U_k^T, output columns U_k / n, folded coefficient,
-    # and pinned membership realizes the math-form operator; agreement is
-    # limited only by the layer's 1e-8 normalizer guard
+    # the rescaling tail with value heads U_k^T x, an all-ones head mask, a
+    # pinned membership and output map U_k / n realizes the math-form
+    # operator; agreement is limited only by the 1e-8 normalizer guard
     rng = np.random.default_rng(12)
     tol = 1e-5
     for _ in range(20):
@@ -294,17 +339,14 @@ def test_dmsa_layer_matches_operator_on_orthonormal_bank():
         bank = random_bank(rng, d, K, p)
         Z = rng.normal(size=(d, n))
         Pi = Membership(rng.uniform(0.05, 1.0, size=(K, n)))
-        params = DmsaLayerParams(
-            value_proj=np.vstack([U.T for U in bank.bases]),
-            membership_proj=np.zeros((K, d)),
-            out_proj=np.hstack(bank.bases) / n,
-            out_bias=np.zeros(d),
-            rope_table=None,
-            epsilon_fold=True,
-        )
-        layer_out = dmsa_layer_forward(
-            Z.T, params, membership_override=Pi.data, head_mask_override=np.ones(K)
-        )
+        values = ad.Tensor(Z.T[None]) @ ad.Tensor(np.hstack(bank.bases))
+        w = split_heads(values, K) * ad.Tensor(np.ones((1, K, 1, 1)))
+        layer_out = second_moment_tail(
+            w,
+            ad.Tensor(Pi.data[None]),
+            ad.Tensor(np.vstack([U.T for U in bank.bases]) / n),
+            ad.Tensor(np.zeros(d)),
+        ).data[0]
         op_out = dmsa_operator(Z, Pi, bank, CodingRateConfig(epsilon=float(np.sqrt(d))))
         assert np.max(np.abs(layer_out.T - op_out)) < tol
 
@@ -314,42 +356,43 @@ def test_dmsa_layer_matches_operator_on_orthonormal_bank():
 # ---------------------------------------------------------------------------
 
 
-def tssa_params(rng, d, K):
-    return TssaLayerParams(
-        value_proj=rng.normal(scale=0.5, size=(d, d)),
-        out_proj=rng.normal(scale=0.5, size=(d, d)),
-        out_bias=rng.normal(scale=0.1, size=d),
-        heads=K,
-    )
-
-
 def test_tssa_single_head_membership_is_all_ones():
     # softmax over a single head is identically one, so the layer reduces to
     # the uniform-membership rescaling
     rng = np.random.default_rng(13)
     d, n = 6, 7
-    params = tssa_params(rng, d, 1)
+    layer = random_layer(rng, d, 1, membership=False)
     x = rng.normal(size=(n, d))
-    values = x @ params.value_proj.T
+    values = x @ layer["attn.value_proj"].data
     mass = float(n) + MEMBERSHIP_EPS
     dots = np.sum(values * values, axis=0) / mass
-    expected = (-values / (1.0 + dots)[None, :]) @ params.out_proj.T + params.out_bias
-    assert np.max(np.abs(tssa_layer_forward(x, params) - expected)) < 1e-10
+    expected = (-values / (1.0 + dots)[None, :]) @ layer["attn.out_proj"].data
+    expected += layer["attn.out_bias"].data
+    assert np.max(np.abs(tssa_sublayer(x, layer, 1) - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("K", [2, 4])
+def test_tssa_layer_matches_scalar_reference(K):
+    rng = np.random.default_rng(22)
+    d, n = 8, 7
+    layer = random_layer(rng, d, K, membership=False)
+    x = rng.normal(size=(n, d))
+    assert np.max(np.abs(tssa_sublayer(x, layer, K) - reference_tssa_layer(x, layer, K))) < 1e-10
 
 
 def test_tssa_output_shape_and_finiteness():
     rng = np.random.default_rng(14)
-    params = tssa_params(rng, 8, 4)
-    out = tssa_layer_forward(rng.normal(size=(10, 8)), params)
+    layer = random_layer(rng, 8, 4, membership=False)
+    out = tssa_sublayer(rng.normal(size=(10, 8)), layer, 4)
     assert out.shape == (10, 8)
     assert np.all(np.isfinite(out))
 
 
 def test_tssa_rejects_dim_mismatch():
     rng = np.random.default_rng(15)
-    params = tssa_params(rng, 8, 2)
+    config = ModelConfig(depth=1, dim=8, heads=2, input_dim=8, attention=AttentionKind.TSSA)
     with pytest.raises(InvalidInput):
-        tssa_layer_forward(rng.normal(size=(5, 6)), params)
+        model_forward(config, init_params(config), rng.normal(size=(1, 5, 6)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -231,6 +234,38 @@ def test_rates_rejects_garbage_checkpoint(tmp_path, capsys):
     bad.write_bytes(b"not a checkpoint")
     code = main(["rates", "--checkpoint", str(bad), "--csv", str(tmp_path / "r.csv")])
     assert code == EXIT_USAGE
+
+
+def rewrite_config(src, dst, **changes):
+    """Copy a checkpoint with its header config keys changed."""
+    blob = src.read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 5)
+    header = json.loads(blob[9 : 9 + length])
+    header["config"].update(changes)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    dst.write_bytes(blob[:5] + struct.pack("<I", len(text)) + text + blob[9 + length :])
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"attention": "gated"},  # an attention kind the package no longer has
+        {"attention": "bogus"},
+        {"attention": "mhsa"},  # a valid kind ModelConfig cannot train
+        {"activation": "tanh"},
+        {"colour": "red"},  # an unknown key
+        {"heads": 0},
+    ],
+    ids=lambda changes: "-".join(f"{k}={v}" for k, v in changes.items()),
+)
+def test_rates_rejects_bad_checkpoint_config_in_one_line(run_dir, tmp_path, capsys, changes):
+    bad = tmp_path / "bad.dmst"
+    rewrite_config(run_dir / "checkpoint.dmst", bad, **changes)
+    code = main(["rates", "--checkpoint", str(bad), "--csv", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "invalid config" in err
 
 
 def test_rates_data_width_mismatch_exits_mismatch(run_dir, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 
+from dmst import autodiff as ad
 from dmst.memcount import AllocationCounter, count_floats, track
 
 
@@ -46,3 +47,18 @@ def test_counter_direct_accumulation():
     counter.add(4)
     assert counter.total_floats == 7
     assert counter.arrays == 2
+
+
+def test_autodiff_nodes_count_owned_arrays_and_skip_views():
+    a = ad.Tensor(np.ones((3, 4)), requires_grad=True)
+    b = ad.Tensor(np.ones((4, 5)))
+    with count_floats() as counter:
+        c = a @ b  # owns 15 floats
+        view = ad.transpose(ad.reshape(c, (5, 3)), (1, 0))  # views of c: not counted
+        scaled = view * 2.0  # owns 15
+        flat = ad.reshape(ad.transpose(c, (1, 0)), (15,))  # a non-contiguous reshape copies: 15
+        total = ad.sum_(scaled) + ad.sum_(flat)  # 1 + 1 + 1
+    assert counter.total_floats == 48
+    assert counter.arrays == 6
+    assert total.data.shape == ()
+

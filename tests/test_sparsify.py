@@ -3,11 +3,8 @@ import pytest
 
 from dmst.coding_rate import Membership, SubspaceBank
 from dmst.errors import InvalidInput
-from dmst.functional import gelu, relu, sigmoid
 from dmst.rng import orthonormal_basis
 from dmst.sparsify import (
-    ActivationKind,
-    activate_membership,
     soft_threshold,
     soft_threshold_backward,
     soft_threshold_matrix,
@@ -208,23 +205,6 @@ def test_soft_threshold_backward_centers_over_active_set():
 # ---------------------------------------------------------------------------
 # membership and subspace sparsifiers
 # ---------------------------------------------------------------------------
-
-
-def test_activate_membership_soft_threshold_projects_columns():
-    rng = np.random.default_rng(9)
-    raw = rng.normal(size=(4, 9))
-    Pi = activate_membership(raw, ActivationKind.SOFT_THRESHOLD)
-    sums = Pi.data.sum(axis=0)
-    assert np.max(np.abs(sums - 1.0)) < 1e-12
-    assert np.min(Pi.data) >= 0.0
-
-
-def test_activate_membership_elementwise_kinds():
-    rng = np.random.default_rng(10)
-    raw = rng.normal(size=(3, 7))
-    assert np.array_equal(activate_membership(raw, ActivationKind.SIGMOID).data, sigmoid(raw))
-    assert np.array_equal(activate_membership(raw, ActivationKind.RELU).data, relu(raw))
-    assert np.array_equal(activate_membership(raw, ActivationKind.GELU).data, gelu(raw))
 
 
 def test_sparse_membership_tokens_rows_on_simplex():
