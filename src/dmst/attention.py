@@ -170,6 +170,8 @@ class MhsaLayerParams:
         self.v_proj = np.asarray(self.v_proj)
         self.out_proj = np.asarray(self.out_proj)
         self.out_bias = np.asarray(self.out_bias)
+        if self.heads < 1:
+            raise InvalidInput(f"heads must be positive, got {self.heads}")
         d = self.q_proj.shape[0]
         for name, m in (("q_proj", self.q_proj), ("k_proj", self.k_proj),
                         ("v_proj", self.v_proj), ("out_proj", self.out_proj)):

@@ -5,9 +5,11 @@ A :class:`Tensor` wraps an ndarray and remembers how it was produced; calling
 topological order and accumulates gradients into every tensor that requires
 them. Only the operations the classifier needs are provided, each with an
 exact adjoint, including the simplex soft threshold (through its active-set
-Jacobian) and the pairwise rotary rotation. While a :mod:`dmst.memcount`
-counter is active, every node's array is registered with it unless it is a
-view into a parent's array.
+Jacobian) and the pairwise rotary rotation. LayerNorm and the DMSA/TSSA
+second-moment rescaling are single nodes with closed-form adjoints, since
+per-node overhead dominates a training step on arrays this small. While a
+:mod:`dmst.memcount` counter is active, every node's array is registered
+with it unless it is a view into a parent's array.
 
 Everything is single threaded numpy, so a fixed seed yields bit-identical
 training runs on a given platform.
@@ -21,8 +23,7 @@ import numpy as np
 
 from .attention import rotate_pairs
 from .errors import InvalidInput
-from .functional import gelu as _gelu_fwd
-from .functional import gelu_grad as _gelu_grad
+from .functional import normal_cdf, normal_pdf
 from .functional import sigmoid as _sigmoid_fwd
 from .memcount import counting, track
 from .sparsify import soft_threshold_backward, soft_threshold_matrix
@@ -223,7 +224,27 @@ def pow_scalar(a, exponent: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product with numpy broadcasting over leading axes.
+
+    A ``(..., n, d)`` left operand against a 2-D ``(d, h)`` weight runs as
+    one ``(N, d) @ (d, h)`` GEMM over the flattened leading axes, so the
+    weight gradient is one ``(d, N) @ (N, h)`` product instead of a batch of
+    products summed afterwards.
+    """
     a, b = as_tensor(a), as_tensor(b)
+    if a.ndim >= 3 and b.ndim == 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+
+        def backward(g: np.ndarray) -> None:
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                _accumulate(b, a2.T @ g2)
+
+        return _node(data, (a, b), backward)
+
     data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
@@ -359,12 +380,14 @@ def relu(a) -> Tensor:
 
 
 def gelu(a) -> Tensor:
+    """Exact GELU ``x * Phi(x)``; the backward reuses Phi from the forward."""
     a = as_tensor(a)
+    cdf = normal_cdf(a.data)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * _gelu_grad(a.data))
+        _accumulate(a, g * (cdf + a.data * normal_pdf(a.data)))
 
-    return _node(_gelu_fwd(a.data), (a,), backward)
+    return _node(a.data * cdf, (a,), backward)
 
 
 def exp(a) -> Tensor:
@@ -397,6 +420,66 @@ def softmax(a, axis: int = -1) -> Tensor:
         _accumulate(a, data * (g - inner))
 
     return _node(data, (a,), backward)
+
+
+def layer_norm(x, scale, shift, eps: float) -> Tensor:
+    """LayerNorm over the last axis as one node.
+
+    With ``xhat = (x - mean) * inv`` and ``inv = (var + eps)^-1/2``, the
+    input adjoint is ``inv * (gx - mean(gx) - xhat * mean(gx * xhat))`` for
+    ``gx = g * scale``, all means over the last axis.
+    """
+    x, scale, shift = as_tensor(x), as_tensor(scale), as_tensor(shift)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat = centered * inv
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            gx = g * scale.data
+            inner = gx - gx.mean(axis=-1, keepdims=True)
+            inner -= xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            _accumulate(x, inv * inner)
+        if scale.requires_grad:
+            _accumulate(scale, _unbroadcast(g * xhat, scale.shape))
+        if shift.requires_grad:
+            _accumulate(shift, _unbroadcast(g, shift.shape))
+
+    return _node(xhat * scale.data + shift.data, (x, scale, shift), backward)
+
+
+def second_moment_rescale(w, Pi, eps: float) -> Tensor:
+    """The DMSA/TSSA rescaling ``-w * Pi / (1 + norm @ w^2)`` as one node.
+
+    ``w`` is ``(..., n, p)`` head features and ``Pi`` ``(..., n)`` token
+    memberships; ``norm = Pi / (sum(Pi) + eps)`` and every channel ``j`` is
+    scaled by ``attn_j = 1 / (1 + sum_n norm_n w_nj^2)``. The adjoint, with
+    ``D = sum(Pi) + eps``::
+
+        gd     = sum_n g * w * Pi * attn^2                 (..., 1, p)
+        d w    = -g * Pi * attn + 2 * gd * norm * w
+        gnorm  = sum_j gd * w^2                            (..., n)
+        d Pi   = -sum_j g * w * attn + gnorm / D - sum_n(gnorm * Pi) / D^2
+    """
+    w, Pi = as_tensor(w), as_tensor(Pi)
+    denom = Pi.data.sum(axis=-1, keepdims=True) + eps  # (..., 1)
+    norm = Pi.data / denom
+    sq = w.data * w.data
+    attn = 1.0 / (1.0 + norm[..., None, :] @ sq)  # (..., 1, p)
+    weight = Pi.data[..., None]  # (..., n, 1)
+
+    def backward(g: np.ndarray) -> None:
+        gw = g * w.data
+        gd = (np.swapaxes(weight, -1, -2) @ gw) * (attn * attn)
+        if w.requires_grad:
+            _accumulate(w, 2.0 * gd * norm[..., None] * w.data - g * weight * attn)
+        if Pi.requires_grad:
+            gnorm = (sq @ np.swapaxes(gd, -1, -2))[..., 0]
+            direct = (gw @ np.swapaxes(attn, -1, -2))[..., 0]
+            spread = (gnorm * Pi.data).sum(axis=-1, keepdims=True) / (denom * denom)
+            _accumulate(Pi, gnorm / denom - spread - direct)
+
+    return _node(-(w.data * weight) * attn, (w, Pi), backward)
 
 
 def soft_threshold_rows(a, topk: int | None = None) -> Tensor:

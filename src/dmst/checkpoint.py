@@ -8,7 +8,9 @@ Layout, all little endian::
     remainder     float32 payload, tensors concatenated in manifest order
 
 Offsets are float counts from the start of the payload; they must start at
-zero, be contiguous, and strictly increase. The JSON is serialized with
+zero, be contiguous, and strictly increase. The manifest must list the
+tensors of the header's config, with the names and shapes and in the order
+:func:`dmst.model.param_shapes` gives. The JSON is serialized with
 sorted keys and fixed separators, so identical inputs produce identical
 bytes and a save/load/save round trip is bit exact.
 """
@@ -16,12 +18,13 @@ bytes and a save/load/save round trip is bit exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
 from .errors import FormatError, InvalidInput
-from .model import ModelConfig, config_from_dict, config_to_dict
+from .model import ModelConfig, config_from_dict, config_to_dict, param_shapes
 
 MAGIC = b"DMST1"
 
@@ -73,11 +76,11 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         raise FormatError(f"checkpoint {path} payload is not a whole number of float32s")
     floats = np.frombuffer(payload, dtype="<f4")
 
+    entries = _manifest(path, header["tensors"])
     params: dict[str, np.ndarray] = {}
     expected_offset = 0
-    for entry in header["tensors"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), int(entry["offset"])
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for name, shape, offset in entries:
+        size = math.prod(shape)
         if offset != expected_offset:
             raise FormatError(
                 f"checkpoint {path}: tensor {name} at offset {offset}, expected {expected_offset}"
@@ -94,4 +97,51 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         config = config_from_dict(header["config"])
     except (InvalidInput, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint {path} has an invalid config: {exc}") from None
+    _check_layout(path, config, entries)
     return config, params
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _manifest(path: str, tensors) -> list[tuple[str, tuple[int, ...], int]]:
+    """``(name, shape, offset)`` of each manifest entry, type-checked."""
+    if not isinstance(tensors, list):
+        raise FormatError(f"checkpoint {path}: tensors must be a list, got {type(tensors).__name__}")
+    entries = []
+    for i, entry in enumerate(tensors):
+        if not isinstance(entry, dict):
+            raise FormatError(f"checkpoint {path}: tensor entry {i} is not an object")
+        missing = [key for key in ("name", "shape", "offset") if key not in entry]
+        if missing:
+            raise FormatError(f"checkpoint {path}: tensor entry {i} lacks {', '.join(missing)}")
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+        if not isinstance(name, str):
+            raise FormatError(f"checkpoint {path}: tensor entry {i} has a non-string name")
+        if not isinstance(shape, list) or not all(_is_count(s) for s in shape):
+            raise FormatError(
+                f"checkpoint {path}: tensor {name} has shape {shape!r}, "
+                "expected a list of nonnegative integers"
+            )
+        if not _is_count(offset):
+            raise FormatError(f"checkpoint {path}: tensor {name} has offset {offset!r}")
+        entries.append((name, tuple(shape), offset))
+    return entries
+
+
+def _check_layout(path: str, config: ModelConfig, entries) -> None:
+    """The manifest must list exactly the tensors ``init_params(config)`` makes."""
+    expected = param_shapes(config)
+    for name, shape, _ in entries:
+        want = next(expected, None)
+        if want is None:
+            raise FormatError(f"checkpoint {path}: tensor {name} is not part of its config")
+        if (name, shape) != want:
+            raise FormatError(
+                f"checkpoint {path}: tensor {name} {list(shape)} does not match its config, "
+                f"which expects {want[0]} {list(want[1])}"
+            )
+    missing = next(expected, None)
+    if missing is not None:
+        raise FormatError(f"checkpoint {path}: lacks tensor {missing[0]}, which its config needs")

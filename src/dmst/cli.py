@@ -101,10 +101,10 @@ def _check_data_matches(config: ModelConfig, ds: TokenDataset) -> None:
             f"dataset token width {ds.tokens.shape[2]} does not match "
             f"model input_dim {config.input_dim}"
         )
-    if int(ds.labels.max()) >= config.num_classes:
+    if ds.labels.size and not 0 <= ds.labels.min() <= ds.labels.max() < config.num_classes:
         raise InvalidInput(
-            f"dataset labels reach {int(ds.labels.max())} but the model has "
-            f"{config.num_classes} classes"
+            f"dataset labels span {int(ds.labels.min())}..{int(ds.labels.max())} but the "
+            f"model has {config.num_classes} classes, labels 0..{config.num_classes - 1}"
         )
 
 

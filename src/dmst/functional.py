@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -23,16 +22,19 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+def normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal distribution function Phi(x)."""
+    return ndtr(x)
+
+
+def normal_pdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal density phi(x)."""
+    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian error linear unit, exact form x * Phi(x)."""
-    return x * 0.5 * (1.0 + erf(x * _INV_SQRT2))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative Phi(x) + x * phi(x) of the exact GELU."""
-    phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    return cdf + x * phi
+    return x * normal_cdf(x)
 
 
 def softmax_columns(x: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ builds.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Iterator
 
 import numpy as np
 
@@ -123,42 +124,54 @@ def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float =
     return out
 
 
+def param_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every trainable tensor, in canonical serialization order.
+
+    A generator, so a checkpoint can be checked against an untrusted config
+    without building the whole layout first.
+    """
+    d, hidden = config.dim, config.mlp_hidden
+    yield "embed.weight", (config.input_dim, d)
+    yield "embed.bias", (d,)
+    yield "cls_token", (1, 1, d)
+    for i in range(config.depth):
+        prefix = f"blocks.{i}"
+        yield f"{prefix}.norm1.scale", (d,)
+        yield f"{prefix}.norm1.shift", (d,)
+        yield f"{prefix}.attn.value_proj", (d, d)
+        if config.attention is AttentionKind.DMSA:
+            yield f"{prefix}.attn.membership_proj", (d, config.heads)
+        yield f"{prefix}.attn.out_proj", (d, d)
+        yield f"{prefix}.attn.out_bias", (d,)
+        yield f"{prefix}.norm2.scale", (d,)
+        yield f"{prefix}.norm2.shift", (d,)
+        yield f"{prefix}.mlp.fc1.weight", (d, hidden)
+        yield f"{prefix}.mlp.fc1.bias", (hidden,)
+        yield f"{prefix}.mlp.fc2.weight", (hidden, d)
+        yield f"{prefix}.mlp.fc2.bias", (d,)
+    yield "norm.scale", (d,)
+    yield "norm.shift", (d,)
+    yield "head.weight", (d, config.num_classes)
+    yield "head.bias", (config.num_classes,)
+
+
 def init_params(config: ModelConfig) -> dict[str, ad.Tensor]:
     """Initialize all trainable tensors, keyed by hierarchical names.
 
     Projections use truncated normal (std 0.02), biases and norm offsets
     start at zero, norm scales at one. Insertion order is the canonical
-    serialization order.
+    serialization order of :func:`param_shapes`.
     """
     rng = stream(config.seed, "init")
-    d, hidden = config.dim, config.mlp_hidden
     params: dict[str, ad.Tensor] = {}
-
-    def param(name: str, value: np.ndarray) -> None:
+    for name, shape in param_shapes(config):
+        if name.endswith(("bias", "shift")):
+            value = np.zeros(shape)
+        elif name.endswith("scale"):
+            value = np.ones(shape)
+        else:
+            value = _trunc_normal(rng, shape)
         params[name] = ad.Tensor(value, requires_grad=True)
-
-    param("embed.weight", _trunc_normal(rng, (config.input_dim, d)))
-    param("embed.bias", np.zeros(d))
-    param("cls_token", _trunc_normal(rng, (1, 1, d)))
-    for i in range(config.depth):
-        prefix = f"blocks.{i}"
-        param(f"{prefix}.norm1.scale", np.ones(d))
-        param(f"{prefix}.norm1.shift", np.zeros(d))
-        param(f"{prefix}.attn.value_proj", _trunc_normal(rng, (d, d)))
-        if config.attention is AttentionKind.DMSA:
-            param(f"{prefix}.attn.membership_proj", _trunc_normal(rng, (d, config.heads)))
-        param(f"{prefix}.attn.out_proj", _trunc_normal(rng, (d, d)))
-        param(f"{prefix}.attn.out_bias", np.zeros(d))
-        param(f"{prefix}.norm2.scale", np.ones(d))
-        param(f"{prefix}.norm2.shift", np.zeros(d))
-        param(f"{prefix}.mlp.fc1.weight", _trunc_normal(rng, (d, hidden)))
-        param(f"{prefix}.mlp.fc1.bias", np.zeros(hidden))
-        param(f"{prefix}.mlp.fc2.weight", _trunc_normal(rng, (hidden, d)))
-        param(f"{prefix}.mlp.fc2.bias", np.zeros(d))
-    param("norm.scale", np.ones(d))
-    param("norm.shift", np.zeros(d))
-    param("head.weight", _trunc_normal(rng, (d, config.num_classes)))
-    param("head.bias", np.zeros(config.num_classes))
     return params
 
 
@@ -181,11 +194,7 @@ def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 def _layer_norm(x: ad.Tensor, scale: ad.Tensor, shift: ad.Tensor, eps: float = 1e-6) -> ad.Tensor:
-    mu = ad.mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = ad.mean(centered * centered, axis=-1, keepdims=True)
-    inv = ad.pow_scalar(var + eps, -0.5)
-    return centered * inv * scale + shift
+    return ad.layer_norm(x, scale, shift, eps)
 
 
 def sparsify_scores(scores: ad.Tensor, config: ModelConfig, *, gate: bool) -> ad.Tensor:
@@ -242,10 +251,7 @@ def second_moment_tail(
     to ``(B, n, d)``. Linear in the token count.
     """
     B, K, n, hd = w.shape
-    norm = Pi / (ad.sum_(Pi, axis=-1, keepdims=True) + MEMBERSHIP_EPS)
-    dots = ad.reshape(norm, (B, K, 1, n)) @ (w * w)  # (B, K, 1, hd)
-    attn = 1.0 / (1.0 + dots)
-    out = -(w * ad.reshape(Pi, (B, K, n, 1))) * attn
+    out = ad.second_moment_rescale(w, Pi, MEMBERSHIP_EPS)
     merged = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (B, n, K * hd))
     return merged @ out_proj + out_bias
 

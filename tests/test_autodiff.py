@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from dmst import autodiff as ad
 from dmst.attention import rope_precompute
 from dmst.errors import InvalidInput
+from dmst.model import MEMBERSHIP_EPS
 from dmst.sparsify import soft_threshold_matrix
 
 FD_H = 1e-6
@@ -95,6 +97,18 @@ def test_batched_matmul_with_broadcast_gradients():
     check_op(lambda x, y: w(ad.matmul(x, y)), [a, b])
 
 
+@pytest.mark.parametrize("left_shape", [(2, 3, 4), (2, 2, 3, 4)])
+def test_flattened_weight_matmul_gradient_of_each_side_alone(left_shape):
+    # (..., n, d) @ (d, h) runs as one GEMM; check each operand's adjoint
+    # with the other held constant, so neither relies on the other's branch
+    rng = np.random.default_rng(14)
+    a = rng.normal(size=left_shape)
+    b = rng.normal(size=(4, 5))
+    w = weighted(rng, left_shape[:-1] + (5,))
+    check_op(lambda x: w(ad.matmul(x, b)), [a])
+    check_op(lambda y: w(ad.matmul(a, y)), [b])
+
+
 # ---------------------------------------------------------------------------
 # shape manipulation
 # ---------------------------------------------------------------------------
@@ -157,6 +171,87 @@ def test_sigmoid_relu_gelu_exp_log_gradients():
     check_op(lambda x: w(ad.gelu(x)), [a])
     check_op(lambda x: w(ad.exp(x)), [a])
     check_op(lambda x: w(ad.log(x)), [pos])
+
+
+def test_gelu_gradient_matches_finite_differences():
+    rng = np.random.default_rng(1)
+    x = rng.normal(scale=2.0, size=200)
+    h = 1e-6
+    fd = (ad.gelu(x + h).data - ad.gelu(x - h).data) / (2 * h)
+    t = ad.Tensor(x, requires_grad=True)
+    ad.gelu(t).backward(np.ones_like(x))
+    assert np.max(np.abs(t.grad - fd)) < 1e-8
+
+
+def test_layer_norm_gradient():
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(2, 3, 5))
+    scale = rng.uniform(0.5, 1.5, size=5)
+    shift = rng.normal(size=5)
+    w = weighted(rng, (2, 3, 5))
+    check_op(lambda a, s, b: w(ad.layer_norm(a, s, b, 1e-6)), [x, scale, shift])
+    check_op(lambda a: w(ad.layer_norm(a, scale, shift, 1e-6)), [x])
+
+
+def sigmoid_membership(rng, shape):
+    return 1.0 / (1.0 + np.exp(-rng.normal(size=shape)))
+
+
+def simplex_membership_with_zeros(rng, shape):
+    Pi, _, active = soft_threshold_matrix(rng.normal(size=(int(np.prod(shape[:-1])), shape[-1])))
+    assert not active.all()  # the case under test has exact zeros
+    return Pi.reshape(shape)
+
+
+@pytest.mark.parametrize("membership", [sigmoid_membership, simplex_membership_with_zeros])
+def test_second_moment_rescale_gradient_of_each_input_alone(membership):
+    rng = np.random.default_rng(16)
+    w_in = rng.normal(size=(2, 3, 6, 4))
+    Pi = membership(rng, (2, 3, 6))
+    w = weighted(rng, (2, 3, 6, 4))
+    check_op(lambda a: w(ad.second_moment_rescale(a, Pi, MEMBERSHIP_EPS)), [w_in])
+    check_op(lambda P: w(ad.second_moment_rescale(w_in, P, MEMBERSHIP_EPS)), [Pi])
+
+
+def test_fused_ops_match_their_composed_expressions():
+    # independent oracles: each fused op written out as the plain numpy or
+    # composed-op expression it replaces, forward and (for the graph) backward
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(3, 4, 6))
+    np.testing.assert_allclose(
+        ad.gelu(x).data, x * 0.5 * (1.0 + erf(x / np.sqrt(2.0))), rtol=0, atol=1e-12
+    )
+
+    scale, shift = rng.normal(size=6), rng.normal(size=6)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    expected = centered / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + 1e-6) * scale + shift
+    np.testing.assert_allclose(
+        ad.layer_norm(x, scale, shift, 1e-6).data, expected, rtol=0, atol=1e-12
+    )
+
+    weight = rng.normal(size=(6, 5))
+    np.testing.assert_allclose(
+        ad.matmul(x, weight).data, np.einsum("bnd,dh->bnh", x, weight), rtol=0, atol=1e-12
+    )
+
+    w_in = rng.normal(size=(2, 3, 5, 4))
+    Pi = sigmoid_membership(rng, (2, 3, 5))
+    seed = rng.normal(size=w_in.shape)
+
+    def composed(w, P):
+        B, K, n, _ = w.shape
+        norm = P / (ad.sum_(P, axis=-1, keepdims=True) + MEMBERSHIP_EPS)
+        attn = 1.0 / (1.0 + ad.reshape(norm, (B, K, 1, n)) @ (w * w))
+        return -(w * ad.reshape(P, (B, K, n, 1))) * attn
+
+    grads = []
+    for op in (composed, lambda w, P: ad.second_moment_rescale(w, P, MEMBERSHIP_EPS)):
+        tw, tp = ad.Tensor(w_in, requires_grad=True), ad.Tensor(Pi, requires_grad=True)
+        out = op(tw, tp)
+        out.backward(seed)
+        grads.append((out.data, tw.grad, tp.grad))
+    for fused, reference in zip(grads[1], grads[0]):
+        np.testing.assert_allclose(fused, reference, rtol=0, atol=1e-12)
 
 
 def test_softmax_gradient():

@@ -6,20 +6,17 @@ import pytest
 
 from dmst.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dmst.errors import FormatError
-from dmst.model import ModelConfig, init_params
+from dmst.model import ModelConfig, init_params, param_shapes
 
 
-def tiny_params(rng):
-    return {
-        "embed.weight": rng.normal(size=(3, 4)).astype(np.float32),
-        "head.bias": rng.normal(size=(2,)).astype(np.float32),
-    }
+def tiny_params(rng, config):
+    return {name: rng.normal(size=shape).astype(np.float32) for name, shape in param_shapes(config)}
 
 
 def test_round_trip_preserves_config_and_float32_tensors(tmp_path):
     rng = np.random.default_rng(0)
     config = ModelConfig(depth=1, dim=8, heads=2, input_dim=3)
-    params = tiny_params(rng)
+    params = tiny_params(rng, config)
     path = str(tmp_path / "model.dmst")
     save_checkpoint(path, config, params)
     loaded_config, loaded = load_checkpoint(path)
@@ -42,13 +39,14 @@ def test_save_load_save_is_bit_exact(tmp_path):
 
 
 def test_float64_payload_is_stored_as_float32(tmp_path):
-    config = ModelConfig()
-    value = np.array([1.0 + 1e-12], dtype=np.float64)  # below float32 resolution
+    config = ModelConfig(depth=0, dim=2, heads=1, input_dim=1, num_classes=1)
+    params = {name: np.zeros(shape) for name, shape in param_shapes(config)}
+    params["head.bias"][0] = 1.0 + 1e-12  # below float32 resolution
     path = str(tmp_path / "c.dmst")
-    save_checkpoint(path, config, {"w": value})
+    save_checkpoint(path, config, params)
     _, loaded = load_checkpoint(path)
-    assert loaded["w"].dtype == np.float32
-    assert loaded["w"][0] == np.float32(1.0)
+    assert loaded["head.bias"].dtype == np.float32
+    assert loaded["head.bias"][0] == np.float32(1.0)
 
 
 def test_magic_prefix_and_header_layout(tmp_path):
@@ -60,6 +58,13 @@ def test_magic_prefix_and_header_layout(tmp_path):
     header = json.loads(blob[len(MAGIC) + 4 : len(MAGIC) + 4 + header_len])
     assert set(header) == {"config", "tensors"}
     assert header["tensors"] == [{"name": "w", "offset": 0, "shape": [2]}]
+
+
+def test_tensors_other_than_the_config_layout_are_rejected(tmp_path):
+    path = str(tmp_path / "foreign.dmst")
+    save_checkpoint(path, ModelConfig(), {"w": np.zeros(2)})
+    with pytest.raises(FormatError, match="does not match its config"):
+        load_checkpoint(path)
 
 
 def test_truncated_file_is_rejected(tmp_path):

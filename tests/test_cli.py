@@ -158,6 +158,25 @@ def test_train_token_width_mismatch_exits_mismatch(tmp_path, config_path, capsys
     assert "input_dim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", [-1, 2])
+def test_train_labels_outside_the_classes_exit_mismatch(tmp_path, config_path, capsys, label):
+    spec = SyntheticDatasetSpec(
+        num_classes=2, ambient_dim=8, subspace_dim=2, tokens_per_sample=6, samples_per_class=4
+    )
+    train_ds = generate_synthetic(spec, 0, "train")
+    train_ds.labels[3] = label
+    data_dir = tmp_path / "labels"
+    save_token_dataset(str(data_dir), "train", train_ds)
+    save_token_dataset(str(data_dir), "test", generate_synthetic(spec, 0, "test"))
+    code = main(
+        ["train", "--config", config_path, "--data", str(data_dir), "--out", str(tmp_path / "o")]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_MISMATCH
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "labels" in err
+
+
 def test_train_divergence_exits_mismatch(tmp_path, capsys):
     conf = tmp_path / "diverge.conf"
     conf.write_text(
@@ -236,14 +255,19 @@ def test_rates_rejects_garbage_checkpoint(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
-def rewrite_config(src, dst, **changes):
-    """Copy a checkpoint with its header config keys changed."""
+def rewrite_header(src, dst, mutate):
+    """Copy a checkpoint with ``mutate`` applied to its parsed JSON header."""
     blob = src.read_bytes()
     (length,) = struct.unpack_from("<I", blob, 5)
     header = json.loads(blob[9 : 9 + length])
-    header["config"].update(changes)
+    mutate(header)
     text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     dst.write_bytes(blob[:5] + struct.pack("<I", len(text)) + text + blob[9 + length :])
+
+
+def rewrite_config(src, dst, **changes):
+    """Copy a checkpoint with its header config keys changed."""
+    rewrite_header(src, dst, lambda header: header["config"].update(changes))
 
 
 @pytest.mark.parametrize(
@@ -266,6 +290,39 @@ def test_rates_rejects_bad_checkpoint_config_in_one_line(run_dir, tmp_path, caps
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "invalid config" in err
+
+
+# The run_dir checkpoint is depth 1, dim 16, input_dim 8: its first tensor is
+# embed.weight [8, 16], its second embed.bias [16].
+BAD_MANIFESTS = {
+    "tensors-not-a-list": (lambda h: h.update(tensors={"embed.weight": [8, 16]}), "must be a list"),
+    "entry-not-an-object": (lambda h: h["tensors"].__setitem__(0, "embed.weight"), "not an object"),
+    "entry-lacks-name": (lambda h: h["tensors"][0].pop("name"), "lacks name"),
+    "entry-lacks-shape": (lambda h: h["tensors"][0].pop("shape"), "lacks shape"),
+    "entry-lacks-offset": (lambda h: h["tensors"][0].pop("offset"), "lacks offset"),
+    "negative-shape": (lambda h: h["tensors"][1].update(shape=[-16]), "nonnegative integers"),
+    "fractional-shape": (lambda h: h["tensors"][1].update(shape=[16.0]), "nonnegative integers"),
+    "string-shape": (lambda h: h["tensors"][1].update(shape=["16"]), "nonnegative integers"),
+    "renamed-tensor": (lambda h: h["tensors"][1].update(name="embed.offset"), "does not match"),
+    "transposed-tensor": (lambda h: h["tensors"][0].update(shape=[16, 8]), "does not match"),
+    "depth-too-large": (lambda h: h["config"].update(depth=2), "does not match"),
+    "depth-too-small": (lambda h: h["config"].update(depth=0), "does not match"),
+    "tensor-dropped": (
+        lambda h: h.update(tensors=h["tensors"][:-1]), "payload holds"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+def test_rates_rejects_bad_checkpoint_manifest_in_one_line(run_dir, tmp_path, capsys, case):
+    mutate, message = BAD_MANIFESTS[case]
+    bad = tmp_path / "bad.dmst"
+    rewrite_header(run_dir / "checkpoint.dmst", bad, mutate)
+    code = main(["rates", "--checkpoint", str(bad), "--csv", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_rates_data_width_mismatch_exits_mismatch(run_dir, tmp_path, capsys):
@@ -352,6 +409,17 @@ def test_profile_writes_csv(tmp_path, capsys):
 def test_profile_rejects_bad_token_list(tmp_path, capsys):
     code = main(["profile", "--op", "dmsa", "--tokens", "64,abc", "--csv", str(tmp_path / "p.csv")])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("op", ["dmsa", "tssa", "mhsa"])
+def test_profile_rejects_zero_heads_in_one_line(tmp_path, capsys, op):
+    code = main(
+        ["profile", "--op", op, "--tokens", "8", "--heads", "0", "--csv", str(tmp_path / "p.csv")]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_profile_rejects_unknown_op(tmp_path):

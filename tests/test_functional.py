@@ -1,6 +1,6 @@
 import numpy as np
 
-from dmst.functional import gelu, gelu_grad, relu, sigmoid, softmax_columns
+from dmst.functional import gelu, relu, sigmoid, softmax_columns
 
 
 def test_sigmoid_known_values():
@@ -34,14 +34,6 @@ def test_gelu_known_values_and_limits():
     out = gelu(big)
     assert abs(out[0] - 20.0) < 1e-12
     assert abs(out[1]) < 1e-12
-
-
-def test_gelu_grad_matches_finite_differences():
-    rng = np.random.default_rng(1)
-    x = rng.normal(scale=2.0, size=200)
-    h = 1e-6
-    fd = (gelu(x + h) - gelu(x - h)) / (2 * h)
-    assert np.max(np.abs(gelu_grad(x) - fd)) < 1e-8
 
 
 def test_softmax_columns_is_column_stochastic_and_stable():

@@ -206,6 +206,22 @@ def test_predict_uses_detached_parameters():
     assert all(p.grad is None for p in params.values())
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"attention": AttentionKind.TSSA}, {"sparsity_axis": "both", "topk": 1}],
+    ids=["dmsa-head", "tssa", "dmsa-both"],
+)
+def test_batched_forward_matches_per_sample_forwards(kwargs):
+    # nothing in a block mixes samples: the head gate, memberships, norms and
+    # the flattened weight products all act per sample
+    config = small_config(depth=2, heads=4, **kwargs)
+    params = init_params(config)
+    x = np.random.default_rng(7).normal(size=(5, 6, 5))
+    batched = model_forward(config, params, x).data
+    single = np.concatenate([model_forward(config, params, x[i : i + 1]).data for i in range(5)])
+    np.testing.assert_allclose(batched, single, rtol=0, atol=1e-9)
+
+
 def test_tssa_forward_runs_and_differs_from_dmsa():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 4, 5))
