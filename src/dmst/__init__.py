@@ -18,24 +18,18 @@ from .attention import (
     gated_channel_forward,
     gated_channel_reference,
     mhsa_layer_forward,
-    rope_apply,
     rope_precompute,
-    token_update,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .coding_rate import (
     CodingRateConfig,
     Membership,
-    RateBreakdown,
     SubspaceBank,
     TokenMatrix,
-    grad_rate_variational_decoupled,
     grad_rate_wrt_tokens,
     logdet_psd,
     membership_from_subspaces,
-    rate_reduction,
     rate_segmented,
-    rate_subspace_bound,
     rate_total,
     rate_variational_coupled,
     rate_variational_decoupled,
@@ -48,7 +42,6 @@ from .sparsify import (
     ActivationKind,
     SparseWeights,
     soft_threshold,
-    soft_threshold_topk,
     sparse_subspace,
 )
 from .train import TrainOptions, TrainResult, evaluate, train
@@ -71,7 +64,6 @@ __all__ = [
     "ModelConfig",
     "NotPSD",
     "NumericalFault",
-    "RateBreakdown",
     "RateCurve",
     "SparseWeights",
     "SubspaceBank",
@@ -85,7 +77,6 @@ __all__ = [
     "gated_channel_forward",
     "gated_channel_reference",
     "generate_synthetic",
-    "grad_rate_variational_decoupled",
     "grad_rate_wrt_tokens",
     "infer_grid",
     "init_params",
@@ -100,21 +91,16 @@ __all__ = [
     "parse_config_text",
     "predict",
     "profile_attention_memory",
-    "rate_reduction",
     "rate_segmented",
-    "rate_subspace_bound",
     "rate_total",
     "rate_variational_coupled",
     "rate_variational_decoupled",
     "read_pgm",
-    "rope_apply",
     "rope_precompute",
     "run_suite",
     "save_checkpoint",
     "soft_threshold",
-    "soft_threshold_topk",
     "sparse_subspace",
-    "token_update",
     "train",
     "write_pgm",
 ]

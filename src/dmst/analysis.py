@@ -271,6 +271,10 @@ def write_membership_artifacts(out_dir: str, mmap: MembershipMap) -> list[str]:
 
 PROFILE_OPS = ("dmsa", "tssa", "mhsa")
 
+# Largest token count a profile accepts: twice the memory gate's 8192, and
+# far below counts whose input alone would not fit in memory.
+PROFILE_MAX_TOKENS = 16384
+
 
 def profile_attention_memory(
     op: str,
@@ -287,6 +291,8 @@ def profile_attention_memory(
     own intermediates. The number is the cumulative total of counted floats
     over the forward, not a resident peak, so softmax attention shows its
     quadratic score cost while the second-moment operators stay linear.
+    Token counts above ``PROFILE_MAX_TOKENS`` raise ``InvalidInput`` before
+    anything is allocated.
     """
     if op not in PROFILE_OPS:
         raise InvalidInput(f"op must be one of {PROFILE_OPS}, got {op!r}")
@@ -294,6 +300,10 @@ def profile_attention_memory(
         raise InvalidInput("token_counts must be nonempty")
     if any(n < 1 for n in token_counts):
         raise InvalidInput("token counts must be positive")
+    if max(token_counts) > PROFILE_MAX_TOKENS:
+        raise InvalidInput(
+            f"token counts must be at most {PROFILE_MAX_TOKENS}, got {max(token_counts)}"
+        )
     rng = stream(seed, f"profile-{op}")
     d = dim
     scale = 1.0 / np.sqrt(d)

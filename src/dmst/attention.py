@@ -9,14 +9,17 @@ information on the membership path only, is the attention sublayer of
 :mod:`dmst.model`, as is the TSSA baseline (membership coupled to the value
 projections).
 
-This file keeps the math-form operator, the rotary tables, and two baselines
-that the model does not train: standard multi-head softmax attention with its
-explicit quadratic score matrix, which registers its intermediates with
-:mod:`dmst.memcount` so memory contracts can be asserted on counted floats,
-and gated channel attention with its masked-basis/matmul equivalence.
+This file keeps the math-form operator (``dmsa_operator``), the rotary
+tables the model and the analysis share (``rope_precompute`` and
+``rotate_pairs``), and two baselines that the model does not train: standard
+multi-head softmax attention with its explicit quadratic score matrix, which
+registers its intermediates with :mod:`dmst.memcount` so memory contracts can
+be asserted on counted floats, and gated channel attention with its
+masked-basis/matmul equivalence.
 
-Layer forwards take row-major ``(token, channel)`` inputs; the pure math
-operators keep the ``d x n`` column convention of :mod:`dmst.coding_rate`.
+``rotate_pairs`` and the softmax baseline take row-major ``(token,
+channel)`` inputs; ``dmsa_operator`` and gated channel attention keep the
+``d x n`` column convention of :mod:`dmst.coding_rate`.
 """
 
 from __future__ import annotations
@@ -45,22 +48,6 @@ class AttentionKind(Enum):
     DMSA = "dmsa"
     TSSA = "tssa"
     MHSA = "mhsa"
-
-
-def tokens_to_columns(tokens: np.ndarray) -> TokenMatrix:
-    """Convert a row-major ``(token, channel)`` sequence to ``d x n`` columns."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2:
-        raise InvalidInput(f"token sequence must be 2-d, got ndim={tokens.ndim}")
-    return tokens.T.copy()
-
-
-def columns_to_tokens(Z: TokenMatrix) -> np.ndarray:
-    """Inverse of :func:`tokens_to_columns`."""
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2:
-        raise InvalidInput(f"token matrix must be 2-d, got ndim={Z.ndim}")
-    return Z.T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +95,6 @@ def rotate_pairs(tokens: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def rope_apply(Z: TokenMatrix, table: np.ndarray) -> TokenMatrix:
-    """Apply rotary position encoding to a ``d x n`` token matrix.
-
-    Column ``i`` receives the position-``i`` rotation. Norm-preserving per
-    token, and inner products depend only on position differences.
-    """
-    Z = check_tokens(Z)
-    return rotate_pairs(Z.T, np.asarray(table, dtype=np.float64)).T
-
-
 # ---------------------------------------------------------------------------
 # Math-form operator
 # ---------------------------------------------------------------------------
@@ -132,19 +109,6 @@ def dmsa_operator(
     compresses each token toward the sparse subspaces it is assigned to.
     """
     return -grad_rate_wrt_tokens(Z, Pi, U_S, cfg)
-
-
-def token_update(
-    Z: TokenMatrix,
-    Pi: Membership,
-    U_S: SubspaceBank,
-    cfg: CodingRateConfig,
-    step: float,
-) -> np.ndarray:
-    """One unrolled descent step ``Z - step * grad`` on the decoupled rate."""
-    if not np.isfinite(step):
-        raise InvalidInput(f"step must be finite, got {step}")
-    return Z - step * grad_rate_wrt_tokens(Z, Pi, U_S, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +186,6 @@ def mhsa_layer_forward(tokens: np.ndarray, params: MhsaLayerParams) -> np.ndarra
     if not np.all(np.isfinite(out)):
         raise NumericalFault("MHSA layer produced non-finite output")
     return out
-
-
-def mhsa_attention_weights(tokens: np.ndarray, params: MhsaLayerParams) -> np.ndarray:
-    """Per-head softmax score matrices ``(K, n, n)``, for direct inspection."""
-    x = np.asarray(tokens)
-    n = x.shape[0]
-    K, p = params.heads, params.head_dim
-    q = (x @ params.q_proj.T).reshape(n, K, p).transpose(1, 0, 2)
-    k = (x @ params.k_proj.T).reshape(n, K, p).transpose(1, 0, 2)
-    scores = q @ k.transpose(0, 2, 1) / np.sqrt(p)
-    scores -= scores.max(axis=2, keepdims=True)
-    weights = np.exp(scores)
-    return weights / weights.sum(axis=2, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

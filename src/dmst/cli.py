@@ -17,8 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .analysis import (
+    PROFILE_MAX_TOKENS,
     PROFILE_OPS,
-    infer_grid,
     layer_rate_curve,
     membership_map,
     profile_attention_memory,
@@ -26,11 +26,17 @@ from .analysis import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import dataset_spec_from, load_config, model_config_from, train_options_from
-from .data import SyntheticDatasetSpec, TokenDataset, generate_synthetic, load_token_dataset
+from .data import (
+    SyntheticDatasetSpec,
+    TokenDataset,
+    generate_synthetic,
+    load_array_file,
+    load_token_dataset,
+)
 from .errors import DmstError, FormatError, InvalidInput, NumericalFault
-from .model import ModelConfig, init_params
+from .model import ModelConfig
 from .sparsify import ActivationKind
-from .train import train, write_metrics
+from .train import TrainResult, train, write_metrics
 from .verify import SUITES, run_suite, write_failure_report
 
 EXIT_OK = 0
@@ -49,18 +55,22 @@ def _fail(code: int, message: str) -> int:
 
 
 def resolve_seed(flag: int | None, config_values: dict | None = None) -> int:
-    """Seed precedence: explicit flag, ``DMST_SEED``, config key, 0."""
-    if flag is not None:
-        return flag
+    """Seed precedence: explicit flag, ``DMST_SEED``, config key, 0; it must be nonnegative."""
     env = os.environ.get("DMST_SEED")
-    if env is not None:
+    if flag is not None:
+        seed = flag
+    elif env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise InvalidInput(f"DMST_SEED must be an integer, got {env!r}") from None
-    if config_values and "seed" in config_values:
-        return int(config_values["seed"])
-    return 0
+    elif config_values and "seed" in config_values:
+        seed = int(config_values["seed"])
+    else:
+        seed = 0
+    if seed < 0:
+        raise InvalidInput(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _load_train_datasets(
@@ -113,9 +123,17 @@ def _check_data_matches(config: ModelConfig, ds: TokenDataset) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def _train_from_args(
+    args: argparse.Namespace, **overrides
+) -> int | tuple[ModelConfig, TrainResult, int, int]:
+    """Config, seed, datasets, data check and training shared by ``train`` and ``ablate``.
+
+    ``overrides`` replace config keys. Returns ``(config, result, epochs,
+    seed)``, or the exit code of the error it printed.
+    """
     try:
         values = load_config(args.config) if args.config else {}
+        values.update(overrides)
         seed = resolve_seed(args.seed, values)
         config = model_config_from(values)
         spec = dataset_spec_from(values)
@@ -132,6 +150,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         result = train(config, train_ds, test_ds, epochs=epochs, seed=seed, options=options)
     except (InvalidInput, NumericalFault) as exc:
         return _fail(EXIT_MISMATCH, str(exc))
+    return config, result, epochs, seed
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    run = _train_from_args(args)
+    if isinstance(run, int):
+        return run
+    config, result, epochs, _ = run
     os.makedirs(args.out, exist_ok=True)
     write_metrics(os.path.join(args.out, "metrics.csv"), result.metrics)
     save_checkpoint(
@@ -189,18 +215,26 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _load_sample(path: str, index: int) -> np.ndarray:
+    """Sample ``index`` of a ``.npz`` dataset or of an ``(N, n, d)`` ``.npy`` file.
+
+    An ``(n, d)`` ``.npy`` file is one sample, so its only index is 0.
+    """
     if path.endswith(".npy"):
-        sample = np.load(path)
-        if sample.ndim == 3:
-            sample = sample[index]
-        return np.asarray(sample, dtype=np.float64)
-    directory, name = os.path.split(path)
-    if not name.endswith(".npz"):
-        raise InvalidInput(f"--input must be a .npy sample or .npz dataset: {path}")
-    ds = load_token_dataset(directory or ".", name[: -len(".npz")])
-    if not 0 <= index < ds.size:
-        raise InvalidInput(f"--index {index} out of range for {ds.size} samples")
-    return ds.tokens[index]
+        samples = load_array_file(path)["arr_0"]
+        if samples.ndim == 2:
+            samples = samples[None]
+        if samples.ndim != 3:
+            raise InvalidInput(
+                f"{path} must hold (n, d) or (N, n, d) tokens, got ndim={samples.ndim}"
+            )
+    else:
+        directory, name = os.path.split(path)
+        if not name.endswith(".npz"):
+            raise InvalidInput(f"--input must be a .npy sample or .npz dataset: {path}")
+        samples = load_token_dataset(directory or ".", name[: -len(".npz")]).tokens
+    if not 0 <= index < samples.shape[0]:
+        raise InvalidInput(f"--index {index} out of range for {samples.shape[0]} samples")
+    return np.asarray(samples[index], dtype=np.float64)
 
 
 def cmd_membership(args: argparse.Namespace) -> int:
@@ -244,30 +278,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    try:
-        activation = ActivationKind(args.activation)
-    except ValueError:
-        return _fail(EXIT_USAGE, f"unknown activation {args.activation!r}")
-    try:
-        values = load_config(args.config) if args.config else {}
-        values["sparsity_axis"] = args.axis
-        values["activation"] = activation.value
-        seed = resolve_seed(args.seed, values)
-        config = model_config_from(values)
-        spec = dataset_spec_from(values)
-        options = train_options_from(values)
-        epochs = args.epochs if args.epochs is not None else values.get("epochs", 10)
-    except (InvalidInput, FormatError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        train_ds, test_ds = _load_train_datasets(args.data, spec, seed)
-    except FormatError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        _check_data_matches(config, train_ds)
-        result = train(config, train_ds, test_ds, epochs=epochs, seed=seed, options=options)
-    except (InvalidInput, NumericalFault) as exc:
-        return _fail(EXIT_MISMATCH, str(exc))
+    run = _train_from_args(args, sparsity_axis=args.axis, activation=args.activation)
+    if isinstance(run, int):
+        return run
+    _, result, epochs, seed = run
     train_rows = [r for r in result.metrics if r[1] == "train"]
     final_loss = train_rows[-1][2] if train_rows else float("nan")
     test_acc = result.final_test_accuracy
@@ -277,10 +291,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         if fresh:
             fh.write(ABLATE_HEADER + "\n")
         fh.write(
-            f"{args.axis},{activation.value},{epochs},{seed},"
+            f"{args.axis},{args.activation},{epochs},{seed},"
             f"{final_loss:.12g},{test_acc:.12g}\n"
         )
-    print(f"{args.axis}/{activation.value}: test accuracy {test_acc:.4f}")
+    print(f"{args.axis}/{args.activation}: test accuracy {test_acc:.4f}")
     print(f"appended to {args.results}")
     return EXIT_OK
 
@@ -325,14 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_memb = sub.add_parser("membership", help="export per-head membership maps as PGM")
     p_memb.add_argument("--checkpoint", required=True)
     p_memb.add_argument("--input", required=True, help=".npy sample or .npz dataset")
-    p_memb.add_argument("--index", type=int, default=0, help="sample index for .npz input")
+    p_memb.add_argument("--index", type=int, default=0,
+                        help="sample index in [0, N) of a .npz dataset or an (N, n, d) .npy")
     p_memb.add_argument("--layer", type=int, required=True)
     p_memb.add_argument("--out", required=True, help="output directory")
     p_memb.set_defaults(func=cmd_membership)
 
     p_prof = sub.add_parser("profile", help="count activation floats of attention forwards")
     p_prof.add_argument("--op", required=True, choices=PROFILE_OPS)
-    p_prof.add_argument("--tokens", required=True, help="comma-separated token counts")
+    p_prof.add_argument("--tokens", required=True,
+                        help=f"comma-separated token counts, each at most {PROFILE_MAX_TOKENS}")
     p_prof.add_argument("--dim", type=int, default=64)
     p_prof.add_argument("--heads", type=int, default=8)
     p_prof.add_argument("--csv", required=True)

@@ -15,19 +15,21 @@ Gaussian codebook at precision ``epsilon``; the segmented rate measures it
 after splitting tokens into groups; the variational forms replace the
 log-determinant with a sum of scalar ``f(x) = log(1 + (d/eps^2) x)`` terms
 over per-direction second moments, which is what the attention operator
-differentiates.
+differentiates. ``grad_rate_wrt_tokens`` is that token gradient at a fixed
+membership (its negation is the DMSA operator); it and
+``rate_variational_decoupled`` share one per-group second-moment loop.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidInput, NotPSD
-from .functional import sigmoid, softmax_columns
+from .functional import softmax_columns
 
 logger = logging.getLogger(__name__)
 
@@ -51,24 +53,18 @@ def check_tokens(Z: np.ndarray, name: str = "Z") -> TokenMatrix:
 
 @dataclass(frozen=True)
 class CodingRateConfig:
-    """Precision and coefficient settings for the rate family.
+    """Codebook precision of the rate family.
 
-    ``epsilon`` is the codebook precision; ``subspace_coeff_beta`` is the
-    fixed coefficient of the subspace-restricted upper bound. The data
-    dependent coefficients ``alpha = d / (n eps^2)`` and
-    ``gamma_k = d / (n_k eps^2)`` are derived per call.
+    ``epsilon`` is the codebook precision. The data dependent coefficients
+    ``alpha = d / (n eps^2)`` and ``gamma_k = d / (n_k eps^2)`` are derived
+    per call.
     """
 
     epsilon: float = 1.0
-    subspace_coeff_beta: float = 1.0
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise InvalidInput(f"epsilon must be finite and positive, got {self.epsilon}")
-        if not (np.isfinite(self.subspace_coeff_beta) and self.subspace_coeff_beta > 0):
-            raise InvalidInput(
-                f"subspace_coeff_beta must be finite and positive, got {self.subspace_coeff_beta}"
-            )
 
     def alpha(self, d: int, n: int) -> float:
         return d / (n * self.epsilon**2)
@@ -102,11 +98,6 @@ class Membership:
     @property
     def tokens(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def group_mass(self) -> np.ndarray:
-        """Row sums ``n_k``, the effective token count of each group."""
-        return self.data.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -146,20 +137,6 @@ class SubspaceBank:
         if gates.shape != (self.count,):
             raise InvalidInput(f"expected {self.count} gates, got shape {gates.shape}")
         return SubspaceBank(tuple(g * b for g, b in zip(gates, self.bases)), orthonormal=False)
-
-
-@dataclass(frozen=True)
-class RateBreakdown:
-    """Total rate, its compressed counterpart, and their difference."""
-
-    total_rate: float
-    segmented_rate: float
-    per_subspace: np.ndarray = field(repr=False)
-
-    @property
-    def reduction(self) -> float:
-        """Rate reduction, exactly ``total_rate - segmented_rate`` by construction."""
-        return self.total_rate - self.segmented_rate
 
 
 def logdet_psd(M: np.ndarray) -> float:
@@ -252,17 +229,6 @@ def _check_bank(Z: TokenMatrix, U: SubspaceBank) -> None:
         )
 
 
-def rate_subspace_bound(Z: TokenMatrix, U: SubspaceBank, cfg: CodingRateConfig) -> float:
-    """Upper-bound rate of ``Z`` restricted to the bank's subspaces.
-
-    Sums ``0.5 logdet(I + beta (U_k^T Z)^T (U_k^T Z))`` over the bank.
-    """
-    Z = check_tokens(Z)
-    _check_bank(Z, U)
-    beta = cfg.subspace_coeff_beta
-    return float(sum(_gram_rate(Uk.T @ Z, beta) for Uk in U.bases))
-
-
 def membership_from_subspaces(Z: TokenMatrix, U: SubspaceBank, eta: float) -> Membership:
     """Softmax membership from projection energies.
 
@@ -277,21 +243,22 @@ def membership_from_subspaces(Z: TokenMatrix, U: SubspaceBank, eta: float) -> Me
     return Membership(softmax_columns(energy / (2.0 * eta)))
 
 
-def _variational_terms(
-    Z: TokenMatrix, Pi: Membership, U: SubspaceBank, cfg: CodingRateConfig
-) -> np.ndarray:
-    """Per-group terms of the variational rate; zero for empty groups."""
-    Z = check_tokens(Z)
+def _nonempty_groups(Z: TokenMatrix, Pi: Membership, U: SubspaceBank):
+    """Yield ``(k, U_k, pi_k, n_k, U_k^T Z, args)`` for every nonempty group of a checked ``Z``.
+
+    ``args`` holds the per-direction second moments
+    ``(1/n_k) sum_j pi_kj (U_k^T z_j)^2``, clipped at zero once they pass the
+    negativity check. Groups with mass at or below ``ZERO_MASS`` are skipped
+    with a diagnostic.
+    """
     _check_bank(Z, U)
     weights = _check_membership(Z, Pi)
     if Pi.groups != U.count:
         raise InvalidInput(f"membership has {Pi.groups} groups but bank has {U.count}")
-    d, n = Z.shape
-    coeff = cfg.f_coeff(d)
-    terms = np.zeros(U.count)
     for k, (pik, Uk) in enumerate(zip(weights, U.bases)):
         mass = float(pik.sum())
         if mass <= ZERO_MASS:
+            logger.debug("group %d has zero mass, skipped", k)
             continue
         proj = Uk.T @ Z
         args = (proj * proj) @ pik / mass
@@ -299,7 +266,18 @@ def _variational_terms(
             raise InvalidInput(
                 f"variational rate argument went negative ({np.min(args):.3e}) in group {k}"
             )
-        args = np.clip(args, 0.0, None)
+        yield k, Uk, pik, mass, proj, np.clip(args, 0.0, None)
+
+
+def _variational_terms(
+    Z: TokenMatrix, Pi: Membership, U: SubspaceBank, cfg: CodingRateConfig
+) -> np.ndarray:
+    """Per-group terms of the variational rate; zero for empty groups."""
+    Z = check_tokens(Z)
+    d, n = Z.shape
+    coeff = cfg.f_coeff(d)
+    terms = np.zeros(U.count)
+    for k, _, _, mass, _, args in _nonempty_groups(Z, Pi, U):
         terms[k] = 0.5 * (mass / n) * float(np.sum(np.log1p(coeff * args)))
     return terms
 
@@ -331,19 +309,6 @@ def rate_variational_coupled(
     return rate_variational_decoupled(Z, Pi, U, cfg)
 
 
-def rate_reduction(
-    Z: TokenMatrix, Pi: Membership, U_S: SubspaceBank, cfg: CodingRateConfig
-) -> RateBreakdown:
-    """Total rate minus the variational segmented rate, with per-group terms."""
-    terms = _variational_terms(Z, Pi, U_S, cfg)
-    total = rate_total(Z, cfg)
-    return RateBreakdown(
-        total_rate=total,
-        segmented_rate=float(np.sum(terms)),
-        per_subspace=terms,
-    )
-
-
 def grad_rate_wrt_tokens(
     Z: TokenMatrix, Pi: Membership, U_S: SubspaceBank, cfg: CodingRateConfig
 ) -> np.ndarray:
@@ -355,46 +320,10 @@ def grad_rate_wrt_tokens(
     Empty groups are skipped with a diagnostic.
     """
     Z = check_tokens(Z)
-    _check_bank(Z, U_S)
-    weights = _check_membership(Z, Pi)
-    if Pi.groups != U_S.count:
-        raise InvalidInput(f"membership has {Pi.groups} groups but bank has {U_S.count}")
     d, n = Z.shape
     coeff = cfg.f_coeff(d)
     grad = np.zeros_like(Z)
-    for k, (pik, Uk) in enumerate(zip(weights, U_S.bases)):
-        mass = float(pik.sum())
-        if mass <= ZERO_MASS:
-            logger.debug("grad_rate_wrt_tokens: group %d has zero mass, skipped", k)
-            continue
-        proj = Uk.T @ Z
-        args = (proj * proj) @ pik / mass
-        if np.min(args) < -ZERO_MASS:
-            raise InvalidInput(
-                f"variational rate argument went negative ({np.min(args):.3e}) in group {k}"
-            )
-        args = np.clip(args, 0.0, None)
+    for _, Uk, pik, _, proj, args in _nonempty_groups(Z, Pi, U_S):
         dvec = coeff / (1.0 + coeff * args)
         grad += Uk @ (dvec[:, None] * proj * pik[None, :])
     return grad / n
-
-
-def grad_rate_variational_decoupled(
-    Z: TokenMatrix,
-    w: np.ndarray,
-    U_S: SubspaceBank,
-    cfg: CodingRateConfig,
-    activation: Callable[[np.ndarray], np.ndarray] = sigmoid,
-) -> np.ndarray:
-    """Gradient of the decoupled rate with membership produced by a projection.
-
-    Row ``k`` of ``w`` maps tokens to raw membership scores ``w_k Z``; the
-    scores pass through ``activation`` (sigmoid by default) and the result is
-    then held fixed while differentiating with respect to ``Z``.
-    """
-    Z = check_tokens(Z)
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != Z.shape[0]:
-        raise InvalidInput(f"membership projection must be K x d, got shape {w.shape}")
-    Pi = Membership(activation(w @ Z))
-    return grad_rate_wrt_tokens(Z, Pi, U_S, cfg)

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import os
 
-from .attention import AttentionKind
 from .data import SyntheticDatasetSpec
 from .errors import InvalidInput
-from .model import ModelConfig
-from .sparsify import ActivationKind
+from .model import ModelConfig, config_from_dict
 from .train import TrainOptions
 
 _MODEL_KEYS = {
@@ -101,23 +99,7 @@ def load_config(path: str) -> dict:
 
 def model_config_from(values: dict) -> ModelConfig:
     """Build the model configuration from parsed values."""
-    kwargs = {}
-    for key in _MODEL_KEYS:
-        if key not in values:
-            continue
-        val = values[key]
-        if key == "attention":
-            try:
-                val = AttentionKind(val)
-            except ValueError:
-                raise InvalidInput(f"unknown attention kind {val!r}") from None
-        elif key == "activation":
-            try:
-                val = ActivationKind(val)
-            except ValueError:
-                raise InvalidInput(f"unknown activation {val!r}") from None
-        kwargs[key] = val
-    return ModelConfig(**kwargs)
+    return config_from_dict({key: values[key] for key in _MODEL_KEYS if key in values})
 
 
 def dataset_spec_from(values: dict) -> SyntheticDatasetSpec:

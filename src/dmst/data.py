@@ -98,6 +98,36 @@ def nearest_subspace_accuracy(ds: TokenDataset) -> float:
     return float(np.mean(pred == ds.labels))
 
 
+def load_array_file(path: str) -> dict[str, np.ndarray]:
+    """Read every array of a ``.npy`` or ``.npz`` file into memory.
+
+    A path ending in ``.npy`` must hold one array, returned under the key
+    ``"arr_0"``; any other path must be an ``.npz`` archive. A missing or
+    unreadable file, a mismatch between extension and contents, and an array
+    whose dtype is not boolean, integer or float each raise a one-line
+    ``FormatError`` that names the file. Pickled data is never loaded.
+    """
+    if not os.path.isfile(path):
+        raise FormatError(f"array file not found: {path}")
+    # On malformed bytes np.load raises OSError, ValueError, EOFError, zipfile
+    # and zlib errors, RuntimeError and tokenize errors among others; each one
+    # means the file is not a readable array file.
+    try:
+        with open(path, "rb") as fh:
+            loaded = np.load(fh, allow_pickle=False)
+            arrays = {"arr_0": loaded} if isinstance(loaded, np.ndarray) else dict(loaded)
+    except Exception as exc:
+        reason = " ".join(str(exc).split()) or type(exc).__name__
+        raise FormatError(f"cannot read {path} as a numpy array file: {reason}") from None
+    if isinstance(loaded, np.ndarray) != path.endswith(".npy"):
+        kind = "one array" if path.endswith(".npy") else "an .npz archive"
+        raise FormatError(f"{path} does not hold {kind}")
+    for name, array in arrays.items():
+        if array.dtype.kind not in "biuf":
+            raise FormatError(f"{path}: array {name!r} has non-numeric dtype {array.dtype}")
+    return arrays
+
+
 def load_token_dataset(directory: str, split: str) -> TokenDataset:
     """Load ``<split>.npz`` with arrays ``tokens`` (N, n, d) and ``labels`` (N,).
 
@@ -105,14 +135,12 @@ def load_token_dataset(directory: str, split: str) -> TokenDataset:
     as an empty array and oracle queries are invalid.
     """
     path = os.path.join(directory, f"{split}.npz")
-    if not os.path.exists(path):
-        raise FormatError(f"dataset file not found: {path}")
-    with np.load(path) as archive:
-        if "tokens" not in archive or "labels" not in archive:
-            raise FormatError(f"{path} must contain 'tokens' and 'labels' arrays")
-        tokens = np.asarray(archive["tokens"], dtype=np.float64)
-        labels = np.asarray(archive["labels"], dtype=np.int64)
-        bases = np.asarray(archive["bases"], dtype=np.float64) if "bases" in archive else np.empty((0, 0, 0))
+    arrays = load_array_file(path)
+    if "tokens" not in arrays or "labels" not in arrays:
+        raise FormatError(f"{path} must contain 'tokens' and 'labels' arrays")
+    tokens = np.asarray(arrays["tokens"], dtype=np.float64)
+    labels = np.asarray(arrays["labels"], dtype=np.int64)
+    bases = np.asarray(arrays.get("bases", np.empty((0, 0, 0))), dtype=np.float64)
     if tokens.ndim != 3 or labels.shape != (tokens.shape[0],):
         raise FormatError(f"{path} arrays have inconsistent shapes")
     return TokenDataset(tokens=tokens, labels=labels, bases=bases)

@@ -4,8 +4,9 @@
 unique threshold ``t`` that makes the outputs sum to one; this is the
 Euclidean projection onto the simplex and typically zeroes a subset of the
 entries. The threshold is solved exactly with a sort and a cumulative-sum
-scan. A top-k variant restricts the support to the k largest scores before
-projecting.
+scan. An optional ``topk`` restricts the support to the k largest scores
+before projecting. ``soft_threshold`` takes one vector; the model and the
+autodiff op use the row-wise ``soft_threshold_matrix`` and its backward.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ __all__ = [
     "ActivationKind",
     "SparseWeights",
     "soft_threshold",
-    "soft_threshold_topk",
     "soft_threshold_matrix",
     "soft_threshold_backward",
-    "sparse_membership_tokens",
     "sparse_subspace",
 ]
 
@@ -107,46 +106,28 @@ def soft_threshold_backward(dout: np.ndarray, active: np.ndarray) -> np.ndarray:
     return np.where(active, dout - mean, 0.0)
 
 
-def _as_score_vector(s: np.ndarray) -> np.ndarray:
+def soft_threshold(s: np.ndarray, topk: int | None = None) -> SparseWeights:
+    """Project a score vector onto the probability simplex.
+
+    With ``topk`` the support is restricted to the ``topk`` largest scores;
+    ties at the boundary keep the lowest-index entry.
+    """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise InvalidInput(f"scores must be a nonempty 1-d vector, got shape {s.shape}")
-    return s
-
-
-def soft_threshold(s: np.ndarray) -> SparseWeights:
-    """Project a score vector onto the probability simplex."""
-    s = _as_score_vector(s)
-    out, thresholds, _ = soft_threshold_matrix(s[None, :])
+    out, thresholds, _ = soft_threshold_matrix(s[None, :], topk=topk)
     values = out[0]
     return SparseWeights(values, float(thresholds[0]), np.flatnonzero(values > 0.0))
-
-
-def soft_threshold_topk(s: np.ndarray, k: int) -> SparseWeights:
-    """Simplex projection restricted to the ``k`` largest scores.
-
-    Ties at the boundary keep the lowest-index entry.
-    """
-    s = _as_score_vector(s)
-    out, thresholds, _ = soft_threshold_matrix(s[None, :], topk=k)
-    values = out[0]
-    return SparseWeights(values, float(thresholds[0]), np.flatnonzero(values > 0.0))
-
-
-def sparse_membership_tokens(Pi: Membership, topk: int | None = None) -> Membership:
-    """Soft-threshold each group's token weights (row-wise over tokens)."""
-    out, _, _ = soft_threshold_matrix(Pi.data, topk=topk)
-    return Membership(out)
 
 
 def sparse_subspace(S: SubspaceBank, Pi: Membership, axis: str, topk: int = 4) -> SubspaceBank:
     """Sparsify a subspace bank according to a membership and an axis.
 
-    ``head``: gate whole bases with ``g = soft_threshold_topk(mean-over-tokens
-    of the membership rows)``, scaling basis ``k`` by ``g_k`` (no
+    ``head``: gate whole bases with ``g = soft_threshold(mean-over-tokens of
+    the membership rows, topk)``, scaling basis ``k`` by ``g_k`` (no
     renormalization of the bases afterwards). ``token``: the bank is returned
     unchanged because token-axis sparsity lives in the membership, which the
-    attention weighting consumes directly (see ``sparse_membership_tokens``).
+    attention weighting consumes directly.
     ``both`` composes the two, so the bank side again receives the head gate.
     """
     if axis not in ("head", "token", "both"):
@@ -155,5 +136,5 @@ def sparse_subspace(S: SubspaceBank, Pi: Membership, axis: str, topk: int = 4) -
         raise InvalidInput(f"membership has {Pi.groups} groups but bank has {S.count}")
     if axis == "token":
         return SubspaceBank(S.bases, orthonormal=S.orthonormal)
-    gate = soft_threshold_topk(Pi.data.mean(axis=1), min(int(topk), S.count))
+    gate = soft_threshold(Pi.data.mean(axis=1), topk=min(int(topk), S.count))
     return S.scaled(gate.values)

@@ -36,7 +36,7 @@ from .coding_rate import (
 from .errors import InvalidInput
 from .model import second_moment_tail, split_heads
 from .rng import orthonormal_basis, stream
-from .sparsify import soft_threshold, soft_threshold_topk
+from .sparsify import soft_threshold
 
 SUITES = ("rates", "sparsify", "gradients", "equivalence")
 
@@ -273,7 +273,7 @@ def suite_sparsify(seed: int = 0) -> list[Check]:
         n = int(rng.integers(3, 33))
         k = int(rng.integers(1, n))
         s = rng.normal(scale=2.0, size=n)
-        out = soft_threshold_topk(s, k).values
+        out = soft_threshold(s, topk=k).values
         if np.count_nonzero(out) > k or abs(out.sum() - 1.0) > 1e-9:
             failures += 1
             bad = {"s": s, "k": k}

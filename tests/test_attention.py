@@ -8,17 +8,12 @@ from dmst.attention import (
     AttentionKind,
     GatedChannelParams,
     MhsaLayerParams,
-    columns_to_tokens,
     dmsa_operator,
     gated_channel_forward,
     gated_channel_reference,
-    mhsa_attention_weights,
     mhsa_layer_forward,
-    rope_apply,
     rope_precompute,
     rotate_pairs,
-    token_update,
-    tokens_to_columns,
 )
 from dmst.coding_rate import (
     CodingRateConfig,
@@ -96,18 +91,6 @@ def test_dmsa_operator_step_descends_the_rate():
         assert after < before
 
 
-def test_token_update_matches_manual_descent_step():
-    rng = np.random.default_rng(2)
-    cfg = CodingRateConfig()
-    Z = rng.normal(size=(4, 6))
-    bank = random_bank(rng, 4, 2, 2)
-    Pi = Membership(rng.uniform(0.1, 1.0, size=(2, 6)))
-    manual = Z - 0.25 * grad_rate_wrt_tokens(Z, Pi, bank, cfg)
-    assert np.array_equal(token_update(Z, Pi, bank, cfg, 0.25), manual)
-    with pytest.raises(InvalidInput):
-        token_update(Z, Pi, bank, cfg, np.inf)
-
-
 # ---------------------------------------------------------------------------
 # rotary position encoding
 # ---------------------------------------------------------------------------
@@ -141,13 +124,6 @@ def test_rope_inner_products_depend_only_on_position_difference():
         assert abs(a.item() - b.item()) < 1e-12
 
 
-def test_rope_apply_matches_row_major_rotation():
-    rng = np.random.default_rng(6)
-    table = rope_precompute(10, 4)
-    Z = rng.normal(size=(4, 10))
-    assert np.array_equal(rope_apply(Z, table), rotate_pairs(Z.T, table).T)
-
-
 def test_rotate_pairs_rotates_each_leading_index_alike():
     rng = np.random.default_rng(23)
     table = rope_precompute(5, 4)
@@ -171,14 +147,6 @@ def test_rope_rejects_bad_shapes():
         rotate_pairs(np.ones((2, 4)), table)  # dim mismatch
     with pytest.raises(InvalidInput):
         rotate_pairs(np.ones(6), table)  # no token axis
-
-
-def test_token_layout_round_trip():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(5, 3))
-    assert np.array_equal(columns_to_tokens(tokens_to_columns(x)), x)
-    Z = rng.normal(size=(3, 5))
-    assert np.array_equal(tokens_to_columns(columns_to_tokens(Z)), Z)
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +378,6 @@ def mhsa_params(rng, d, K, chunk=1024):
         heads=K,
         chunk=chunk,
     )
-
-
-def test_mhsa_weights_are_row_stochastic():
-    rng = np.random.default_rng(16)
-    params = mhsa_params(rng, 8, 4)
-    weights = mhsa_attention_weights(rng.normal(size=(9, 8)), params)
-    assert weights.shape == (4, 9, 9)
-    assert np.min(weights) >= 0.0
-    assert np.max(np.abs(weights.sum(axis=2) - 1.0)) < 1e-12
 
 
 def test_mhsa_identity_projections_two_token_example():

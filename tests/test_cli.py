@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from dmst.analysis import read_pgm
+from dmst.analysis import PROFILE_MAX_TOKENS, read_pgm
 from dmst.checkpoint import load_checkpoint
 from dmst.cli import (
     ABLATE_HEADER,
@@ -67,6 +67,21 @@ def test_seed_precedence(monkeypatch):
     monkeypatch.setenv("DMST_SEED", "abc")
     with pytest.raises(InvalidInput):
         resolve_seed(None)
+
+
+@pytest.mark.parametrize("env,argv", [
+    (None, ["--seed", "-1"]),
+    ("-3", []),
+])
+def test_negative_seed_exits_usage_in_one_line(monkeypatch, tmp_path, capsys, env, argv):
+    monkeypatch.delenv("DMST_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("DMST_SEED", env)
+    code = main(["train", "--out", str(tmp_path / "out"), "--epochs", "1"] + argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +404,94 @@ def test_membership_rejects_unknown_input_kind(run_dir, tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def save_npz_bytes(path, **arrays):
+    # np.savez appends ".npz" to a path that lacks it, so write through a handle
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def truncated_dataset(path):
+    save_npz_bytes(path, tokens=np.zeros((4, 6, 8)), labels=np.zeros(4, dtype=np.int64))
+    path.write_bytes(path.read_bytes()[:200])
+
+
+SAMPLES = np.zeros((2, 6, 8))
+LABELS = np.zeros(2, dtype=np.int64)
+
+# (case, subcommand, file written, writer, extra arguments); each must exit 2 in one line
+BAD_ARRAY_FILES = [
+    ("garbage-npy", "membership", "s.npy", lambda p: p.write_bytes(b"garbage " * 16), []),
+    ("empty-npy", "membership", "s.npy", lambda p: p.write_bytes(b""), []),
+    ("object-npy", "membership", "s.npy",
+     lambda p: np.save(p, np.array([{}, 1], dtype=object)), []),
+    ("string-npy", "membership", "s.npy", lambda p: np.save(p, np.full((6, 8), "a")), []),
+    ("missing-npy", "membership", "s.npy", lambda p: None, []),
+    ("archive-named-npy", "membership", "s.npy",
+     lambda p: save_npz_bytes(p, tokens=SAMPLES), []),
+    ("one-axis-npy", "membership", "s.npy", lambda p: np.save(p, np.zeros(8)), []),
+    ("index-past-end-npy", "membership", "s.npy", lambda p: np.save(p, SAMPLES),
+     ["--index", "5"]),
+    ("negative-index-npy", "membership", "s.npy", lambda p: np.save(p, SAMPLES),
+     ["--index", "-1"]),
+    ("index-on-one-sample-npy", "membership", "s.npy", lambda p: np.save(p, SAMPLES[0]),
+     ["--index", "1"]),
+    ("negative-index-npz", "membership", "test.npz",
+     lambda p: save_npz_bytes(p, tokens=SAMPLES, labels=LABELS), ["--index", "-1"]),
+    ("train-npz-not-a-zip", "train", "train.npz",
+     lambda p: p.write_bytes(b"PK\x03\x04" + b"\x00" * 64), []),
+    ("train-npz-is-text", "train", "train.npz", lambda p: p.write_text("tokens"), []),
+    ("train-string-tokens", "train", "train.npz",
+     lambda p: save_npz_bytes(p, tokens=np.full((2, 6, 8), "a"), labels=LABELS), []),
+    ("train-object-labels", "train", "train.npz",
+     lambda p: save_npz_bytes(p, tokens=SAMPLES, labels=np.array([None, 1], dtype=object)), []),
+    ("rates-truncated-npz", "rates", "test.npz", truncated_dataset, []),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand,filename,write,extra",
+    [case[1:] for case in BAD_ARRAY_FILES],
+    ids=[case[0] for case in BAD_ARRAY_FILES],
+)
+def test_bad_array_files_exit_usage_in_one_line(
+    run_dir, config_path, tmp_path, capsys, subcommand, filename, write, extra
+):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    path = data_dir / filename
+    write(path)
+    checkpoint = str(run_dir / "checkpoint.dmst")
+    out = str(tmp_path / "out")
+    argv = {
+        "membership": ["membership", "--checkpoint", checkpoint, "--input", str(path),
+                       "--layer", "0", "--out", out],
+        "train": ["train", "--config", config_path, "--data", str(data_dir), "--out", out],
+        "rates": ["rates", "--checkpoint", checkpoint, "--data", str(data_dir),
+                  "--csv", str(tmp_path / "r.csv")],
+    }[subcommand]
+    code = main(argv + extra)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_membership_reads_every_index_of_a_sample_stack(run_dir, tmp_path):
+    def maps(input_path, out, *extra):
+        argv = ["membership", "--checkpoint", str(run_dir / "checkpoint.dmst"),
+                "--input", str(input_path), "--layer", "0", "--out", str(out), *extra]
+        assert main(argv) == EXIT_OK
+        return (out / "membership.json").read_text()
+
+    samples = np.random.default_rng(1).normal(size=(2, 6, 8))
+    np.save(tmp_path / "stack.npy", samples)
+    for index in (0, 1):
+        single = tmp_path / f"single{index}.npy"
+        np.save(single, samples[index])
+        from_stack = maps(tmp_path / "stack.npy", tmp_path / f"stack{index}", "--index", str(index))
+        assert from_stack == maps(single, tmp_path / f"single{index}")
+
+
 # ---------------------------------------------------------------------------
 # profile
 # ---------------------------------------------------------------------------
@@ -419,6 +522,18 @@ def test_profile_rejects_zero_heads_in_one_line(tmp_path, capsys, op):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("op", ["dmsa", "tssa", "mhsa"])
+def test_profile_rejects_token_counts_above_the_cap_in_one_line(tmp_path, capsys, op):
+    assert PROFILE_MAX_TOKENS >= 8192  # the memory gate's largest count stays admitted
+    tokens = f"64,{PROFILE_MAX_TOKENS + 1}"
+    code = main(["profile", "--op", op, "--tokens", tokens, "--csv", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(PROFILE_MAX_TOKENS) in err
     assert not (tmp_path / "p.csv").exists()
 
 

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from dmst.data import (
     SyntheticDatasetSpec,
     TokenDataset,
     generate_synthetic,
+    load_array_file,
     load_token_dataset,
     nearest_subspace_accuracy,
     nearest_subspace_predict,
@@ -116,3 +119,30 @@ def test_dataset_without_bases_loads_with_empty_oracle(tmp_path):
     ds = load_token_dataset(str(tmp_path), "eval")
     assert isinstance(ds, TokenDataset)
     assert ds.bases.size == 0
+
+
+@pytest.mark.parametrize("kind", ["npy", "npz", "compressed-npz"])
+def test_corrupted_array_files_load_or_raise_one_line_format_error(tmp_path, kind):
+    # truncations and byte flips of a valid file; numpy raises many exception
+    # types on such bytes, and every one must surface as a FormatError
+    rng = np.random.default_rng(4)
+    tokens = rng.normal(size=(4, 6, 8))
+    buf = io.BytesIO()
+    if kind == "npy":
+        np.save(buf, tokens)
+    else:
+        save = np.savez if kind == "npz" else np.savez_compressed
+        save(buf, tokens=tokens, labels=np.arange(4))
+    raw = buf.getvalue()
+    path = tmp_path / f"data.{kind[-3:]}"
+    for trial in range(200):
+        data = bytearray(raw)
+        if trial % 3 == 0:
+            data = data[: int(rng.integers(len(data)))]
+        else:
+            data[int(rng.integers(len(data)))] ^= int(rng.integers(1, 256))
+        path.write_bytes(bytes(data))
+        try:
+            load_array_file(str(path))
+        except FormatError as exc:
+            assert str(path) in str(exc) and "\n" not in str(exc)

@@ -8,8 +8,6 @@ from dmst.sparsify import (
     soft_threshold,
     soft_threshold_backward,
     soft_threshold_matrix,
-    soft_threshold_topk,
-    sparse_membership_tokens,
     sparse_subspace,
 )
 
@@ -121,7 +119,7 @@ def test_soft_threshold_topk_support_bound():
     for _ in range(500):
         n = int(rng.integers(2, 24))
         k = int(rng.integers(1, n + 1))
-        out = soft_threshold_topk(rng.normal(size=n), k)
+        out = soft_threshold(rng.normal(size=n), topk=k)
         assert out.support.size <= k
         assert abs(out.values.sum() - 1.0) < 1e-12
 
@@ -130,11 +128,11 @@ def test_soft_threshold_topk_full_k_equals_plain():
     rng = np.random.default_rng(6)
     for _ in range(100):
         s = rng.normal(size=12)
-        assert np.array_equal(soft_threshold_topk(s, 12).values, soft_threshold(s).values)
+        assert np.array_equal(soft_threshold(s, topk=12).values, soft_threshold(s).values)
 
 
 def test_soft_threshold_topk_tie_breaks_to_lowest_index():
-    out = soft_threshold_topk(np.array([1.0, 1.0, 0.0]), 1)
+    out = soft_threshold(np.array([1.0, 1.0, 0.0]), topk=1)
     assert np.array_equal(out.values, [1.0, 0.0, 0.0])
     assert np.array_equal(out.support, [0])
 
@@ -156,9 +154,9 @@ def test_soft_threshold_input_validation():
     with pytest.raises(InvalidInput):
         soft_threshold(np.array([1.0, np.inf]))
     with pytest.raises(InvalidInput):
-        soft_threshold_topk(np.array([1.0, 2.0]), 0)
+        soft_threshold(np.array([1.0, 2.0]), topk=0)
     with pytest.raises(InvalidInput):
-        soft_threshold_topk(np.array([1.0, 2.0]), 3)
+        soft_threshold(np.array([1.0, 2.0]), topk=3)
     with pytest.raises(InvalidInput):
         soft_threshold_matrix(np.ones((2, 2, 2)))
 
@@ -203,16 +201,8 @@ def test_soft_threshold_backward_centers_over_active_set():
 
 
 # ---------------------------------------------------------------------------
-# membership and subspace sparsifiers
+# subspace sparsifier
 # ---------------------------------------------------------------------------
-
-
-def test_sparse_membership_tokens_rows_on_simplex():
-    rng = np.random.default_rng(11)
-    Pi = Membership(rng.uniform(0.0, 1.0, size=(3, 10)))
-    sparse = sparse_membership_tokens(Pi, topk=4)
-    assert np.max(np.abs(sparse.data.sum(axis=1) - 1.0)) < 1e-12
-    assert np.all((sparse.data > 0).sum(axis=1) <= 4)
 
 
 def test_sparse_subspace_head_axis_gates_bases():
@@ -220,7 +210,7 @@ def test_sparse_subspace_head_axis_gates_bases():
     bases = tuple(orthonormal_basis(np.random.default_rng(s), 6, 2) for s in range(3))
     bank = SubspaceBank(bases, orthonormal=True)
     Pi = Membership(rng.uniform(0.0, 1.0, size=(3, 8)))
-    gate = soft_threshold_topk(Pi.data.mean(axis=1), 3)
+    gate = soft_threshold(Pi.data.mean(axis=1), topk=3)
     gated = sparse_subspace(bank, Pi, "head", topk=3)
     for g, b, original in zip(gate.values, gated.bases, bases):
         assert np.array_equal(b, g * original)

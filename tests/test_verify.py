@@ -23,6 +23,15 @@ def test_bisection_projection_agrees_with_direct_solver():
         assert np.max(np.abs(simplex_project_bisection(s) - soft_threshold(s).values)) < 1e-9
 
 
+def test_rates_suite_passes():
+    checks = run_suite("rates", seed=0)
+    assert all(c.passed for c in checks)
+    counts = {c.name: c.count for c in checks}
+    assert counts["coupled-equals-decoupled-at-softmax"] == 40
+    assert counts["sparse-decoupled-rate-below-coupled"] == 200
+    assert len(counts) == len(checks) == 6
+
+
 def test_gradients_suite_passes():
     checks = run_suite("gradients", seed=0)
     assert len(checks) >= 2
