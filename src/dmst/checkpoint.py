@@ -4,15 +4,19 @@ Layout, all little endian::
 
     bytes 0..4    magic b"DMST1"
     bytes 5..9    uint32 length L of the JSON header
-    bytes 9..9+L  UTF-8 JSON: {"config": {...}, "tensors": [{name, shape, offset}, ...]}
+    bytes 9..9+L  UTF-8 JSON: {"config": {...}, "crc32": c,
+                               "tensors": [{name, shape, offset}, ...]}
     remainder     float32 payload, tensors concatenated in manifest order
 
 Offsets are float counts from the start of the payload; they must start at
 zero, be contiguous, and strictly increase. The manifest must list the
 tensors of the header's config, with the names and shapes and in the order
-:func:`dmst.model.param_shapes` gives. The JSON is serialized with
-sorted keys and fixed separators, so identical inputs produce identical
-bytes and a save/load/save round trip is bit exact.
+:func:`dmst.model.param_shapes` gives. ``c`` is the ``zlib.crc32`` of the
+payload bytes; it is checked after every structural check, so a flipped
+weight byte is a ``FormatError`` rather than a silently different model.
+The JSON is serialized with sorted keys and fixed separators, so identical
+inputs produce identical bytes and a save/load/save round trip is bit
+exact.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -40,7 +45,7 @@ def save_checkpoint(path: str, config: ModelConfig, params: dict[str, np.ndarray
         payload.extend(arr.tobytes())
         offset += arr.size
     header = json.dumps(
-        {"config": config_to_dict(config), "tensors": manifest},
+        {"config": config_to_dict(config), "crc32": zlib.crc32(payload), "tensors": manifest},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
@@ -98,6 +103,11 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     except (InvalidInput, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint {path} has an invalid config: {exc}") from None
     _check_layout(path, config, entries)
+    crc = header.get("crc32")
+    if not _is_count(crc):
+        raise FormatError(f"checkpoint {path} header has no integer crc32 of its payload")
+    if crc != zlib.crc32(payload):
+        raise FormatError(f"checkpoint {path}: payload does not match its crc32, the file is corrupt")
     return config, params
 
 

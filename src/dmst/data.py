@@ -132,18 +132,28 @@ def load_token_dataset(directory: str, split: str) -> TokenDataset:
     """Load ``<split>.npz`` with arrays ``tokens`` (N, n, d) and ``labels`` (N,).
 
     An optional ``bases`` array enables the oracle; otherwise it is stored
-    as an empty array and oracle queries are invalid.
+    as an empty array and oracle queries are invalid. Labels must be finite whole numbers within the int64 range, of
+    any numeric dtype; 1.7 is a ``FormatError``, never class 1.
     """
     path = os.path.join(directory, f"{split}.npz")
     arrays = load_array_file(path)
     if "tokens" not in arrays or "labels" not in arrays:
         raise FormatError(f"{path} must contain 'tokens' and 'labels' arrays")
     tokens = np.asarray(arrays["tokens"], dtype=np.float64)
-    labels = np.asarray(arrays["labels"], dtype=np.int64)
+    labels = _integral_labels(path, arrays["labels"])
     bases = np.asarray(arrays.get("bases", np.empty((0, 0, 0))), dtype=np.float64)
     if tokens.ndim != 3 or labels.shape != (tokens.shape[0],):
         raise FormatError(f"{path} arrays have inconsistent shapes")
     return TokenDataset(tokens=tokens, labels=labels, bases=bases)
+
+
+def _integral_labels(path: str, raw: np.ndarray) -> np.ndarray:
+    """``raw`` as int64, which must hold every label exactly."""
+    with np.errstate(invalid="ignore"):
+        labels = raw.astype(np.int64)
+    if not (np.all(np.isfinite(raw)) and np.array_equal(labels, raw)):
+        raise FormatError(f"{path}: labels must be finite whole numbers within the int64 range")
+    return labels
 
 
 def save_token_dataset(directory: str, split: str, ds: TokenDataset) -> str:

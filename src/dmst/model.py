@@ -389,7 +389,11 @@ def model_backward(
     inputs: np.ndarray,
     labels: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss value and gradient arrays for every parameter on one batch."""
+    """Loss value and gradient arrays for every parameter on one batch.
+
+    A non-finite gradient raises ``NumericalFault`` naming the first such
+    parameter in ``params`` order.
+    """
     for p in params.values():
         p.zero_grad()
     loss, _ = model_loss(config, params, inputs, labels)
@@ -398,8 +402,9 @@ def model_backward(
         name: (p.grad if p.grad is not None else np.zeros_like(p.data))
         for name, p in params.items()
     }
-    if not all(np.all(np.isfinite(g)) for g in grads.values()):
-        raise NumericalFault("non-finite gradients")
+    bad = next((name for name, g in grads.items() if not np.all(np.isfinite(g))), None)
+    if bad is not None:
+        raise NumericalFault(f"non-finite gradient in {bad}")
     return float(loss.data), grads
 
 

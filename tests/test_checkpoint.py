@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -55,9 +56,11 @@ def test_magic_prefix_and_header_layout(tmp_path):
     blob = open(path, "rb").read()
     assert blob.startswith(MAGIC)
     (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
-    header = json.loads(blob[len(MAGIC) + 4 : len(MAGIC) + 4 + header_len])
-    assert set(header) == {"config", "tensors"}
+    header_end = len(MAGIC) + 4 + header_len
+    header = json.loads(blob[len(MAGIC) + 4 : header_end])
+    assert set(header) == {"config", "crc32", "tensors"}
     assert header["tensors"] == [{"name": "w", "offset": 0, "shape": [2]}]
+    assert header["crc32"] == zlib.crc32(blob[header_end:])
 
 
 def test_tensors_other_than_the_config_layout_are_rejected(tmp_path):
@@ -152,3 +155,64 @@ def test_ragged_payload_bytes_are_rejected(tmp_path):
     bad.write_bytes(blob)
     with pytest.raises(FormatError):
         load_checkpoint(str(bad))
+
+
+def depth_one_checkpoint(path):
+    config = ModelConfig(depth=1, dim=8, heads=2, input_dim=3)
+    save_checkpoint(str(path), config, tiny_params(np.random.default_rng(2), config))
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
+    return blob, len(MAGIC) + 4 + header_len
+
+
+@pytest.mark.parametrize(
+    "crc", [None, "0", 1.5, True, -1], ids=["missing", "string", "float", "bool", "negative"]
+)
+def test_missing_or_non_integer_crc32_is_rejected(tmp_path, crc):
+    path = tmp_path / "crc.dmst"
+    depth_one_checkpoint(path)
+
+    def mutate(header):
+        if crc is None:
+            header.pop("crc32")
+        else:
+            header["crc32"] = crc
+
+    path.write_bytes(corrupt_header(str(path), mutate))
+    with pytest.raises(FormatError, match="no integer crc32"):
+        load_checkpoint(str(path))
+
+
+def test_payload_byte_flip_is_rejected_by_the_crc32(tmp_path):
+    path = tmp_path / "flip.dmst"
+    blob, _ = depth_one_checkpoint(path)
+    data = bytearray(blob)
+    data[-1] ^= 0x01  # the last mantissa bit of the last weight: structurally valid
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="does not match its crc32"):
+        load_checkpoint(str(path))
+
+
+def test_corrupted_checkpoints_load_or_raise_one_line_format_error(tmp_path):
+    # Seeded truncations and byte flips anywhere in the file: each one loads
+    # or raises a one-line FormatError naming the file, and every truncation
+    # and every flip in the payload is caught.
+    path = tmp_path / "sweep.dmst"
+    blob, header_end = depth_one_checkpoint(path)
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        data = bytearray(blob)
+        if trial % 3 == 0:
+            data = data[: int(rng.integers(len(data)))]
+            must_fail = True
+        else:
+            at = int(rng.integers(len(data)))
+            data[at] ^= int(rng.integers(1, 256))
+            must_fail = at >= header_end
+        path.write_bytes(bytes(data))
+        try:
+            load_checkpoint(str(path))
+        except FormatError as exc:
+            assert str(path) in str(exc) and "\n" not in str(exc)
+        else:
+            assert not must_fail, f"trial {trial} loaded a corrupted checkpoint"

@@ -340,6 +340,19 @@ def test_rates_rejects_bad_checkpoint_manifest_in_one_line(run_dir, tmp_path, ca
     assert message in err
 
 
+def test_rates_rejects_a_flipped_payload_byte_in_one_line(run_dir, tmp_path, capsys):
+    blob = bytearray((run_dir / "checkpoint.dmst").read_bytes())
+    blob[-3] ^= 0x10  # inside the last float32 of the payload
+    bad = tmp_path / "flipped.dmst"
+    bad.write_bytes(bytes(blob))
+    code = main(["rates", "--checkpoint", str(bad), "--csv", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "crc32" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_rates_data_width_mismatch_exits_mismatch(run_dir, tmp_path, capsys):
     spec = SyntheticDatasetSpec(num_classes=2, ambient_dim=5, subspace_dim=2, samples_per_class=4)
     data_dir = tmp_path / "narrow"
@@ -418,6 +431,12 @@ def truncated_dataset(path):
 SAMPLES = np.zeros((2, 6, 8))
 LABELS = np.zeros(2, dtype=np.int64)
 
+
+def fractional_labels(path):
+    # a valid test split beside it, so only the 1.7 label can fail the run
+    save_npz_bytes(path, tokens=SAMPLES, labels=np.array([0.0, 1.7]))
+    save_npz_bytes(path.parent / "test.npz", tokens=SAMPLES, labels=LABELS)
+
 # (case, subcommand, file written, writer, extra arguments); each must exit 2 in one line
 BAD_ARRAY_FILES = [
     ("garbage-npy", "membership", "s.npy", lambda p: p.write_bytes(b"garbage " * 16), []),
@@ -444,6 +463,7 @@ BAD_ARRAY_FILES = [
      lambda p: save_npz_bytes(p, tokens=np.full((2, 6, 8), "a"), labels=LABELS), []),
     ("train-object-labels", "train", "train.npz",
      lambda p: save_npz_bytes(p, tokens=SAMPLES, labels=np.array([None, 1], dtype=object)), []),
+    ("train-fractional-labels", "train", "train.npz", fractional_labels, []),
     ("rates-truncated-npz", "rates", "test.npz", truncated_dataset, []),
 ]
 

@@ -114,6 +114,26 @@ def test_load_rejects_inconsistent_shapes(tmp_path):
         load_token_dataset(str(tmp_path), "test")
 
 
+def test_whole_float_and_bool_labels_load_as_int64(tmp_path):
+    for labels, expected in (([0.0, 2.0], [0, 2]), ([False, True], [0, 1])):
+        np.savez(tmp_path / "train.npz", tokens=np.zeros((2, 3, 4)), labels=np.array(labels))
+        loaded = load_token_dataset(str(tmp_path), "train").labels
+        assert loaded.dtype == np.int64 and loaded.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [1.7, 0.5, np.nan, np.inf, 1e30, np.uint64(2**63 + 1)],
+    ids=["1.7", "0.5", "nan", "inf", "1e30", "uint64-past-int64"],
+)
+def test_fractional_or_non_finite_labels_are_rejected(tmp_path, bad):
+    path = tmp_path / "train.npz"
+    np.savez(path, tokens=np.zeros((2, 3, 4)), labels=np.array([0, bad], dtype=np.asarray(bad).dtype))
+    with pytest.raises(FormatError, match="whole numbers") as info:
+        load_token_dataset(str(tmp_path), "train")
+    assert str(path) in str(info.value) and "\n" not in str(info.value)
+
+
 def test_dataset_without_bases_loads_with_empty_oracle(tmp_path):
     np.savez(tmp_path / "eval.npz", tokens=np.zeros((2, 3, 4)), labels=np.zeros(2, dtype=np.int64))
     ds = load_token_dataset(str(tmp_path), "eval")

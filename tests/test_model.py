@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dmst import autodiff as ad
 from dmst.attention import AttentionKind
-from dmst.errors import InvalidInput
+from dmst.errors import InvalidInput, NumericalFault
 from dmst.model import (
     ModelConfig,
     config_from_dict,
@@ -194,6 +195,22 @@ def test_zero_input_has_finite_loss_and_gradients():
     loss, grads = model_backward(config, params, np.zeros((2, 4, 5)), np.array([0, 1]))
     assert np.isfinite(loss)
     assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+
+def test_non_finite_gradient_names_the_first_bad_parameter(monkeypatch):
+    config = small_config(depth=2)
+    params = init_params(config)
+    poisoned = ["blocks.1.attn.membership_proj", "head.weight"]  # in params order
+    backward = ad.Tensor.backward
+
+    def poisoning_backward(self, grad=None):
+        backward(self, grad)
+        for name in poisoned:
+            params[name].grad[0, 0] = np.nan
+
+    monkeypatch.setattr(ad.Tensor, "backward", poisoning_backward)
+    with pytest.raises(NumericalFault, match=r"^non-finite gradient in blocks\.1\.attn\.membership_proj$"):
+        model_backward(config, params, np.zeros((2, 4, 5)), np.array([0, 1]))
 
 
 def test_predict_uses_detached_parameters():
