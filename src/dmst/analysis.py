@@ -2,12 +2,14 @@
 
 The layer-wise rate curve evaluates the decoupled variational rate on each
 attention block's output under that block's own grouping: memberships are
-recomputed from the block output through the block's membership path, and
-the group dictionaries are the value projection's head blocks. Output
-tokens are normalized to unit length first; without that, residual-stream
-growth across depth swamps the geometry the rate is meant to measure. The
-rate coefficient is evaluated in the layer's folded form (``d/eps^2 = 1``).
-A stack that compresses its tokens shows a broadly non-increasing curve.
+recomputed from the block output through the model's own score path
+(``model.membership_scores`` for DMSA), and the group dictionaries are the
+value projection's head blocks. Output tokens are normalized to unit length
+first; without that, residual-stream growth across depth swamps the geometry
+the rate is meant to measure. The rate coefficient is evaluated in the
+layer's folded form (``d/eps^2 = 1``). Each chunk of samples takes one
+forward and one stacked rate call per block. A stack that compresses its
+tokens shows a broadly non-increasing curve.
 
 Membership maps reshape each head's token weights at a chosen block into the
 patch grid and render them as 8-bit grayscale (PGM, P5) with per-head
@@ -20,17 +22,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (
-    AttentionKind,
-    MhsaLayerParams,
-    mhsa_layer_forward,
-    rope_precompute,
-    rotate_pairs,
-)
+from .attention import AttentionKind, MhsaLayerParams, mhsa_layer_forward, rope_precompute
 from .coding_rate import CodingRateConfig, Membership, SubspaceBank, rate_variational_decoupled
 from .errors import FormatError, InvalidInput
 from .memcount import count_floats
@@ -38,6 +35,7 @@ from .model import (
     ModelConfig,
     _dmsa_attention,
     _tssa_attention,
+    membership_scores,
     model_forward,
     sparsify_scores,
     split_heads,
@@ -94,37 +92,34 @@ def _detached(params: dict[str, ad.Tensor]) -> dict[str, ad.Tensor]:
     return {name: ad.Tensor(p.data) for name, p in params.items()}
 
 
-def _block_rate(
+def _chunk_rates(
     config: ModelConfig,
     params: dict[str, ad.Tensor],
-    block: int,
-    tokens_nd: np.ndarray,
-) -> float:
-    """Decoupled variational rate of one block's output under its own grouping."""
-    d, K = config.dim, config.heads
-    p = d // K
-    prefix = f"blocks.{block}.attn"
-    unit = tokens_nd / np.maximum(np.linalg.norm(tokens_nd, axis=1, keepdims=True), 1e-12)
+    chunk: np.ndarray,
+    rope_table: np.ndarray | None,
+) -> Iterator[np.ndarray]:
+    """Yield each block's per-sample rates ``(B,)`` on one chunk of samples.
 
-    value_w = params[f"{prefix}.value_proj"].data  # (d, d), columns index output
-    bank = SubspaceBank(tuple(value_w[:, k * p : (k + 1) * p] for k in range(K)))
-
-    if config.attention is AttentionKind.DMSA:
-        memb_w = params[f"{prefix}.membership_proj"].data  # (d, K)
-        path_in = tokens_nd
-        if config.use_rope:
-            table = rope_precompute(tokens_nd.shape[0], d)
-            path_in = rotate_pairs(tokens_nd, table)
-        raw = ad.Tensor((path_in @ memb_w).T)  # (K, n)
-        Pi = sparsify_scores(raw, config, gate=False).data
-        if config.activation is ActivationKind.GELU:
-            Pi = np.clip(Pi, 0.0, None)  # rate math needs nonnegative weights
-    else:
-        w = split_heads(ad.Tensor(tokens_nd[None] @ value_w), K)
-        Pi = tssa_membership(w).data[0]
-
-    cfg = CodingRateConfig(epsilon=float(np.sqrt(d)))  # folded coefficient, f(x) = log(1+x)
-    return rate_variational_decoupled(unit.T, Membership(Pi), bank, cfg)
+    A function of its own so that nothing of this chunk's forward is alive
+    during the next chunk's, which keeps the curve's memory peak at one forward.
+    """
+    cfg = CodingRateConfig(epsilon=float(np.sqrt(config.dim)))  # folded: f(x) = log(1+x)
+    capture: list[dict] = []
+    model_forward(config, params, chunk, capture=capture)
+    for b, entry in enumerate(capture):
+        after = entry["tokens_after_attention"]  # (B, n+1, d)
+        prefix = f"blocks.{b}.attn"
+        value_w = params[f"{prefix}.value_proj"].data  # (d, d), columns index output
+        bank = SubspaceBank(tuple(np.split(value_w, config.heads, axis=1)))
+        if config.attention is AttentionKind.DMSA:
+            scores = membership_scores(ad.Tensor(after), params, prefix, rope_table)
+            Pi = sparsify_scores(ad.transpose(scores, (0, 2, 1)), config, gate=False).data
+            if config.activation is ActivationKind.GELU:
+                Pi = np.clip(Pi, 0.0, None)  # rate math needs nonnegative weights
+        else:
+            Pi = tssa_membership(split_heads(ad.Tensor(after @ value_w), config.heads)).data
+        unit = after / np.maximum(np.linalg.norm(after, axis=-1, keepdims=True), 1e-12)
+        yield rate_variational_decoupled(np.swapaxes(unit, -1, -2), Membership(Pi), bank, cfg)
 
 
 def layer_rate_curve(
@@ -134,26 +129,25 @@ def layer_rate_curve(
     max_samples: int | None = None,
     batch: int = 64,
 ) -> RateCurve:
-    """Average per-block rate over up to ``max_samples`` sequences."""
+    """Average per-block rate over up to ``max_samples`` sequences, ``batch`` at a time."""
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 3:
         raise InvalidInput(f"tokens must be (N, n, input_dim), got ndim={tokens.ndim}")
-    if max_samples is not None:
-        tokens = tokens[:max_samples]
+    if batch < 1 or (max_samples is not None and max_samples < 1):
+        raise InvalidInput(f"batch and max_samples must be at least 1, got {batch}, {max_samples}")
+    tokens = tokens[:max_samples]
     if tokens.shape[0] == 0:
         raise InvalidInput("rate curve needs at least one sample")
     if config.depth == 0:
         raise InvalidInput("rate curve needs at least one block")
     detached = _detached(params)
+    rope_table = rope_precompute(tokens.shape[1] + 1, config.dim) if config.use_rope else None
     totals = np.zeros(config.depth)
     for start in range(0, tokens.shape[0], batch):
         chunk = tokens[start : start + batch]
-        capture: list[dict] = []
-        model_forward(config, detached, chunk, capture=capture)
-        for b, entry in enumerate(capture):
-            after = entry["tokens_after_attention"]  # (B, n+1, d)
-            for s in range(after.shape[0]):
-                totals[b] += _block_rate(config, detached, b, after[s])
+        for b, rates in enumerate(_chunk_rates(config, detached, chunk, rope_table)):
+            for rate in rates:  # in sample order, so the sum matches one sample at a time
+                totals[b] += rate
     return RateCurve(values=totals / tokens.shape[0], samples=int(tokens.shape[0]))
 
 

@@ -57,9 +57,16 @@ def save_checkpoint(path: str, config: ModelConfig, params: dict[str, np.ndarray
 
 
 def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    """Read a checkpoint back; raises ``FormatError`` on any structural defect."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a checkpoint back; raises ``FormatError`` on any structural defect.
+
+    A path that cannot be read (missing, a directory, no permission) is a
+    ``FormatError`` too, naming the path.
+    """
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
     if len(blob) < len(MAGIC) + 4:
         raise FormatError(f"checkpoint {path} is truncated")
     if blob[: len(MAGIC)] != MAGIC:

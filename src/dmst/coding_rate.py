@@ -9,6 +9,8 @@ Conventions used throughout the module:
   each token to group ``k``. Rows need not be normalized; the group mass
   ``n_k`` is the row sum.
 * All rate math runs in double precision and returns values in nats.
+* ``rate_variational_decoupled`` also takes a leading batch axis: a
+  ``(..., d, n)`` stack with a ``(..., K, n)`` membership, one rate per sample.
 
 The total rate ``R(Z)`` measures the volume of the whole token set under a
 Gaussian codebook at precision ``epsilon``; the segmented rate measures it
@@ -41,10 +43,10 @@ ZERO_MASS = 1e-12
 TokenMatrix = np.ndarray
 
 
-def check_tokens(Z: np.ndarray, name: str = "Z") -> TokenMatrix:
-    """Validate and coerce a token matrix to float64 ``d x n``."""
+def check_tokens(Z: np.ndarray, name: str = "Z", *, stacked: bool = False) -> TokenMatrix:
+    """Validate and coerce a token matrix to float64 ``d x n`` (``(..., d, n)`` if stacked)."""
     Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2:
+    if Z.ndim != 2 and not (stacked and Z.ndim > 2):
         raise InvalidInput(f"{name} must be a 2-d token matrix, got ndim={Z.ndim}")
     if not np.all(np.isfinite(Z)):
         raise InvalidInput(f"{name} contains non-finite entries")
@@ -79,13 +81,13 @@ class CodingRateConfig:
 
 @dataclass(frozen=True)
 class Membership:
-    """Soft assignment of ``n`` tokens to ``K`` groups, one group per row."""
+    """Soft assignment of ``n`` tokens to ``K`` groups, one group per row (``(..., K, n)`` stacks)."""
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2:
+        if data.ndim < 2:
             raise InvalidInput(f"membership must be K x n, got ndim={data.ndim}")
         if not np.all(np.isfinite(data)):
             raise InvalidInput("membership contains non-finite entries")
@@ -93,11 +95,11 @@ class Membership:
 
     @property
     def groups(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def tokens(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -193,10 +195,8 @@ def rate_total(Z: TokenMatrix, cfg: CodingRateConfig) -> float:
 
 
 def _check_membership(Z: TokenMatrix, Pi: Membership) -> np.ndarray:
-    if Pi.tokens != Z.shape[1]:
-        raise InvalidInput(
-            f"membership covers {Pi.tokens} tokens but Z has {Z.shape[1]}"
-        )
+    if Pi.data.shape[:-2] != Z.shape[:-2] or Pi.tokens != Z.shape[-1]:
+        raise InvalidInput(f"membership {Pi.data.shape} does not cover tokens {Z.shape}")
     data = Pi.data
     if np.min(data) < -ZERO_MASS:
         raise InvalidInput(f"membership weights must be nonnegative, min={np.min(data):.3e}")
@@ -223,9 +223,9 @@ def rate_segmented(Z: TokenMatrix, Pi: Membership, cfg: CodingRateConfig) -> flo
 
 
 def _check_bank(Z: TokenMatrix, U: SubspaceBank) -> None:
-    if U.ambient_dim != Z.shape[0]:
+    if U.ambient_dim != Z.shape[-2]:
         raise InvalidInput(
-            f"subspace bank lives in dimension {U.ambient_dim} but Z has d={Z.shape[0]}"
+            f"subspace bank lives in dimension {U.ambient_dim} but Z has d={Z.shape[-2]}"
         )
 
 
@@ -246,22 +246,28 @@ def membership_from_subspaces(Z: TokenMatrix, U: SubspaceBank, eta: float) -> Me
 def _nonempty_groups(Z: TokenMatrix, Pi: Membership, U: SubspaceBank):
     """Yield ``(k, U_k, pi_k, n_k, U_k^T Z, args)`` for every nonempty group of a checked ``Z``.
 
+    ``Z`` is ``(..., d, n)`` and ``pi_k``, ``n_k`` carry its leading shape.
     ``args`` holds the per-direction second moments
     ``(1/n_k) sum_j pi_kj (U_k^T z_j)^2``, clipped at zero once they pass the
-    negativity check. Groups with mass at or below ``ZERO_MASS`` are skipped
-    with a diagnostic.
+    negativity check. A group with mass at or below ``ZERO_MASS`` has zero
+    ``args`` in that sample, and is skipped if empty in every sample.
     """
     _check_bank(Z, U)
     weights = _check_membership(Z, Pi)
     if Pi.groups != U.count:
         raise InvalidInput(f"membership has {Pi.groups} groups but bank has {U.count}")
-    for k, (pik, Uk) in enumerate(zip(weights, U.bases)):
-        mass = float(pik.sum())
-        if mass <= ZERO_MASS:
-            logger.debug("group %d has zero mass, skipped", k)
-            continue
+    for k, Uk in enumerate(U.bases):
+        pik = weights[..., k, :]
+        mass = pik.sum(axis=-1)
+        empty = np.count_nonzero(mass <= ZERO_MASS)
+        denom = mass
+        if empty:
+            logger.debug("group %d has zero mass in %d sample(s), skipped", k, empty)
+            if empty == np.size(mass):
+                continue
+            denom = np.where(mass > ZERO_MASS, mass, np.inf)  # an empty sample's moments are 0
         proj = Uk.T @ Z
-        args = (proj * proj) @ pik / mass
+        args = ((proj * proj) @ pik[..., None])[..., 0] / denom[..., None]
         if np.min(args) < -ZERO_MASS:
             raise InvalidInput(
                 f"variational rate argument went negative ({np.min(args):.3e}) in group {k}"
@@ -269,29 +275,24 @@ def _nonempty_groups(Z: TokenMatrix, Pi: Membership, U: SubspaceBank):
         yield k, Uk, pik, mass, proj, np.clip(args, 0.0, None)
 
 
-def _variational_terms(
-    Z: TokenMatrix, Pi: Membership, U: SubspaceBank, cfg: CodingRateConfig
-) -> np.ndarray:
-    """Per-group terms of the variational rate; zero for empty groups."""
-    Z = check_tokens(Z)
-    d, n = Z.shape
-    coeff = cfg.f_coeff(d)
-    terms = np.zeros(U.count)
-    for k, _, _, mass, _, args in _nonempty_groups(Z, Pi, U):
-        terms[k] = 0.5 * (mass / n) * float(np.sum(np.log1p(coeff * args)))
-    return terms
-
-
 def rate_variational_decoupled(
     Z: TokenMatrix, Pi: Membership, U_S: SubspaceBank, cfg: CodingRateConfig
-) -> float:
+) -> float | np.ndarray:
     """Variational rate with externally supplied membership and (possibly sparse) bases.
 
     ``0.5 sum_k (n_k/n) sum_i f((1/n_k) (U_k^T Z diag(pi_k) Z^T U_k)_ii)``
     where ``f(x) = log(1 + (d/eps^2) x)``. The membership is taken as given;
-    it is not recomputed from the bases.
+    it is not recomputed from the bases. A ``d x n`` ``Z`` gives a float, a
+    ``(..., d, n)`` stack the ``(...)`` array of its samples' rates.
     """
-    return float(np.sum(_variational_terms(Z, Pi, U_S, cfg)))
+    Z = check_tokens(Z, stacked=True)
+    d, n = Z.shape[-2:]
+    coeff = cfg.f_coeff(d)
+    terms = np.zeros(Z.shape[:-2] + (U_S.count,))  # per group; zero for empty groups
+    for k, _, _, mass, _, args in _nonempty_groups(Z, Pi, U_S):
+        terms[..., k] = 0.5 * (mass / n) * np.sum(np.log1p(coeff * args), axis=-1)
+    rates = np.sum(terms, axis=-1)
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def rate_variational_coupled(

@@ -132,8 +132,9 @@ def load_token_dataset(directory: str, split: str) -> TokenDataset:
     """Load ``<split>.npz`` with arrays ``tokens`` (N, n, d) and ``labels`` (N,).
 
     An optional ``bases`` array enables the oracle; otherwise it is stored
-    as an empty array and oracle queries are invalid. Labels must be finite whole numbers within the int64 range, of
-    any numeric dtype; 1.7 is a ``FormatError``, never class 1.
+    as an empty array and oracle queries are invalid. Labels must be finite
+    whole numbers within the int64 range, of any numeric dtype; 1.7 is a
+    ``FormatError``, never class 1. A split needs at least one sample.
     """
     path = os.path.join(directory, f"{split}.npz")
     arrays = load_array_file(path)
@@ -144,6 +145,8 @@ def load_token_dataset(directory: str, split: str) -> TokenDataset:
     bases = np.asarray(arrays.get("bases", np.empty((0, 0, 0))), dtype=np.float64)
     if tokens.ndim != 3 or labels.shape != (tokens.shape[0],):
         raise FormatError(f"{path} arrays have inconsistent shapes")
+    if tokens.shape[0] == 0:
+        raise FormatError(f"{path} holds no samples")
     return TokenDataset(tokens=tokens, labels=labels, bases=bases)
 
 

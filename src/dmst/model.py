@@ -256,6 +256,14 @@ def second_moment_tail(
     return merged @ out_proj + out_bias
 
 
+def membership_scores(
+    x: ad.Tensor, p: dict[str, ad.Tensor], prefix: str, rope_table: np.ndarray | None
+) -> ad.Tensor:
+    """DMSA scores ``(B, n, K)``: the (rotary-rotated) tokens through the membership projection."""
+    rotated = ad.rope_rotate(x, rope_table) if rope_table is not None else x
+    return rotated @ p[f"{prefix}.membership_proj"]
+
+
 def _dmsa_attention(
     x: ad.Tensor,
     config: ModelConfig,
@@ -266,17 +274,14 @@ def _dmsa_attention(
 ) -> ad.Tensor:
     """DMSA sublayer on ``(B, n, d)`` tokens.
 
-    Values split into heads; memberships come from a separate projection of
-    the (rotary-rotated) tokens, so they are decoupled from the subspaces.
+    Values split into heads; memberships come from :func:`membership_scores`.
     Head-axis blocks gate whole heads with the activation of the token-mean
     membership scores.
     """
     B = x.shape[0]
     K = config.heads
     w = split_heads(x @ p[f"{prefix}.value_proj"], K)  # (B, K, n, hd)
-
-    rotated = ad.rope_rotate(x, rope_table) if rope_table is not None else x
-    scores = rotated @ p[f"{prefix}.membership_proj"]  # (B, n, K)
+    scores = membership_scores(x, p, prefix, rope_table)  # (B, n, K)
 
     if config.sparsity_axis in ("head", "both"):
         mask = sparsify_scores(ad.mean(scores, axis=1), config, gate=True)  # (B, K)

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
+from dmst import autodiff as ad
 from dmst.analysis import (
     MembershipMap,
     RateCurve,
@@ -15,8 +17,11 @@ from dmst.analysis import (
     write_membership_artifacts,
     write_pgm,
 )
+from dmst.attention import ROPE_BASE, AttentionKind
+from dmst.coding_rate import CodingRateConfig, Membership, SubspaceBank, rate_variational_decoupled
 from dmst.errors import FormatError, InvalidInput
-from dmst.model import ModelConfig, init_params
+from dmst.model import ModelConfig, init_params, model_forward, split_heads, tssa_membership
+from dmst.sparsify import ActivationKind, soft_threshold_matrix
 
 
 def small_config(**kwargs):
@@ -209,6 +214,74 @@ def test_layer_rate_curve_truncates_to_max_samples():
     assert np.array_equal(full.values, capped.values)
 
 
+def reference_curve(config, params, tokens):
+    """Per-sample oracle: numpy rotary and activations, one 2-d rate call per sample per block."""
+    d, K = config.dim, config.heads
+    p = d // K
+    capture = []
+    model_forward(config, params, tokens, capture=capture)
+    totals = np.zeros(config.depth)
+    for b, entry in enumerate(capture):
+        value_w = params[f"blocks.{b}.attn.value_proj"].data
+        bank = SubspaceBank(tuple(value_w[:, k * p : (k + 1) * p] for k in range(K)))
+        for x in entry["tokens_after_attention"]:
+            if config.attention is AttentionKind.DMSA:
+                angles = np.outer(np.arange(x.shape[0]), ROPE_BASE ** (-np.arange(0, d, 2) / d))
+                even, odd = x[:, 0::2], x[:, 1::2]
+                rotated = np.empty_like(x)
+                rotated[:, 0::2] = even * np.cos(angles) - odd * np.sin(angles)
+                rotated[:, 1::2] = even * np.sin(angles) + odd * np.cos(angles)
+                scores = (rotated @ params[f"blocks.{b}.attn.membership_proj"].data).T
+                if config.activation is ActivationKind.GELU:
+                    Pi = np.clip(scores * ndtr(scores), 0.0, None)
+                elif config.sparsity_axis == "head":
+                    Pi = 1.0 / (1.0 + np.exp(-scores))
+                else:
+                    Pi = soft_threshold_matrix(scores)[0]
+            else:
+                Pi = tssa_membership(split_heads(ad.Tensor((x @ value_w)[None]), K)).data[0]
+            unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+            cfg = CodingRateConfig(epsilon=float(np.sqrt(d)))
+            totals[b] += rate_variational_decoupled(unit.T, Membership(Pi), bank, cfg)
+    return totals / tokens.shape[0]
+
+
+@pytest.mark.parametrize(
+    "attention,activation,axis",
+    [
+        (AttentionKind.DMSA, ActivationKind.SOFT_THRESHOLD, "head"),
+        (AttentionKind.DMSA, ActivationKind.GELU, "token"),
+        (AttentionKind.TSSA, ActivationKind.SOFT_THRESHOLD, "head"),
+    ],
+    ids=["dmsa-st-head", "dmsa-gelu-token", "tssa"],
+)
+def test_layer_rate_curve_matches_a_per_sample_reference(attention, activation, axis):
+    config = small_config(attention=attention, activation=activation, sparsity_axis=axis)
+    params = init_params(config)
+    rng = np.random.default_rng(8)
+    for p in params.values():  # move off the near-uniform initial memberships
+        p.data = p.data + rng.normal(scale=0.5, size=p.data.shape)
+    tokens = rng.normal(size=(7, 9, 5))
+    curve = layer_rate_curve(config, params, tokens, batch=3)
+    expected = reference_curve(config, params, tokens)
+    assert np.max(np.abs(curve.values - expected) / np.abs(expected)) < 1e-12
+
+
+def test_layer_rate_curve_makes_one_rate_call_per_block_per_chunk(monkeypatch):
+    import dmst.analysis
+
+    calls = []
+
+    def counted(Z, *rest):
+        calls.append(Z.shape)
+        return rate_variational_decoupled(Z, *rest)
+
+    monkeypatch.setattr(dmst.analysis, "rate_variational_decoupled", counted)
+    config = small_config()
+    layer_rate_curve(config, init_params(config), np.ones((7, 4, 5)), batch=3)
+    assert calls == [(3, 8, 5)] * 4 + [(1, 8, 5)] * 2  # chunks of 3, 3, 1; two blocks each
+
+
 def test_layer_rate_curve_input_validation():
     config = small_config()
     params = init_params(config)
@@ -216,6 +289,10 @@ def test_layer_rate_curve_input_validation():
         layer_rate_curve(config, params, np.zeros((4, 5)))
     with pytest.raises(InvalidInput):
         layer_rate_curve(config, params, np.zeros((0, 4, 5)))
+    tokens = np.ones((3, 4, 5))
+    for chunking in ({"batch": 0}, {"batch": -1}, {"max_samples": 0}, {"max_samples": -1}):
+        with pytest.raises(InvalidInput):
+            layer_rate_curve(config, params, tokens, **chunking)
     flat = small_config(depth=0)
     with pytest.raises(InvalidInput):
         layer_rate_curve(flat, init_params(flat), np.zeros((2, 4, 5)))

@@ -353,6 +353,57 @@ def test_rates_rejects_a_flipped_payload_byte_in_one_line(run_dir, tmp_path, cap
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_checkpoint_exits_usage_in_one_line(tmp_path, capsys, kind):
+    checkpoint = tmp_path / "checkpoint.dmst"
+    if kind == "directory":
+        checkpoint.mkdir()
+    sample = tmp_path / "sample.npy"
+    np.save(sample, SAMPLES[0])
+    for argv in (
+        ["rates", "--checkpoint", str(checkpoint), "--csv", str(tmp_path / "r.csv")],
+        ["membership", "--checkpoint", str(checkpoint), "--input", str(sample),
+         "--layer", "0", "--out", str(tmp_path / "maps")],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(checkpoint) in err
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "maps").exists()
+
+
+def test_corrupted_checkpoints_through_rates_exit_cleanly(run_dir, tmp_path, capsys):
+    # Seeded truncations and byte flips in the header and the payload of the
+    # depth-1 checkpoint: every run exits 0, 2 or 3, and a failing run prints
+    # exactly one error line. Exit 1 is reserved for failed verify suites.
+    blob = (run_dir / "checkpoint.dmst").read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 5)
+    header_end = 9 + header_len
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    save_npz_bytes(data_dir / "test.npz", tokens=SAMPLES, labels=LABELS)
+    bad = tmp_path / "bad.dmst"
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        data = bytearray(blob)
+        in_header = trial % 2 == 0
+        lo, hi = (0, header_end) if in_header else (header_end, len(blob))
+        at = int(rng.integers(lo, hi))
+        if trial % 3 == 0:
+            data = data[:at]
+        else:
+            data[at] ^= int(rng.integers(1, 256))
+        bad.write_bytes(bytes(data))
+        code = main(["rates", "--checkpoint", str(bad), "--data", str(data_dir),
+                     "--samples", "1", "--csv", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_MISMATCH), f"trial {trial}: exit {code}"
+        if code != EXIT_OK:
+            assert err.startswith("error: ") and err.count("\n") == 1, f"trial {trial}: {err!r}"
+        assert in_header or code == EXIT_USAGE, f"trial {trial}: a payload fault went unnoticed"
+
+
 def test_rates_data_width_mismatch_exits_mismatch(run_dir, tmp_path, capsys):
     spec = SyntheticDatasetSpec(num_classes=2, ambient_dim=5, subspace_dim=2, samples_per_class=4)
     data_dir = tmp_path / "narrow"
@@ -437,6 +488,13 @@ def fractional_labels(path):
     save_npz_bytes(path, tokens=SAMPLES, labels=np.array([0.0, 1.7]))
     save_npz_bytes(path.parent / "test.npz", tokens=SAMPLES, labels=LABELS)
 
+
+def empty_split(path):
+    # the other split beside it is valid, so only the empty one can fail the run
+    save_npz_bytes(path, tokens=np.zeros((0, 6, 8)), labels=np.zeros(0, dtype=np.int64))
+    other = "test.npz" if path.name == "train.npz" else "train.npz"
+    save_npz_bytes(path.parent / other, tokens=SAMPLES, labels=LABELS)
+
 # (case, subcommand, file written, writer, extra arguments); each must exit 2 in one line
 BAD_ARRAY_FILES = [
     ("garbage-npy", "membership", "s.npy", lambda p: p.write_bytes(b"garbage " * 16), []),
@@ -464,7 +522,10 @@ BAD_ARRAY_FILES = [
     ("train-object-labels", "train", "train.npz",
      lambda p: save_npz_bytes(p, tokens=SAMPLES, labels=np.array([None, 1], dtype=object)), []),
     ("train-fractional-labels", "train", "train.npz", fractional_labels, []),
+    ("train-empty-train", "train", "train.npz", empty_split, []),
+    ("train-empty-test", "train", "test.npz", empty_split, []),
     ("rates-truncated-npz", "rates", "test.npz", truncated_dataset, []),
+    ("rates-empty-test", "rates", "test.npz", empty_split, []),
 ]
 
 

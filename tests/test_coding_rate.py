@@ -283,6 +283,65 @@ def test_variational_zero_mass_group_contributes_nothing():
     assert rate_variational_decoupled(Z, Membership(weights), bank, cfg) == solo
 
 
+def test_variational_decoupled_on_a_stack_equals_each_sample_alone():
+    rng = np.random.default_rng(14)
+    cfg = CodingRateConfig(epsilon=0.7)
+    B, d, n, K = 6, 6, 7, 3
+    Z = rng.normal(size=(B, d, n))
+    bank = random_bank(rng, d, K, 2)
+    weights = rng.uniform(0.05, 1.0, size=(B, K, n))
+    weights[1, 0] = 0.0  # group 0 is empty in sample 1 only
+    stacked = rate_variational_decoupled(Z, Membership(weights), bank, cfg)
+    assert stacked.shape == (B,)
+    for s in range(B):
+        alone = rate_variational_decoupled(Z[s], Membership(weights[s]), bank, cfg)
+        assert isinstance(alone, float)
+        assert abs(stacked[s] - alone) <= 1e-12 * abs(alone)
+    two_axes = rate_variational_decoupled(
+        Z.reshape(2, 3, d, n), Membership(weights.reshape(2, 3, K, n)), bank, cfg
+    )
+    assert two_axes.shape == (2, 3)
+    assert np.array_equal(two_axes.reshape(B), stacked)
+
+
+def test_variational_stack_with_a_group_empty_everywhere_drops_it():
+    rng = np.random.default_rng(17)
+    cfg = CodingRateConfig()
+    Z = rng.normal(size=(3, 4, 6))
+    bank = random_bank(rng, 4, 2, 2)
+    weights = np.concatenate([rng.uniform(0.2, 1.0, size=(3, 1, 6)), np.zeros((3, 1, 6))], axis=1)
+    solo = rate_variational_decoupled(
+        Z, Membership(weights[:, :1]), SubspaceBank(bank.bases[:1], orthonormal=True), cfg
+    )
+    assert np.array_equal(rate_variational_decoupled(Z, Membership(weights), bank, cfg), solo)
+
+
+def test_stacked_tokens_and_memberships_are_validated():
+    rng = np.random.default_rng(19)
+    cfg = CodingRateConfig()
+    Z = rng.normal(size=(3, 4, 5))
+    bank = random_bank(rng, 4, 2, 2)
+    Pi = Membership(rng.uniform(0.1, 1.0, size=(3, 2, 5)))
+    with pytest.raises(InvalidInput):
+        Membership(np.ones(5))  # no group axis
+    bad = [
+        (Z, Membership(np.ones((2, 2, 5)))),  # leading shapes 3 and 2
+        (Z, Membership(np.ones((2, 5)))),  # a stack against one membership
+        (Z[0], Pi),  # one token matrix against a stack
+        (Z[:, :, :4], Pi),  # token counts differ
+        (np.ones(4), Membership(np.ones((2, 1)))),  # 1-d tokens
+        (np.where(Z > 1.0, np.inf, Z), Pi),
+        (Z, Membership(np.ones((3, 2, 5)) * -1.0)),
+    ]
+    for tokens, membership in bad:
+        with pytest.raises(InvalidInput):
+            rate_variational_decoupled(tokens, membership, bank, cfg)
+    with pytest.raises(InvalidInput):
+        Membership(np.full((3, 2, 5), np.nan))
+    with pytest.raises(InvalidInput):
+        grad_rate_wrt_tokens(Z, Pi, bank, cfg)  # the gradient takes one token matrix
+
+
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
