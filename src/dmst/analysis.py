@@ -285,8 +285,9 @@ def profile_attention_memory(
     own intermediates. The number is the cumulative total of counted floats
     over the forward, not a resident peak, so softmax attention shows its
     quadratic score cost while the second-moment operators stay linear.
-    Token counts above ``PROFILE_MAX_TOKENS`` raise ``InvalidInput`` before
-    anything is allocated.
+    Token counts above ``PROFILE_MAX_TOKENS``, and a ``dim`` or ``heads``
+    below 1 or a ``dim`` that ``heads`` does not divide, raise
+    ``InvalidInput`` before anything is drawn or allocated.
     """
     if op not in PROFILE_OPS:
         raise InvalidInput(f"op must be one of {PROFILE_OPS}, got {op!r}")
@@ -298,6 +299,10 @@ def profile_attention_memory(
         raise InvalidInput(
             f"token counts must be at most {PROFILE_MAX_TOKENS}, got {max(token_counts)}"
         )
+    if dim < 1 or heads < 1:
+        raise InvalidInput(f"dim and heads must be positive, got dim {dim} and {heads} heads")
+    if dim % heads != 0:
+        raise InvalidInput(f"dim {dim} is not divisible by {heads} heads")
     rng = stream(seed, f"profile-{op}")
     d = dim
     scale = 1.0 / np.sqrt(d)

@@ -15,7 +15,11 @@ tables the model and the analysis share (``rope_precompute`` and
 multi-head softmax attention with its explicit quadratic score matrix, which
 registers its intermediates with :mod:`dmst.memcount` so memory contracts can
 be asserted on counted floats, and gated channel attention with its
-masked-basis/matmul equivalence.
+masked-basis/matmul equivalence. The softmax baseline writes the scores of
+every query chunk into one reused buffer and normalizes after the value
+product; its count still registers each logical activation (scores, weights
+and output of every chunk), so it counts ``2 * heads * n**2 + 7 * n * d``
+floats per forward.
 
 ``rotate_pairs`` and the softmax baseline take row-major ``(token,
 channel)`` inputs; ``dmsa_operator`` and gated channel attention keep the
@@ -24,6 +28,7 @@ channel)`` inputs; ``dmsa_operator`` and gated channel attention keep the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -136,6 +141,11 @@ class MhsaLayerParams:
         self.out_bias = np.asarray(self.out_bias)
         if self.heads < 1:
             raise InvalidInput(f"heads must be positive, got {self.heads}")
+        if self.chunk < 1 or int(self.chunk) != self.chunk:
+            raise InvalidInput(f"chunk must be a positive integer, got {self.chunk}")
+        self.chunk = int(self.chunk)
+        if self.q_proj.ndim != 2 or self.q_proj.shape[0] < 1:
+            raise InvalidInput(f"q_proj must be d x d with d >= 1, got shape {self.q_proj.shape}")
         d = self.q_proj.shape[0]
         for name, m in (("q_proj", self.q_proj), ("k_proj", self.k_proj),
                         ("v_proj", self.v_proj), ("out_proj", self.out_proj)):
@@ -156,31 +166,49 @@ class MhsaLayerParams:
 def mhsa_layer_forward(tokens: np.ndarray, params: MhsaLayerParams) -> np.ndarray:
     """Softmax attention on a single ``(n, d)`` sequence.
 
-    Materializes the ``n x n`` score matrix of every head (in query chunks,
-    so resident memory stays bounded while counted activation floats still
-    scale quadratically with the token count).
+    Materializes the ``n x n`` score matrix of every head in query chunks of
+    ``params.chunk`` rows, all written into one ``(min(chunk, n), n)`` buffer
+    allocated once per call: the scores are computed into it, shifted by
+    their row maxima and exponentiated in place, and each chunk is
+    normalized after the value product, so the divide runs over ``(chunk,
+    head_dim)`` rather than ``(chunk, n)``. The arithmetic runs in the
+    floating dtype of the projected tokens (float32 stays float32).
+
+    The counted floats model logical activations, not buffers: each chunk
+    registers its scores, its softmax weights and its output although the
+    first two share the buffer, so one forward counts exactly ``2 * heads *
+    n**2 + 7 * n * d`` floats (the q, k and v projections, the head outputs,
+    their merge and the output projection add ``n * d`` each).
     """
     x = np.asarray(tokens)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise InvalidInput(f"tokens must be (n, {params.dim})")
     n, d = x.shape
     K, p = params.heads, params.head_dim
-    scale = 1.0 / np.sqrt(p)
+    scale = 1.0 / math.sqrt(p)
 
     q = track(x @ params.q_proj.T).reshape(n, K, p).transpose(1, 0, 2)
     k = track(x @ params.k_proj.T).reshape(n, K, p).transpose(1, 0, 2)
     v = track(x @ params.v_proj.T).reshape(n, K, p).transpose(1, 0, 2)
 
-    out_heads = track(np.empty((K, n, p), dtype=x.dtype))
-    chunk = max(1, int(params.chunk))
+    dtype = np.result_type(q, scale)
+    out_heads = track(np.empty((K, n, p), dtype=dtype))
+    chunk = params.chunk
+    buf = np.empty((min(chunk, n), n), dtype=dtype)
     for h in range(K):
+        q_h = q[h] * scale
+        k_t = np.ascontiguousarray(k[h].T)
+        v_h = np.ascontiguousarray(v[h])
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
-            scores = track(q[h, start:stop] @ k[h].T * scale)  # (m, n)
+            scores = track(np.matmul(q_h[start:stop], k_t, out=buf[: stop - start]))
             scores -= scores.max(axis=1, keepdims=True)
-            weights = track(np.exp(scores))
-            weights /= weights.sum(axis=1, keepdims=True)
-            out_heads[h, start:stop] = track(weights @ v[h])
+            weights = track(np.exp(scores, out=scores))
+            np.divide(
+                track(weights @ v_h),
+                weights.sum(axis=1, keepdims=True),
+                out=out_heads[h, start:stop],
+            )
     merged = track(out_heads.transpose(1, 0, 2).reshape(n, d))
     out = track(merged @ params.out_proj.T + params.out_bias)
     if not np.all(np.isfinite(out)):

@@ -3,13 +3,14 @@
 Memory contracts in this package are stated over *counted* floats, not OS
 process measurements. Every array an autodiff node allocates is registered
 with the active counters (views into a parent's array are not), and the
-standalone numpy baselines register their intermediates with :func:`track`.
-The reported number is the cumulative total of floats registered during one
-forward pass: the footprint of retaining every activation, not the resident
-peak at any instant. This makes the measurement deterministic and
-independent of allocator behavior, while still exposing the quadratic
-explicit-score cost of softmax attention versus the linear cost of the
-second-moment operators.
+standalone numpy baselines register their intermediates with :func:`track`;
+a baseline registers each logical activation, even when it computes several
+of them into one reused buffer. The reported number is the cumulative total
+of floats registered during one forward pass: the footprint of retaining
+every activation, not the resident peak at any instant. This makes the
+measurement deterministic and independent of allocator behavior, while
+still exposing the quadratic explicit-score cost of softmax attention versus
+the linear cost of the second-moment operators.
 """
 
 from __future__ import annotations

@@ -324,3 +324,18 @@ def test_profile_validates_arguments():
         profile_attention_memory("dmsa", [])
     with pytest.raises(InvalidInput):
         profile_attention_memory("dmsa", [0])
+    for op in ("dmsa", "tssa", "mhsa"):
+        for dim, heads in ((0, 8), (-8, 8), (64, 0), (12, 8)):
+            with pytest.raises(InvalidInput):
+                profile_attention_memory(op, [8], dim=dim, heads=heads)
+
+
+def test_mhsa_profile_counts_are_pinned():
+    # 2 * K * n**2 + 7 * n * d at the defaults (dim 64, 8 heads)
+    rows = profile_attention_memory("mhsa", [1024, 2048, 4096])
+    assert rows == [
+        ("mhsa", 1024, 17_235_968),
+        ("mhsa", 2048, 68_026_368),
+        ("mhsa", 4096, 270_270_464),
+    ]
+    assert all(peak == 2 * 8 * n * n + 7 * n * 64 for _, n, peak in rows)

@@ -24,6 +24,7 @@ from dmst.coding_rate import (
 )
 from dmst.errors import InvalidInput
 from dmst.functional import gelu, relu, sigmoid
+from dmst.memcount import count_floats
 from dmst.model import (
     MEMBERSHIP_EPS,
     ModelConfig,
@@ -422,6 +423,82 @@ def test_mhsa_chunked_forward_matches_unchunked():
     )
     # chunking only changes the matmul blocking, not the per-row math
     assert np.max(np.abs(mhsa_layer_forward(x, base) - mhsa_layer_forward(x, chunked))) < 1e-12
+
+
+def dense_softmax_reference(x, params):
+    # the full n x n softmax of every head in float64, one head at a time,
+    # then the head merge and the output projection
+    x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape
+    K = params.heads
+    p = d // K
+    q, k, v = (x @ np.asarray(m, dtype=np.float64).T
+               for m in (params.q_proj, params.k_proj, params.v_proj))
+    heads = []
+    for h in range(K):
+        cols = slice(h * p, (h + 1) * p)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(p)
+        weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
+        heads.append(weights @ v[:, cols])
+    merged = np.concatenate(heads, axis=1)
+    out_proj = np.asarray(params.out_proj, dtype=np.float64)
+    return merged @ out_proj.T + np.asarray(params.out_bias, dtype=np.float64)
+
+
+def with_chunk(params, chunk, dtype):
+    return MhsaLayerParams(
+        q_proj=params.q_proj.astype(dtype),
+        k_proj=params.k_proj.astype(dtype),
+        v_proj=params.v_proj.astype(dtype),
+        out_proj=params.out_proj.astype(dtype),
+        out_bias=params.out_bias.astype(dtype),
+        heads=params.heads,
+        chunk=chunk,
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 97, 1024])
+def test_mhsa_matches_dense_float64_softmax_reference(chunk):
+    rng = np.random.default_rng(19)
+    d, K, n = 12, 3, 97
+    base = mhsa_params(rng, d, K)
+    x = rng.normal(size=(n, d))
+
+    params = with_chunk(base, chunk, np.float64)
+    out = mhsa_layer_forward(x, params)
+    assert out.dtype == np.float64
+    assert np.max(np.abs(out - dense_softmax_reference(x, params))) < 1e-12
+
+    params32 = with_chunk(base, chunk, np.float32)
+    x32 = x.astype(np.float32)
+    out32 = mhsa_layer_forward(x32, params32)
+    assert out32.dtype == np.float32
+    ref = dense_softmax_reference(x32, params32)
+    assert np.max(np.abs(out32 - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 1000])
+@pytest.mark.parametrize("chunk", [96, 1024])
+def test_mhsa_counts_two_k_n_squared_plus_seven_n_d_floats(n, chunk):
+    # 96 divides none of the token counts, so the last chunk is a short one
+    rng = np.random.default_rng(20)
+    d, K = 16, 4
+    params = mhsa_params(rng, d, K, chunk=chunk)
+    with count_floats() as counter:
+        mhsa_layer_forward(rng.normal(size=(n, d)), params)
+    assert counter.total_floats == 2 * K * n * n + 7 * n * d
+
+
+def test_mhsa_params_reject_empty_dim_and_nonpositive_chunk():
+    rng = np.random.default_rng(21)
+    base = mhsa_params(rng, 4, 2)
+    empty = np.zeros((0, 0))
+    with pytest.raises(InvalidInput):
+        MhsaLayerParams(empty, empty, empty, empty, np.zeros(0), heads=1)
+    for chunk in (0, -3, 2.5):
+        with pytest.raises(InvalidInput):
+            with_chunk(base, chunk, np.float64)
 
 
 # ---------------------------------------------------------------------------

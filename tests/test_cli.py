@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -600,6 +601,19 @@ def test_profile_rejects_zero_heads_in_one_line(tmp_path, capsys, op):
     code = main(
         ["profile", "--op", op, "--tokens", "8", "--heads", "0", "--csv", str(tmp_path / "p.csv")]
     )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("dim", ["0", "-8"])
+@pytest.mark.parametrize("op", ["dmsa", "tssa", "mhsa"])
+def test_profile_rejects_nonpositive_dim_in_one_line(tmp_path, capsys, op, dim):
+    argv = ["profile", "--op", op, "--tokens", "8", "--dim", dim, "--csv", str(tmp_path / "p.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would be a second stderr line
+        code = main(argv)
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
