@@ -95,8 +95,13 @@ def rotate_pairs(tokens: np.ndarray, table: np.ndarray) -> np.ndarray:
     cos, sin = np.cos(angles), np.sin(angles)
     even, odd = tokens[..., 0::2], tokens[..., 1::2]
     out = np.empty_like(tokens)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    out_even, out_odd = out[..., 0::2], out[..., 1::2]
+    tmp = np.multiply(odd, sin)
+    np.multiply(even, cos, out=out_even)
+    out_even -= tmp  # even * cos - odd * sin
+    np.multiply(odd, cos, out=tmp)
+    np.multiply(even, sin, out=out_odd)
+    out_odd += tmp  # even * sin + odd * cos
     return out
 
 

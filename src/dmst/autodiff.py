@@ -7,9 +7,23 @@ them. Only the operations the classifier needs are provided, each with an
 exact adjoint, including the simplex soft threshold (through its active-set
 Jacobian) and the pairwise rotary rotation. LayerNorm and the DMSA/TSSA
 second-moment rescaling are single nodes with closed-form adjoints, since
-per-node overhead dominates a training step on arrays this small. While a
-:mod:`dmst.memcount` counter is active, every node's array is registered
-with it unless it is a view into a parent's array.
+per-node overhead dominates a training step on arrays this small; for the
+same reason a biased projection is one :func:`linear` node, a single GEMM
+whose fresh output takes the bias in place. While a :mod:`dmst.memcount`
+counter is active, every node's array is registered with it unless it is a
+view into a parent's array.
+
+Gradient ownership: an interior node (one with a backward closure) keeps
+the first gradient it receives without a copy, so interior gradients may
+alias each other and the arrays their children's backwards computed. Only a
+read-only view, such as a broadcast reduction gradient, is copied. Leaves
+(parameters and inputs) always get an owned copy, so every ``p.grad`` a
+caller sees owns its memory and shares it with no other array. Fused
+adjoints reuse their temporaries in place, with the same IEEE operations in
+the same order as the plain expressions, so every value is bit for bit that
+of the out-of-place evaluation. One rule makes the aliasing safe: a backward
+never writes into ``g``, into any parent's ``.data``, or into an array it
+has saved for backward, and a second gradient is accumulated out of place.
 
 Everything is single threaded numpy, so a fixed seed yields bit-identical
 training runs on a given platform.
@@ -150,7 +164,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        owned = t._backward is None or not g.flags.writeable
+        t.grad = np.array(g, dtype=np.float64) if owned else g
     else:
         t.grad = t.grad + g
 
@@ -223,27 +238,43 @@ def pow_scalar(a, exponent: float) -> Tensor:
     return _node(data, (a,), backward)
 
 
+def linear(x, W, b=None) -> Tensor:
+    """``x @ W + b`` for ``(..., d)`` inputs, a ``(d, h)`` weight and a ``(h,)`` bias, as one node.
+
+    The product runs as one ``(N, d) @ (d, h)`` GEMM over the flattened
+    leading axes, so the weight gradient is one ``(d, N) @ (N, h)`` product
+    instead of a batch of products summed afterwards; the bias is added in
+    place into the GEMM's fresh output.
+    """
+    x, W = as_tensor(x), as_tensor(W)
+    bias = None if b is None else as_tensor(b)
+    parents = (x, W) if bias is None else (x, W, bias)
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out = x2 @ W.data
+    if bias is not None:
+        out += bias.data
+
+    def backward(g: np.ndarray) -> None:
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            _accumulate(x, (g2 @ W.data.T).reshape(x.shape))
+        if W.requires_grad:
+            _accumulate(W, x2.T @ g2)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g2.sum(axis=0))
+
+    return _node(out.reshape(x.shape[:-1] + W.shape[-1:]), parents, backward)
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy broadcasting over leading axes.
 
-    A ``(..., n, d)`` left operand against a 2-D ``(d, h)`` weight runs as
-    one ``(N, d) @ (d, h)`` GEMM over the flattened leading axes, so the
-    weight gradient is one ``(d, N) @ (N, h)`` product instead of a batch of
-    products summed afterwards.
+    A ``(..., n, d)`` left operand against a 2-D weight is :func:`linear`
+    without a bias.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim >= 3 and b.ndim == 2:
-        a2 = a.data.reshape(-1, a.shape[-1])
-        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
-
-        def backward(g: np.ndarray) -> None:
-            g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                _accumulate(b, a2.T @ g2)
-
-        return _node(data, (a, b), backward)
+        return linear(a, b)
 
     data = a.data @ b.data
 
@@ -385,7 +416,11 @@ def gelu(a) -> Tensor:
     cdf = normal_cdf(a.data)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * (cdf + a.data * normal_pdf(a.data)))
+        slope = normal_pdf(a.data)
+        slope *= a.data
+        slope += cdf
+        slope *= g
+        _accumulate(a, slope)
 
     return _node(a.data * cdf, (a,), backward)
 
@@ -430,22 +465,29 @@ def layer_norm(x, scale, shift, eps: float) -> Tensor:
     ``gx = g * scale``, all means over the last axis.
     """
     x, scale, shift = as_tensor(x), as_tensor(scale), as_tensor(shift)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
-    xhat = centered * inv
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    out = np.multiply(xhat, xhat)
+    inv = (out.mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat *= inv
+    np.multiply(xhat, scale.data, out=out)
+    out += shift.data
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             gx = g * scale.data
-            inner = gx - gx.mean(axis=-1, keepdims=True)
-            inner -= xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv * inner)
+            gx_mean = gx.mean(axis=-1, keepdims=True)
+            tmp = np.multiply(gx, xhat)
+            np.multiply(xhat, tmp.mean(axis=-1, keepdims=True), out=tmp)
+            gx -= gx_mean
+            gx -= tmp
+            gx *= inv
+            _accumulate(x, gx)
         if scale.requires_grad:
             _accumulate(scale, _unbroadcast(g * xhat, scale.shape))
         if shift.requires_grad:
             _accumulate(shift, _unbroadcast(g, shift.shape))
 
-    return _node(xhat * scale.data + shift.data, (x, scale, shift), backward)
+    return _node(out, (x, scale, shift), backward)
 
 
 def second_moment_rescale(w, Pi, eps: float) -> Tensor:
@@ -465,21 +507,35 @@ def second_moment_rescale(w, Pi, eps: float) -> Tensor:
     denom = Pi.data.sum(axis=-1, keepdims=True) + eps  # (..., 1)
     norm = Pi.data / denom
     sq = w.data * w.data
-    attn = 1.0 / (1.0 + norm[..., None, :] @ sq)  # (..., 1, p)
+    attn = norm[..., None, :] @ sq  # (..., 1, p)
+    attn += 1.0
+    np.divide(1.0, attn, out=attn)
     weight = Pi.data[..., None]  # (..., n, 1)
+    out = np.multiply(w.data, weight)
+    np.negative(out, out=out)
+    out *= attn
 
     def backward(g: np.ndarray) -> None:
         gw = g * w.data
         gd = (np.swapaxes(weight, -1, -2) @ gw) * (attn * attn)
-        if w.requires_grad:
-            _accumulate(w, 2.0 * gd * norm[..., None] * w.data - g * weight * attn)
         if Pi.requires_grad:
             gnorm = (sq @ np.swapaxes(gd, -1, -2))[..., 0]
             direct = (gw @ np.swapaxes(attn, -1, -2))[..., 0]
             spread = (gnorm * Pi.data).sum(axis=-1, keepdims=True) / (denom * denom)
-            _accumulate(Pi, gnorm / denom - spread - direct)
+            gPi = gnorm / denom
+            gPi -= spread
+            gPi -= direct
+            _accumulate(Pi, gPi)
+        if w.requires_grad:
+            gd *= 2.0
+            dw = gd * norm[..., None]
+            dw *= w.data
+            np.multiply(g, weight, out=gw)
+            gw *= attn
+            dw -= gw
+            _accumulate(w, dw)
 
-    return _node(-(w.data * weight) * attn, (w, Pi), backward)
+    return _node(out, (w, Pi), backward)
 
 
 def soft_threshold_rows(a, topk: int | None = None) -> Tensor:

@@ -139,6 +139,8 @@ def _train_from_args(
         spec = dataset_spec_from(values)
         options = train_options_from(values)
         epochs = args.epochs if args.epochs is not None else values.get("epochs", 10)
+        if epochs < 0:
+            raise InvalidInput(f"epochs must be nonnegative, got {epochs}")
     except (InvalidInput, FormatError) as exc:
         return _fail(EXIT_USAGE, str(exc))
     try:

@@ -28,8 +28,13 @@ def normal_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def normal_pdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal density phi(x)."""
-    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    """Standard normal density phi(x), evaluated in one fresh buffer."""
+    out = np.empty(np.shape(x))
+    np.multiply(x, -0.5, out=out)
+    out *= x
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    return out
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

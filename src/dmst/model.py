@@ -253,7 +253,7 @@ def second_moment_tail(
     B, K, n, hd = w.shape
     out = ad.second_moment_rescale(w, Pi, MEMBERSHIP_EPS)
     merged = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (B, n, K * hd))
-    return merged @ out_proj + out_bias
+    return ad.linear(merged, out_proj, out_bias)
 
 
 def membership_scores(
@@ -342,7 +342,7 @@ def model_forward(
         rope_precompute(n + 1, config.dim) if (config.use_rope and config.depth > 0) else None
     )
 
-    x = ad.Tensor(inputs) @ params["embed.weight"] + params["embed.bias"]
+    x = ad.linear(inputs, params["embed.weight"], params["embed.bias"])
     cls = ad.broadcast_to(params["cls_token"], (B, 1, config.dim))
     x = ad.concat([cls, x], axis=1)
 
@@ -363,14 +363,16 @@ def model_forward(
             block_capture["tokens_after_attention"] = x.data.copy()
             capture.append(block_capture)
         normed = _layer_norm(x, params[f"{prefix}.norm2.scale"], params[f"{prefix}.norm2.shift"])
-        hidden = ad.gelu(normed @ params[f"{prefix}.mlp.fc1.weight"] + params[f"{prefix}.mlp.fc1.bias"])
-        x = x + (hidden @ params[f"{prefix}.mlp.fc2.weight"] + params[f"{prefix}.mlp.fc2.bias"])
+        hidden = ad.gelu(
+            ad.linear(normed, params[f"{prefix}.mlp.fc1.weight"], params[f"{prefix}.mlp.fc1.bias"])
+        )
+        x = x + ad.linear(hidden, params[f"{prefix}.mlp.fc2.weight"], params[f"{prefix}.mlp.fc2.bias"])
         if not np.all(np.isfinite(x.data)):
             raise NumericalFault(f"non-finite activations after MLP block {i}")
 
     x = _layer_norm(x, params["norm.scale"], params["norm.shift"])
     cls_state = x[:, 0, :]
-    logits = cls_state @ params["head.weight"] + params["head.bias"]
+    logits = ad.linear(cls_state, params["head.weight"], params["head.bias"])
     if not np.all(np.isfinite(logits.data)):
         raise NumericalFault("non-finite logits")
     return logits
@@ -403,6 +405,15 @@ def model_backward(
         p.zero_grad()
     loss, _ = model_loss(config, params, inputs, labels)
     loss.backward()
+    return float(loss.data), finite_grads(params)
+
+
+def finite_grads(params: dict[str, ad.Tensor]) -> dict[str, np.ndarray]:
+    """Each parameter's gradient after a backward pass, zeros where none flowed.
+
+    A non-finite gradient raises ``NumericalFault`` naming the first such
+    parameter in ``params`` order, before any caller can apply an update.
+    """
     grads = {
         name: (p.grad if p.grad is not None else np.zeros_like(p.data))
         for name, p in params.items()
@@ -410,7 +421,7 @@ def model_backward(
     bad = next((name for name, g in grads.items() if not np.all(np.isfinite(g))), None)
     if bad is not None:
         raise NumericalFault(f"non-finite gradient in {bad}")
-    return float(loss.data), grads
+    return grads
 
 
 def predict(config: ModelConfig, params: dict[str, ad.Tensor], inputs: np.ndarray) -> np.ndarray:

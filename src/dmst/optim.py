@@ -1,9 +1,12 @@
 """AdamW with decoupled weight decay.
 
-Moments are stored per parameter name; decay multiplies the weights directly
-by ``1 - lr * weight_decay`` instead of entering the gradient, and both
-moment estimates are bias corrected. Defaults follow the training recipe
-used throughout the package: lr 1e-3, betas (0.9, 0.999), weight decay 5e-2.
+Moments are stored per parameter name and updated in place; decay
+multiplies the weights directly by ``1 - lr * weight_decay`` instead of
+entering the gradient, and both moment estimates are bias corrected. Each
+parameter's update allocates one scratch array plus the step, and runs the
+IEEE operations of the textbook expressions in their order. Defaults follow
+the training recipe used throughout the package: lr 1e-3, betas
+(0.9, 0.999), weight decay 5e-2.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ class OptimState:
             raise InvalidInput(f"lr must be positive, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise InvalidInput(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.weight_decay < 0:
-            raise InvalidInput(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise InvalidInput(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
 
 
 def adamw_step(
@@ -58,16 +61,26 @@ def adamw_step(
         g = grads[name]
         if g.shape != p.shape:
             raise InvalidInput(f"gradient shape {g.shape} mismatches parameter {name} {p.shape}")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p)
-            v = np.zeros_like(p)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g^2, in place
+        scratch = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
+        v *= b2
+        v += scratch
         if state.weight_decay:
             p *= 1.0 - state.lr * state.weight_decay
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.eps
+        step = m / bc1
+        step *= state.lr
+        step /= scratch
+        p -= step
     return state

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import TokenDataset
-from .errors import NumericalFault
-from .model import ModelConfig, init_params, model_forward, model_loss
+from .errors import InvalidInput, NumericalFault
+from .model import ModelConfig, finite_grads, init_params, model_forward, model_loss
 from .optim import OptimState, adamw_step
 from .rng import stream
 
@@ -24,10 +24,22 @@ METRICS_HEADER = "epoch,split,loss,accuracy"
 
 @dataclass
 class TrainOptions:
+    """Optimizer and batching settings; bad values raise ``InvalidInput``."""
+
     lr: float = 1e-3
     weight_decay: float = 5e-2
     batch_size: int = 32
     eval_batch: int = 256
+
+    def __post_init__(self) -> None:
+        for name in ("batch_size", "eval_batch"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise InvalidInput(f"{name} must be an integer of at least 1, got {value!r}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise InvalidInput(f"lr must be finite and positive, got {self.lr}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise InvalidInput(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
 
 
 @dataclass
@@ -108,11 +120,7 @@ def train(
                         f"batch {start // options.batch_size}"
                     )
                 loss_t.backward()
-                grads = {
-                    name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                    for name, p in params.items()
-                }
-                adamw_step(raw, grads, state)
+                adamw_step(raw, finite_grads(params), state)
             epoch_loss += loss * len(batch_idx)
             epoch_correct += int(np.sum(np.argmax(logits.data, axis=1) == y))
         train_loss = epoch_loss / train_ds.size

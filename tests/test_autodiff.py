@@ -5,7 +5,7 @@ from scipy.special import erf
 from dmst import autodiff as ad
 from dmst.attention import rope_precompute
 from dmst.errors import InvalidInput
-from dmst.model import MEMBERSHIP_EPS
+from dmst.model import MEMBERSHIP_EPS, ModelConfig, init_params, model_backward
 from dmst.sparsify import soft_threshold_matrix
 
 FD_H = 1e-6
@@ -107,6 +107,38 @@ def test_flattened_weight_matmul_gradient_of_each_side_alone(left_shape):
     w = weighted(rng, left_shape[:-1] + (5,))
     check_op(lambda x: w(ad.matmul(x, b)), [a])
     check_op(lambda y: w(ad.matmul(a, y)), [b])
+
+
+@pytest.mark.parametrize("left_shape", [(3, 4), (2, 3, 4)])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_linear_gradient_of_each_operand_alone(left_shape, with_bias):
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=left_shape)
+    W = rng.normal(size=(4, 5))
+    b = rng.normal(size=5)
+    w = weighted(rng, left_shape[:-1] + (5,))
+    bias = b if with_bias else None
+    check_op(lambda t: w(ad.linear(t, W, bias)), [x])
+    check_op(lambda t: w(ad.linear(x, t, bias)), [W])
+    if with_bias:
+        check_op(lambda t: w(ad.linear(x, W, t)), [b])
+
+
+@pytest.mark.parametrize("left_shape", [(3, 4), (2, 3, 4)])
+def test_linear_equals_matmul_then_add_bit_for_bit(left_shape):
+    # the parent expression of every biased projection, in forward and in
+    # all three gradients
+    rng = np.random.default_rng(19)
+    arrays = [rng.normal(size=left_shape), rng.normal(size=(4, 5)), rng.normal(size=5)]
+    seed = rng.normal(size=left_shape[:-1] + (5,))
+    results = []
+    for build in (ad.linear, lambda x, W, b: ad.add(ad.matmul(x, W), b)):
+        tensors = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        out = build(*tensors)
+        out.backward(seed)
+        results.append([out.data] + [t.grad for t in tensors])
+    for fused, composed in zip(*results):
+        assert np.array_equal(fused, composed)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +351,82 @@ def test_cross_entropy_rejects_bad_shapes():
         ad.cross_entropy_mean(ad.Tensor(np.zeros((3, 4))), np.zeros(2, dtype=int))
     with pytest.raises(InvalidInput):
         ad.cross_entropy_mean(ad.Tensor(np.zeros(4)), np.zeros(4, dtype=int))
+
+
+# ---------------------------------------------------------------------------
+# gradient ownership
+# ---------------------------------------------------------------------------
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+_TABLE = rope_precompute(5, 6)
+
+# Every op, its builder and its input shapes. Inputs are positive so that
+# log, pow and relu stay on their smooth side.
+BACKWARD_CASES = {
+    "add": (ad.add, [(3, 4), (4,)]),
+    "sub": (ad.sub, [(3, 4), (3, 1)]),
+    "mul": (ad.mul, [(3, 4), (4,)]),
+    "div": (ad.div, [(3, 4), (3, 4)]),
+    "neg": (ad.neg, [(3, 4)]),
+    "pow_scalar": (lambda a: ad.pow_scalar(a, -0.5), [(3, 4)]),
+    "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
+    "linear_2d": (ad.linear, [(3, 4), (4, 5), (5,)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "matmul_batched": (ad.matmul, [(2, 3, 4), (2, 4, 2)]),
+    "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)]),
+    "transpose": (lambda a: ad.transpose(a, (1, 0)), [(3, 4)]),
+    "broadcast_to": (lambda a: ad.broadcast_to(a, (3, 4)), [(3, 1)]),
+    "concat": (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    "getitem": (lambda a: a[:, 1:3], [(3, 4)]),
+    "sum_": (lambda a: ad.sum_(a, axis=1), [(3, 4)]),
+    "mean": (lambda a: ad.mean(a, axis=0, keepdims=True), [(3, 4)]),
+    "sigmoid": (ad.sigmoid, [(3, 4)]),
+    "relu": (ad.relu, [(3, 4)]),
+    "gelu": (ad.gelu, [(3, 4)]),
+    "exp": (ad.exp, [(3, 4)]),
+    "log": (ad.log, [(3, 4)]),
+    "softmax": (ad.softmax, [(3, 4)]),
+    "layer_norm": (lambda a, s, b: ad.layer_norm(a, s, b, 1e-6), [(2, 3, 5), (5,), (5,)]),
+    "second_moment_rescale": (
+        lambda w, P: ad.second_moment_rescale(w, P, MEMBERSHIP_EPS), [(2, 3, 5, 4), (2, 3, 5)]
+    ),
+    "soft_threshold_rows": (ad.soft_threshold_rows, [(3, 6)]),
+    "rope_rotate": (lambda a: ad.rope_rotate(a, _TABLE), [(2, 5, 6)]),
+    "cross_entropy_mean": (lambda a: ad.cross_entropy_mean(a, np.array([0, 1, 3])), [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BACKWARD_CASES))
+def test_backward_never_writes_into_its_gradient_inputs_or_output(name):
+    # read-only seed and inputs make any in-place write raise
+    build, shapes = BACKWARD_CASES[name]
+    rng = np.random.default_rng(20)
+    tensors = [
+        ad.Tensor(_frozen(rng.uniform(0.5, 1.5, size=s)), requires_grad=True) for s in shapes
+    ]
+    out = build(*tensors)
+    before = out.data.copy()
+    out.backward(_frozen(rng.normal(size=out.shape)))
+    assert np.array_equal(out.data, before)
+    assert all(t.grad is not None and t.grad.shape == t.shape for t in tensors)
+
+
+def test_model_gradients_own_their_memory():
+    config = ModelConfig(depth=2, dim=16, heads=4, input_dim=5, num_classes=3)
+    params = init_params(config)
+    rng = np.random.default_rng(21)
+    _, grads = model_backward(config, params, rng.normal(size=(2, 4, 5)), np.array([0, 2]))
+    for name, g in grads.items():
+        assert g.flags.owndata and g.flags.writeable, name
+    arrays = list(grads.values()) + [p.data for p in params.values()]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.may_share_memory(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,35 @@ def test_train_epochs_flag_overrides_config(tmp_path, config_path, capsys):
     assert (out / "metrics.csv").read_text() == METRICS_HEADER + "\n"
 
 
+@pytest.mark.parametrize("key,value", [
+    ("train_batch_size", "0"),
+    ("train_batch_size", "-4"),
+    ("train_eval_batch", "0"),
+    ("train_lr", "nan"),
+    ("train_lr", "inf"),
+    ("train_lr", "0"),
+    ("train_weight_decay", "-1"),
+    ("train_weight_decay", "nan"),
+    ("train_weight_decay", "inf"),
+    ("epochs", "-1"),
+])
+def test_train_bad_option_exits_usage_in_one_line(tmp_path, capsys, key, value):
+    lines = [line for line in CONFIG_TEXT.splitlines() if not line.startswith(key + " ")]
+    conf = tmp_path / "bad.conf"
+    conf.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    code = main(["train", "--config", str(conf), "--out", str(tmp_path / "out"), "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_negative_epochs_flag_exits_usage(tmp_path, config_path, capsys):
+    code = main(["train", "--config", config_path, "--out", str(tmp_path / "out"), "--epochs", "-2"])
+    assert code == EXIT_USAGE
+    assert "epochs must be nonnegative" in capsys.readouterr().err
+
+
 def test_train_missing_config_exits_usage(tmp_path, capsys):
     missing = str(tmp_path / "nope.conf")
     code = main(["train", "--config", missing, "--out", str(tmp_path / "out")])

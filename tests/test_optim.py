@@ -61,6 +61,26 @@ def test_two_steps_match_scalar_reference():
     assert abs(p[0] - ref) < 1e-15
 
 
+def test_five_in_place_steps_match_the_out_of_place_formula_bit_for_bit():
+    # weights on the scale of one step, so a last-bit change in the step shows
+    rng = np.random.default_rng(2)
+    p = rng.normal(scale=1e-3, size=(4, 5))
+    state = OptimState(lr=3e-3, weight_decay=0.1)
+    lr, b1, b2, wd, eps = state.lr, state.beta1, state.beta2, state.weight_decay, state.eps
+    ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+    for step in range(1, 6):
+        g = rng.normal(size=p.shape)
+        g_before = g.copy()
+        adamw_step({"w": p}, {"w": g}, state)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        ref = ref * (1.0 - lr * wd)
+        ref = ref - lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
+        assert np.array_equal(p, ref)
+        assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
+        assert np.array_equal(g, g_before)  # the gradient is read, never written
+
+
 def test_update_is_applied_in_place_per_parameter():
     pa = np.zeros(3)
     pb = np.ones(3)
@@ -76,8 +96,9 @@ def test_state_validation():
         OptimState(lr=0.0)
     with pytest.raises(InvalidInput):
         OptimState(beta1=1.0)
-    with pytest.raises(InvalidInput):
-        OptimState(weight_decay=-0.1)
+    for decay in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InvalidInput):
+            OptimState(weight_decay=decay)
 
 
 def test_key_and_shape_mismatches_are_rejected():

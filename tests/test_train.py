@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,29 @@ def test_divergent_learning_rate_raises_numerical_fault():
     options = TrainOptions(lr=1e6, weight_decay=0.9, batch_size=8)
     with pytest.raises(NumericalFault):
         train(CONFIG, train_ds, None, epochs=3, seed=0, options=options)
+
+
+def test_non_finite_gradient_stops_training_before_any_update(monkeypatch):
+    train_mod = importlib.import_module("dmst.train")  # the package exports train() under that name
+    train_ds, _ = datasets()
+    params = {}
+
+    def capturing_init(config):
+        params.update(init_params(config))
+        return params
+
+    backward = ad.Tensor.backward
+
+    def poisoning_backward(self, grad=None):
+        backward(self, grad)
+        params["blocks.0.mlp.fc1.bias"].grad[0] = np.nan
+
+    monkeypatch.setattr(train_mod, "init_params", capturing_init)
+    monkeypatch.setattr(ad.Tensor, "backward", poisoning_backward)
+    with pytest.raises(NumericalFault, match=r"^non-finite gradient in blocks\.0\.mlp\.fc1\.bias$"):
+        train(CONFIG, train_ds, None, epochs=1, seed=0)
+    for name, p in init_params(CONFIG).items():
+        assert np.array_equal(params[name].data, p.data), name
 
 
 def test_evaluate_matches_direct_forward():
