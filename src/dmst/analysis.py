@@ -32,9 +32,11 @@ from .coding_rate import CodingRateConfig, Membership, SubspaceBank, rate_variat
 from .errors import FormatError, InvalidInput
 from .memcount import count_floats
 from .model import (
+    MAX_PARAMS,
     ModelConfig,
     _dmsa_attention,
     _tssa_attention,
+    detach_params,
     membership_scores,
     model_forward,
     sparsify_scores,
@@ -88,10 +90,6 @@ def infer_grid(n_tokens: int) -> tuple[int, int]:
     return 1, n_tokens
 
 
-def _detached(params: dict[str, ad.Tensor]) -> dict[str, ad.Tensor]:
-    return {name: ad.Tensor(p.data) for name, p in params.items()}
-
-
 def _chunk_rates(
     config: ModelConfig,
     params: dict[str, ad.Tensor],
@@ -140,7 +138,7 @@ def layer_rate_curve(
         raise InvalidInput("rate curve needs at least one sample")
     if config.depth == 0:
         raise InvalidInput("rate curve needs at least one block")
-    detached = _detached(params)
+    detached = detach_params(params)
     rope_table = rope_precompute(tokens.shape[1] + 1, config.dim) if config.use_rope else None
     totals = np.zeros(config.depth)
     for start in range(0, tokens.shape[0], batch):
@@ -169,7 +167,7 @@ def membership_map(
     if not 0 <= layer < config.depth:
         raise InvalidInput(f"layer {layer} out of range for depth {config.depth}")
     capture: list[dict] = []
-    model_forward(config, _detached(params), sample_tokens[None], capture=capture)
+    model_forward(config, detach_params(params), sample_tokens[None], capture=capture)
     Pi = capture[layer]["membership"][0]  # (K, n+1) including the class token
     patch_weights = Pi[:, 1:]
     n = patch_weights.shape[1]
@@ -285,8 +283,9 @@ def profile_attention_memory(
     own intermediates. The number is the cumulative total of counted floats
     over the forward, not a resident peak, so softmax attention shows its
     quadratic score cost while the second-moment operators stay linear.
-    Token counts above ``PROFILE_MAX_TOKENS``, and a ``dim`` or ``heads``
-    below 1 or a ``dim`` that ``heads`` does not divide, raise
+    Token counts above ``PROFILE_MAX_TOKENS``, a ``dim`` or ``heads``
+    below 1, a ``dim`` that ``heads`` does not divide, and a ``dim`` whose
+    four ``dim x dim`` projections exceed ``model.MAX_PARAMS`` raise
     ``InvalidInput`` before anything is drawn or allocated.
     """
     if op not in PROFILE_OPS:
@@ -303,6 +302,10 @@ def profile_attention_memory(
         raise InvalidInput(f"dim and heads must be positive, got dim {dim} and {heads} heads")
     if dim % heads != 0:
         raise InvalidInput(f"dim {dim} is not divisible by {heads} heads")
+    if 4 * dim * dim > MAX_PARAMS:
+        raise InvalidInput(
+            f"dim {dim} needs {4 * dim * dim} projection weights, more than the cap of {MAX_PARAMS}"
+        )
     rng = stream(seed, f"profile-{op}")
     d = dim
     scale = 1.0 / np.sqrt(d)
@@ -320,7 +323,10 @@ def profile_attention_memory(
             mhsa_layer_forward(tokens.astype(np.float32), mhsa)
 
     else:
-        config = ModelConfig(dim=d, heads=heads, topk=min(4, heads), attention=AttentionKind(op))
+        # The sublayer alone: a config without blocks, so the cap above governs.
+        config = ModelConfig(
+            depth=0, dim=d, heads=heads, topk=min(4, heads), attention=AttentionKind(op)
+        )
         layer = {"attn.value_proj": ad.Tensor(rng.normal(size=(d, d)) * scale)}
         if op == "dmsa":
             layer["attn.membership_proj"] = ad.Tensor(rng.normal(size=(d, heads)) * scale)

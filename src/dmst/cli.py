@@ -25,7 +25,7 @@ from .analysis import (
     write_membership_artifacts,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import dataset_spec_from, load_config, model_config_from, train_options_from
+from .config import build_section, load_config
 from .data import (
     SyntheticDatasetSpec,
     TokenDataset,
@@ -35,8 +35,8 @@ from .data import (
 )
 from .errors import DmstError, FormatError, InvalidInput, NumericalFault
 from .model import ModelConfig
-from .sparsify import ActivationKind
-from .train import TrainResult, train, write_metrics
+from .sparsify import SPARSITY_AXES, ActivationKind
+from .train import TrainOptions, TrainResult, train, write_metrics
 from .verify import SUITES, run_suite, write_failure_report
 
 EXIT_OK = 0
@@ -52,6 +52,10 @@ ABLATE_HEADER = "axis,activation,epochs,seed,train_loss,test_accuracy"
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _cannot_write(path: str, exc: OSError) -> int:
+    return _fail(EXIT_USAGE, f"cannot write {exc.filename or path}: {exc.strerror or exc}")
 
 
 def resolve_seed(flag: int | None, config_values: dict | None = None) -> int:
@@ -124,20 +128,21 @@ def _check_data_matches(config: ModelConfig, ds: TokenDataset) -> None:
 
 
 def _train_from_args(
-    args: argparse.Namespace, **overrides
+    args: argparse.Namespace, out_dir: str | None = None, **overrides
 ) -> int | tuple[ModelConfig, TrainResult, int, int]:
     """Config, seed, datasets, data check and training shared by ``train`` and ``ablate``.
 
-    ``overrides`` replace config keys. Returns ``(config, result, epochs,
-    seed)``, or the exit code of the error it printed.
+    ``overrides`` replace config keys. ``out_dir`` is created before training,
+    so an unwritable one costs no training. Returns ``(config, result,
+    epochs, seed)``, or the exit code of the error it printed.
     """
     try:
         values = load_config(args.config) if args.config else {}
         values.update(overrides)
         seed = resolve_seed(args.seed, values)
-        config = model_config_from(values)
-        spec = dataset_spec_from(values)
-        options = train_options_from(values)
+        config = build_section(ModelConfig, values)
+        spec = build_section(SyntheticDatasetSpec, values)
+        options = build_section(TrainOptions, values)
         epochs = args.epochs if args.epochs is not None else values.get("epochs", 10)
         if epochs < 0:
             raise InvalidInput(f"epochs must be nonnegative, got {epochs}")
@@ -145,8 +150,12 @@ def _train_from_args(
         return _fail(EXIT_USAGE, str(exc))
     try:
         train_ds, test_ds = _load_train_datasets(args.data, spec, seed)
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
     except FormatError as exc:
         return _fail(EXIT_USAGE, str(exc))
+    except OSError as exc:
+        return _cannot_write(out_dir, exc)
     try:
         _check_data_matches(config, train_ds)
         result = train(config, train_ds, test_ds, epochs=epochs, seed=seed, options=options)
@@ -156,17 +165,19 @@ def _train_from_args(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    run = _train_from_args(args)
+    run = _train_from_args(args, out_dir=args.out)
     if isinstance(run, int):
         return run
     config, result, epochs, _ = run
-    os.makedirs(args.out, exist_ok=True)
-    write_metrics(os.path.join(args.out, "metrics.csv"), result.metrics)
-    save_checkpoint(
-        os.path.join(args.out, "checkpoint.dmst"),
-        config,
-        {name: p.data for name, p in result.params.items()},
-    )
+    try:
+        write_metrics(os.path.join(args.out, "metrics.csv"), result.metrics)
+        save_checkpoint(
+            os.path.join(args.out, "checkpoint.dmst"),
+            config,
+            {name: p.data for name, p in result.params.items()},
+        )
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     if result.final_test_accuracy is not None:
         print(f"test accuracy {result.final_test_accuracy:.4f} after {epochs} epochs")
     print(f"wrote {os.path.join(args.out, 'metrics.csv')}")
@@ -180,7 +191,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail(EXIT_USAGE, str(exc))
     for check in checks:
         print(check.line())
-    failures = write_failure_report(checks, args.report)
+    try:
+        failures = write_failure_report(checks, args.report)
+    except OSError as exc:
+        return _cannot_write(args.report, exc)
     passed = len(checks) - failures
     print(f"{passed}/{len(checks)} properties passed")
     if failures:
@@ -207,10 +221,13 @@ def cmd_rates(args: argparse.Namespace) -> int:
         curve = layer_rate_curve(config, params, ds.tokens, max_samples=args.samples)
     except (InvalidInput, NumericalFault) as exc:
         return _fail(EXIT_MISMATCH, str(exc))
-    with open(args.csv, "w", encoding="utf-8") as fh:
-        fh.write(RATES_HEADER + "\n")
-        for layer, rate in enumerate(curve.values):
-            fh.write(f"{layer},{rate:.12g}\n")
+    try:
+        with open(args.csv, "w", encoding="utf-8") as fh:
+            fh.write(RATES_HEADER + "\n")
+            for layer, rate in enumerate(curve.values):
+                fh.write(f"{layer},{rate:.12g}\n")
+    except OSError as exc:
+        return _cannot_write(args.csv, exc)
     print(f"averaged {curve.samples} samples over {curve.values.size} layers")
     print(f"wrote {args.csv}")
     return EXIT_OK
@@ -249,7 +266,10 @@ def cmd_membership(args: argparse.Namespace) -> int:
         return _fail(EXIT_USAGE, str(exc))
     except NumericalFault as exc:
         return _fail(EXIT_MISMATCH, str(exc))
-    written = write_membership_artifacts(args.out, mmap)
+    try:
+        written = write_membership_artifacts(args.out, mmap)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     rows, cols = mmap.grid
     print(f"layer {mmap.layer}: {mmap.values.shape[0]} heads on a {rows}x{cols} grid")
     for path in written:
@@ -269,10 +289,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
     except InvalidInput as exc:
         return _fail(EXIT_USAGE, str(exc))
-    with open(args.csv, "w", encoding="utf-8") as fh:
-        fh.write(PROFILE_HEADER + "\n")
-        for op, tokens, peak in rows:
-            fh.write(f"{op},{tokens},{peak}\n")
+    try:
+        with open(args.csv, "w", encoding="utf-8") as fh:
+            fh.write(PROFILE_HEADER + "\n")
+            for op, tokens, peak in rows:
+                fh.write(f"{op},{tokens},{peak}\n")
+    except OSError as exc:
+        return _cannot_write(args.csv, exc)
     for op, tokens, peak in rows:
         print(f"{op} n={tokens}: {peak} floats")
     print(f"wrote {args.csv}")
@@ -289,13 +312,16 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     test_acc = result.final_test_accuracy
     test_acc = test_acc if test_acc is not None else float("nan")
     fresh = not os.path.exists(args.results)
-    with open(args.results, "a", encoding="utf-8") as fh:
-        if fresh:
-            fh.write(ABLATE_HEADER + "\n")
-        fh.write(
-            f"{args.axis},{args.activation},{epochs},{seed},"
-            f"{final_loss:.12g},{test_acc:.12g}\n"
-        )
+    try:
+        with open(args.results, "a", encoding="utf-8") as fh:
+            if fresh:
+                fh.write(ABLATE_HEADER + "\n")
+            fh.write(
+                f"{args.axis},{args.activation},{epochs},{seed},"
+                f"{final_loss:.12g},{test_acc:.12g}\n"
+            )
+    except OSError as exc:
+        return _cannot_write(args.results, exc)
     print(f"{args.axis}/{args.activation}: test accuracy {test_acc:.4f}")
     print(f"appended to {args.results}")
     return EXIT_OK
@@ -358,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.set_defaults(func=cmd_profile)
 
     p_abl = sub.add_parser("ablate", help="train one sparsity/activation variant")
-    p_abl.add_argument("--axis", required=True, choices=("token", "head", "both"))
+    p_abl.add_argument("--axis", required=True, choices=SPARSITY_AXES)
     p_abl.add_argument("--activation", required=True,
                        choices=tuple(kind.value for kind in ActivationKind))
     p_abl.add_argument("--config", default=None)

@@ -5,54 +5,44 @@ geometry (``data_`` prefix), and optimizer settings (``train_`` prefix).
 Lines starting with ``#`` and blank lines are skipped; inline ``#`` starts a
 comment. Unknown keys are rejected so typos fail loudly instead of silently
 training the default.
+
+Each key is a field of :class:`ModelConfig`, :class:`SyntheticDatasetSpec`
+or :class:`TrainOptions`, named by its section's prefix and the field name,
+and typed by the field's type hint (an enum field takes its string value);
+``epochs`` is the one key outside them. Range checks live in the dataclasses.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import fields
+from enum import Enum
+from typing import get_type_hints
 
 from .data import SyntheticDatasetSpec
 from .errors import InvalidInput
-from .model import ModelConfig, config_from_dict
+from .model import ModelConfig
 from .train import TrainOptions
 
-_MODEL_KEYS = {
-    "depth": int,
-    "dim": int,
-    "heads": int,
-    "mlp_ratio": float,
-    "patch_size": int,
-    "image_size": int,
-    "channels": int,
-    "num_classes": int,
-    "input_dim": int,
-    "attention": str,
-    "sparsity_axis": str,
-    "topk": int,
-    "activation": str,
-    "use_rope": bool,
-    "max_tokens": int,
-    "seed": int,
+_SECTIONS = ((ModelConfig, ""), (SyntheticDatasetSpec, "data_"), (TrainOptions, "train_"))
+
+# Keys shorter than their section prefix plus field name.
+_SHORT_KEYS = {"data_num_classes": "data_classes", "data_tokens_per_sample": "data_tokens"}
+
+# key -> (dataclass, field name)
+_FIELDS = {
+    _SHORT_KEYS.get(prefix + f.name, prefix + f.name): (cls, f.name)
+    for cls, prefix in _SECTIONS
+    for f in fields(cls)
 }
 
-_DATA_KEYS = {
-    "data_classes": int,
-    "data_ambient_dim": int,
-    "data_subspace_dim": int,
-    "data_noise_sigma": float,
-    "data_tokens": int,
-    "data_samples_per_class": int,
-}
 
-_TRAIN_KEYS = {
-    "train_lr": float,
-    "train_weight_decay": float,
-    "train_batch_size": int,
-    "train_eval_batch": int,
-    "epochs": int,
-}
+def _key_type(cls: type, name: str) -> type:
+    hint = get_type_hints(cls)[name]
+    return str if issubclass(hint, Enum) else hint
 
-SCHEMA = {**_MODEL_KEYS, **_DATA_KEYS, **_TRAIN_KEYS}
+
+SCHEMA = {key: _key_type(cls, name) for key, (cls, name) in _FIELDS.items()} | {"epochs": int}
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -97,32 +87,7 @@ def load_config(path: str) -> dict:
         return parse_config_text(fh.read())
 
 
-def model_config_from(values: dict) -> ModelConfig:
-    """Build the model configuration from parsed values."""
-    return config_from_dict({key: values[key] for key in _MODEL_KEYS if key in values})
-
-
-def dataset_spec_from(values: dict) -> SyntheticDatasetSpec:
-    """Build the synthetic data geometry from parsed values."""
-    mapping = {
-        "data_classes": "num_classes",
-        "data_ambient_dim": "ambient_dim",
-        "data_subspace_dim": "subspace_dim",
-        "data_noise_sigma": "noise_sigma",
-        "data_tokens": "tokens_per_sample",
-        "data_samples_per_class": "samples_per_class",
-    }
-    kwargs = {field: values[key] for key, field in mapping.items() if key in values}
-    return SyntheticDatasetSpec(**kwargs)
-
-
-def train_options_from(values: dict) -> TrainOptions:
-    """Build optimizer settings from parsed values."""
-    mapping = {
-        "train_lr": "lr",
-        "train_weight_decay": "weight_decay",
-        "train_batch_size": "batch_size",
-        "train_eval_batch": "eval_batch",
-    }
-    kwargs = {field: values[key] for key, field in mapping.items() if key in values}
-    return TrainOptions(**kwargs)
+def build_section(cls: type, values: dict):
+    """``cls`` from the parsed values of its keys, defaults for the rest."""
+    return cls(**{name: values[key] for key, (owner, name) in _FIELDS.items()
+                  if owner is cls and key in values})

@@ -14,13 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidInput
+from .errors import FormatError, InvalidInput, check_int, check_real
 from .rng import orthonormal_basis, stream
+
+
+# Most floats one split's tokens and class bases may take: 200 MB as float64.
+MAX_DATASET_FLOATS = 25_000_000
 
 
 @dataclass(frozen=True)
 class SyntheticDatasetSpec:
-    """Geometry of the sampled dataset."""
+    """Geometry of the sampled dataset; bad values raise ``InvalidInput``."""
 
     num_classes: int = 4
     ambient_dim: int = 32
@@ -30,16 +34,21 @@ class SyntheticDatasetSpec:
     samples_per_class: int = 128
 
     def __post_init__(self) -> None:
-        if self.num_classes < 1:
-            raise InvalidInput(f"num_classes must be positive, got {self.num_classes}")
-        if not 1 <= self.subspace_dim <= self.ambient_dim:
+        for name in ("num_classes", "ambient_dim", "subspace_dim", "tokens_per_sample",
+                     "samples_per_class"):
+            check_int(name, getattr(self, name), 1)
+        if self.subspace_dim > self.ambient_dim:
             raise InvalidInput(
                 f"subspace_dim {self.subspace_dim} must lie in [1, {self.ambient_dim}]"
             )
-        if self.noise_sigma < 0:
-            raise InvalidInput(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
-        if self.tokens_per_sample < 1 or self.samples_per_class < 1:
-            raise InvalidInput("tokens_per_sample and samples_per_class must be positive")
+        check_real("noise_sigma", self.noise_sigma, 0.0)
+        floats = self.num_classes * self.ambient_dim * (
+            self.samples_per_class * self.tokens_per_sample + self.subspace_dim
+        )
+        if floats > MAX_DATASET_FLOATS:
+            raise InvalidInput(
+                f"dataset split needs {floats} floats, more than the cap of {MAX_DATASET_FLOATS}"
+            )
 
 
 @dataclass(frozen=True)

@@ -11,22 +11,44 @@ builds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from enum import Enum
 from typing import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
 from .attention import AttentionKind, rope_precompute
-from .errors import InvalidInput, NumericalFault
+from .errors import InvalidInput, NumericalFault, check_int, check_real
 from .rng import stream
-from .sparsify import ActivationKind
+from .sparsify import SPARSITY_AXES, ActivationKind
 
 MLP_HIDDEN_RATIO_DEFAULT = 4.0
+
+# Most trainable floats a config may ask for: 400 MB as float64, before
+# gradients and the two AdamW moments.
+MAX_PARAMS = 50_000_000
 
 # Guard added to membership normalizers before division, so the layer and
 # the math-form operator agree only up to ~1e-8/n_k.
 MEMBERSHIP_EPS = 1e-8
+
+
+# Integer fields and their least allowed value; ``max_tokens`` leaves room
+# for the class token and one input token.
+_INT_MINIMUMS = {
+    "depth": 0, "dim": 1, "heads": 1, "patch_size": 1, "image_size": 1, "channels": 1,
+    "num_classes": 1, "input_dim": 1, "topk": 1, "max_tokens": 2, "seed": 0,
+}
+
+
+def _enum_field(name: str, kind: type[Enum], value) -> Enum:
+    """``value`` as a member of ``kind``, given the member or its string value."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"unknown {name} {value!r}") from None
 
 
 @dataclass
@@ -36,6 +58,10 @@ class ModelConfig:
     ``input_dim`` is the feature size of incoming tokens; image input is
     patchified to tokens of size ``patch_size**2 * channels`` first.
     ``max_tokens`` bounds the rotary table length (class token included).
+    Every field is checked on construction, so a bad value raises
+    ``InvalidInput`` whether it comes from Python, a config file or a
+    checkpoint header; ``attention`` and ``activation`` also accept their
+    string values. ``topk`` above ``heads`` keeps every head.
     """
 
     depth: int = 4
@@ -56,11 +82,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.depth < 0:
-            raise InvalidInput(f"depth must be nonnegative, got {self.depth}")
-        if self.heads < 1:
-            raise InvalidInput(f"heads must be positive, got {self.heads}")
-        if self.dim <= 0 or self.dim % self.heads != 0:
+        for name, minimum in _INT_MINIMUMS.items():
+            check_int(name, getattr(self, name), minimum)
+        self.attention = _enum_field("attention", AttentionKind, self.attention)
+        self.activation = _enum_field("activation", ActivationKind, self.activation)
+        if self.dim % self.heads != 0:
             raise InvalidInput(f"dim {self.dim} must be a positive multiple of heads {self.heads}")
         if self.dim % 2 != 0:
             raise InvalidInput(f"dim must be even for rotary pairs, got {self.dim}")
@@ -68,16 +94,23 @@ class ModelConfig:
             raise InvalidInput(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
             )
-        if self.sparsity_axis not in ("head", "token", "both"):
+        if self.sparsity_axis not in SPARSITY_AXES:
             raise InvalidInput(f"unknown sparsity_axis {self.sparsity_axis!r}")
         if self.attention not in (AttentionKind.DMSA, AttentionKind.TSSA):
             raise InvalidInput(
                 f"trainable blocks support DMSA or TSSA attention, got {self.attention}"
             )
-        if not 1 <= self.topk:
-            raise InvalidInput(f"topk must be positive, got {self.topk}")
-        if self.mlp_ratio <= 0:
-            raise InvalidInput(f"mlp_ratio must be positive, got {self.mlp_ratio}")
+        if not isinstance(self.use_rope, bool):
+            raise InvalidInput(f"use_rope must be true or false, got {self.use_rope!r}")
+        check_real("mlp_ratio", self.mlp_ratio, 0.0, strict=True)
+        if not self.dim * self.mlp_ratio < math.inf or self.mlp_hidden < 1:
+            raise InvalidInput(
+                f"dim x mlp_ratio must be finite and round to at least 1 MLP hidden unit, "
+                f"got {self.dim} x {self.mlp_ratio}"
+            )
+        count = param_count(self)
+        if count > MAX_PARAMS:
+            raise InvalidInput(f"model has {count} parameters, more than the cap of {MAX_PARAMS}")
 
     @property
     def mlp_hidden(self) -> int:
@@ -99,16 +132,8 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 
 def config_from_dict(raw: dict) -> ModelConfig:
-    """Inverse of :func:`config_to_dict`; unknown keys and enum values raise ``InvalidInput``."""
-    raw = dict(raw)
-    for key, kind in (("attention", AttentionKind), ("activation", ActivationKind)):
-        if key in raw:
-            try:
-                raw[key] = kind(raw[key])
-            except ValueError:
-                raise InvalidInput(f"unknown {key} {raw[key]!r}") from None
-    known = {f.name for f in fields(ModelConfig)}
-    unknown = set(raw) - known
+    """Inverse of :func:`config_to_dict`; unknown keys and bad values raise ``InvalidInput``."""
+    unknown = set(raw) - {f.name for f in fields(ModelConfig)}
     if unknown:
         raise InvalidInput(f"unknown model config keys: {sorted(unknown)}")
     return ModelConfig(**raw)
@@ -124,17 +149,20 @@ def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float =
     return out
 
 
-def param_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+def param_shapes(
+    config: ModelConfig, depth: int | None = None
+) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Name and shape of every trainable tensor, in canonical serialization order.
 
     A generator, so a checkpoint can be checked against an untrusted config
-    without building the whole layout first.
+    without building the whole layout first. ``depth`` replaces
+    ``config.depth``.
     """
     d, hidden = config.dim, config.mlp_hidden
     yield "embed.weight", (config.input_dim, d)
     yield "embed.bias", (d,)
     yield "cls_token", (1, 1, d)
-    for i in range(config.depth):
+    for i in range(config.depth if depth is None else depth):
         prefix = f"blocks.{i}"
         yield f"{prefix}.norm1.scale", (d,)
         yield f"{prefix}.norm1.shift", (d,)
@@ -175,8 +203,12 @@ def init_params(config: ModelConfig) -> dict[str, ad.Tensor]:
     return params
 
 
-def param_count(params: dict[str, ad.Tensor]) -> int:
-    return int(sum(p.data.size for p in params.values()))
+def param_count(config: ModelConfig) -> int:
+    """Trainable floats of ``init_params(config)``, from the layout of zero and one block."""
+    outer, with_block = (
+        sum(math.prod(shape) for _, shape in param_shapes(config, depth)) for depth in (0, 1)
+    )
+    return outer + config.depth * (with_block - outer)
 
 
 def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
@@ -424,8 +456,12 @@ def finite_grads(params: dict[str, ad.Tensor]) -> dict[str, np.ndarray]:
     return grads
 
 
+def detach_params(params: dict[str, ad.Tensor]) -> dict[str, ad.Tensor]:
+    """Leaves sharing each parameter's data, so a forward builds no gradients."""
+    return {name: ad.Tensor(p.data) for name, p in params.items()}
+
+
 def predict(config: ModelConfig, params: dict[str, ad.Tensor], inputs: np.ndarray) -> np.ndarray:
     """Class predictions without building gradients (params detached)."""
-    detached = {name: ad.Tensor(p.data) for name, p in params.items()}
-    logits = model_forward(config, detached, inputs)
+    logits = model_forward(config, detach_params(params), inputs)
     return np.argmax(logits.data, axis=1)

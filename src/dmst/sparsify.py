@@ -20,6 +20,7 @@ from .coding_rate import Membership, SubspaceBank
 from .errors import InvalidInput
 
 __all__ = [
+    "SPARSITY_AXES",
     "ActivationKind",
     "SparseWeights",
     "soft_threshold",
@@ -27,6 +28,10 @@ __all__ = [
     "soft_threshold_backward",
     "sparse_subspace",
 ]
+
+
+# Where a block sparsifies: whole heads, token memberships, or both.
+SPARSITY_AXES = ("head", "token", "both")
 
 
 class ActivationKind(Enum):
@@ -130,8 +135,8 @@ def sparse_subspace(S: SubspaceBank, Pi: Membership, axis: str, topk: int = 4) -
     attention weighting consumes directly.
     ``both`` composes the two, so the bank side again receives the head gate.
     """
-    if axis not in ("head", "token", "both"):
-        raise InvalidInput(f"axis must be one of head/token/both, got {axis!r}")
+    if axis not in SPARSITY_AXES:
+        raise InvalidInput(f"axis must be one of {'/'.join(SPARSITY_AXES)}, got {axis!r}")
     if Pi.groups != S.count:
         raise InvalidInput(f"membership has {Pi.groups} groups but bank has {S.count}")
     if axis == "token":

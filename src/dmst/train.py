@@ -14,8 +14,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import TokenDataset
-from .errors import InvalidInput, NumericalFault
-from .model import ModelConfig, finite_grads, init_params, model_forward, model_loss
+from .errors import NumericalFault, check_int, check_real
+from .model import (
+    ModelConfig,
+    detach_params,
+    finite_grads,
+    init_params,
+    model_forward,
+    model_loss,
+)
 from .optim import OptimState, adamw_step
 from .rng import stream
 
@@ -32,14 +39,10 @@ class TrainOptions:
     eval_batch: int = 256
 
     def __post_init__(self) -> None:
-        for name in ("batch_size", "eval_batch"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise InvalidInput(f"{name} must be an integer of at least 1, got {value!r}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise InvalidInput(f"lr must be finite and positive, got {self.lr}")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise InvalidInput(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
+        check_real("lr", self.lr, 0.0, strict=True)
+        check_real("weight_decay", self.weight_decay, 0.0)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("eval_batch", self.eval_batch, 1)
 
 
 @dataclass
@@ -65,7 +68,7 @@ def evaluate(
     batch: int = 256,
 ) -> tuple[float, float]:
     """Mean loss and accuracy over a dataset, without building gradients."""
-    detached = {name: ad.Tensor(p.data) for name, p in params.items()}
+    detached = detach_params(params)
     total_loss = 0.0
     correct = 0
     # Non-finite values surface as NumericalFault from the forward pass.

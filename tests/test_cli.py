@@ -1,5 +1,6 @@
 import json
 import struct
+import time
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from dmst.analysis import PROFILE_MAX_TOKENS, read_pgm
 from dmst.checkpoint import load_checkpoint
+from dmst.config import SCHEMA
 from dmst.cli import (
     ABLATE_HEADER,
     EXIT_MISMATCH,
@@ -20,6 +22,7 @@ from dmst.cli import (
 from dmst.data import SyntheticDatasetSpec, generate_synthetic, save_token_dataset
 from dmst.errors import InvalidInput
 from dmst.train import METRICS_HEADER
+from dmst.verify import Check
 
 CONFIG_TEXT = """
 depth = 1
@@ -149,6 +152,44 @@ def test_train_bad_option_exits_usage_in_one_line(tmp_path, capsys, key, value):
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def config_text(**changes):
+    """``CONFIG_TEXT`` with the given keys set to the given raw values."""
+    lines = [line for line in CONFIG_TEXT.splitlines() if line.split(" = ")[0] not in changes]
+    return "\n".join(lines + [f"{key} = {value}" for key, value in changes.items()]) + "\n"
+
+
+HUGE = str(10**12)
+SWEEP = (
+    [{key: value} for key, kind in SCHEMA.items() if kind is int for value in ("0", "-1", HUGE)]
+    + [{key: value} for key, kind in SCHEMA.items() if kind is float
+       for value in ("0", "-1", "nan", "inf", HUGE)]
+    + [{"depth": HUGE, "dim": "2"}]
+)
+
+
+@pytest.mark.parametrize(
+    "changes", SWEEP, ids=lambda changes: "-".join(f"{k}={v}" for k, v in changes.items())
+)
+def test_config_value_sweep_exits_ok_or_usage_in_one_line(tmp_path, capsys, monkeypatch, changes):
+    monkeypatch.delenv("DMST_SEED", raising=False)
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(config_text(**changes))
+    start = time.perf_counter()
+    code = main(["train", "--config", str(conf), "--out", str(tmp_path / "out"), "--epochs", "0"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_USAGE), err
+    if code == EXIT_USAGE:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert elapsed < 1.0
+
+
+def test_train_default_topk_above_two_heads_still_trains(tmp_path, config_path):
+    assert "heads = 2" in CONFIG_TEXT and "topk" not in CONFIG_TEXT  # default topk = 4
+    argv = ["train", "--config", config_path, "--out", str(tmp_path / "o"), "--epochs", "1"]
+    assert main(argv) == EXIT_OK
 
 
 def test_train_negative_epochs_flag_exits_usage(tmp_path, config_path, capsys):
@@ -324,6 +365,10 @@ def rewrite_config(src, dst, **changes):
         {"activation": "tanh"},
         {"colour": "red"},  # an unknown key
         {"heads": 0},
+        {"depth": 1.0},  # a float where an integer belongs
+        {"use_rope": "no"},  # a truthy string, not a bool
+        {"topk": True},
+        {"seed": -1},
     ],
     ids=lambda changes: "-".join(f"{k}={v}" for k, v in changes.items()),
 )
@@ -692,3 +737,82 @@ def test_ablate_rejects_unknown_axis(tmp_path, config_path):
         main(["ablate", "--axis", "channel", "--activation", "st",
               "--config", config_path, "--results", str(tmp_path / "r.csv")])
     assert err.value.code == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# unwritable output paths
+# ---------------------------------------------------------------------------
+
+
+def assert_cannot_write(code, capsys, path):
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def a_file(tmp_path):
+    """A regular file, so any path below it cannot be created."""
+    path = tmp_path / "file"
+    path.write_text("")
+    return path
+
+
+def test_train_unwritable_out_exits_usage_before_training(
+    tmp_path, config_path, capsys, monkeypatch
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite an unwritable --out")
+
+    monkeypatch.setattr("dmst.cli.train", no_training)
+    out = a_file(tmp_path) / "x"
+    code = main(["train", "--config", config_path, "--out", str(out), "--seed", "0"])
+    assert_cannot_write(code, capsys, out)
+
+
+def test_verify_unwritable_report_exits_usage(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "dmst.cli.run_suite", lambda suite, seed: [Check("rates", "always-fails", False, 1)]
+    )
+    report = tmp_path / "missing" / "failures.json"
+    code = main(["verify", "--suite", "rates", "--seed", "0", "--report", str(report)])
+    assert_cannot_write(code, capsys, report)
+
+
+def test_rates_unwritable_csv_exits_usage(run_dir, tmp_path, capsys):
+    csv = tmp_path / "missing" / "r.csv"
+    code = main(["rates", "--checkpoint", str(run_dir / "checkpoint.dmst"), "--samples", "4",
+                 "--csv", str(csv)])
+    assert_cannot_write(code, capsys, csv)
+
+
+def test_membership_unwritable_out_exits_usage(run_dir, tmp_path, capsys):
+    sample = tmp_path / "sample.npy"
+    np.save(sample, np.zeros((6, 8)))
+    out = a_file(tmp_path) / "maps"
+    code = main(["membership", "--checkpoint", str(run_dir / "checkpoint.dmst"),
+                 "--input", str(sample), "--layer", "0", "--out", str(out)])
+    assert_cannot_write(code, capsys, out)
+
+
+def test_profile_unwritable_csv_exits_usage(tmp_path, capsys):
+    csv = tmp_path / "missing" / "p.csv"
+    code = main(["profile", "--op", "dmsa", "--tokens", "8", "--csv", str(csv)])
+    assert_cannot_write(code, capsys, csv)
+
+
+def test_ablate_unwritable_results_exits_usage(tmp_path, config_path, capsys):
+    results = tmp_path / "missing" / "a.csv"
+    code = main(["ablate", "--axis", "token", "--activation", "st", "--config", config_path,
+                 "--results", str(results), "--seed", "0", "--epochs", "0"])
+    assert_cannot_write(code, capsys, results)
+
+
+@pytest.mark.parametrize("op", ["dmsa", "mhsa"])
+def test_profile_rejects_a_huge_dim_before_drawing(tmp_path, capsys, op):
+    csv = tmp_path / "p.csv"
+    code = main(["profile", "--op", op, "--tokens", "8", "--dim", "1000000", "--csv", str(csv)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not csv.exists()

@@ -1,15 +1,14 @@
+from pathlib import Path
+
 import pytest
 
 from dmst.attention import AttentionKind
-from dmst.config import (
-    dataset_spec_from,
-    load_config,
-    model_config_from,
-    parse_config_text,
-    train_options_from,
-)
+from dmst.config import SCHEMA, build_section, load_config, parse_config_text
+from dmst.data import SyntheticDatasetSpec
 from dmst.errors import InvalidInput
+from dmst.model import ModelConfig
 from dmst.sparsify import ActivationKind
+from dmst.train import TrainOptions
 
 SAMPLE = """
 # architecture
@@ -76,7 +75,7 @@ def test_load_config_missing_file_names_path(tmp_path):
 
 
 def test_model_config_from_values():
-    config = model_config_from(parse_config_text(SAMPLE))
+    config = build_section(ModelConfig, parse_config_text(SAMPLE))
     assert config.depth == 2
     assert config.dim == 16
     assert config.heads == 4
@@ -88,20 +87,49 @@ def test_model_config_from_values():
 
 def test_model_config_rejects_unknown_enums():
     with pytest.raises(InvalidInput, match="attention"):
-        model_config_from({"attention": "flash"})
+        build_section(ModelConfig, {"attention": "flash"})
     with pytest.raises(InvalidInput, match="activation"):
-        model_config_from({"activation": "swish"})
+        build_section(ModelConfig, {"activation": "swish"})
 
 
 def test_dataset_spec_from_values():
-    spec = dataset_spec_from(parse_config_text(SAMPLE))
+    spec = build_section(SyntheticDatasetSpec, parse_config_text(SAMPLE))
     assert spec.num_classes == 3
     assert spec.noise_sigma == 0.1
     assert spec.ambient_dim == 32  # untouched default
 
 
 def test_train_options_from_values():
-    options = train_options_from(parse_config_text(SAMPLE))
+    options = build_section(TrainOptions, parse_config_text(SAMPLE))
     assert options.lr == 5e-4
     assert options.batch_size == 8
     assert options.weight_decay == 5e-2  # untouched default
+
+
+def test_schema_keys_types_and_order_are_pinned():
+    model = [
+        ("depth", int), ("dim", int), ("heads", int), ("mlp_ratio", float),
+        ("patch_size", int), ("image_size", int), ("channels", int), ("num_classes", int),
+        ("input_dim", int), ("attention", str), ("sparsity_axis", str), ("topk", int),
+        ("activation", str), ("use_rope", bool), ("max_tokens", int), ("seed", int),
+    ]
+    data = [
+        ("data_classes", int), ("data_ambient_dim", int), ("data_subspace_dim", int),
+        ("data_noise_sigma", float), ("data_tokens", int), ("data_samples_per_class", int),
+    ]
+    optim = [
+        ("train_lr", float), ("train_weight_decay", float), ("train_batch_size", int),
+        ("train_eval_batch", int), ("epochs", int),
+    ]
+    assert list(SCHEMA.items()) == model + data + optim
+
+
+def readme_config_keys():
+    """Keys in the first column of the README's Configuration table, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    return [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+
+
+def test_readme_configuration_lists_exactly_the_schema_keys():
+    assert readme_config_keys() == list(SCHEMA)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dmst.data import (
+    MAX_DATASET_FLOATS,
     SyntheticDatasetSpec,
     TokenDataset,
     generate_synthetic,
@@ -27,6 +28,27 @@ def test_spec_validation():
         SyntheticDatasetSpec(noise_sigma=-0.1)
     with pytest.raises(InvalidInput):
         SyntheticDatasetSpec(tokens_per_sample=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"noise_sigma": float("nan")}, {"noise_sigma": float("inf")}, {"num_classes": 2.0},
+     {"samples_per_class": True}, {"ambient_dim": -1}],
+    ids=repr,
+)
+def test_spec_rejects_each_bad_field(kwargs):
+    with pytest.raises(InvalidInput):
+        SyntheticDatasetSpec(**kwargs)
+
+
+def test_spec_caps_the_split_size():
+    # 4 classes x 32 dims x (128 samples x 16 tokens + 4 basis columns) at the defaults
+    assert 4 * 32 * (128 * 16 + 4) <= MAX_DATASET_FLOATS
+    with pytest.raises(InvalidInput, match=str(MAX_DATASET_FLOATS)):
+        SyntheticDatasetSpec(num_classes=10**12)
+    with pytest.raises(InvalidInput, match=str(MAX_DATASET_FLOATS)):
+        SyntheticDatasetSpec(ambient_dim=10**7, subspace_dim=10**7, tokens_per_sample=1,
+                             samples_per_class=1, num_classes=1)
 
 
 def test_generation_is_deterministic_per_seed_and_split():

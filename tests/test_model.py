@@ -5,6 +5,7 @@ from dmst import autodiff as ad
 from dmst.attention import AttentionKind
 from dmst.errors import InvalidInput, NumericalFault
 from dmst.model import (
+    MAX_PARAMS,
     ModelConfig,
     config_from_dict,
     config_to_dict,
@@ -71,6 +72,33 @@ def test_config_validation():
         ModelConfig(image_size=10, patch_size=4)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"depth": 1.0}, {"topk": True}, {"seed": -1}, {"use_rope": "no"}, {"dim": 2**64},
+        {"mlp_ratio": float("nan")}, {"mlp_ratio": float("inf")}, {"mlp_ratio": 0.001},
+        {"mlp_ratio": 1e308}, {"patch_size": 0}, {"image_size": 0}, {"channels": 0},
+        {"num_classes": 0}, {"input_dim": -1}, {"max_tokens": 1}, {"activation": "tanh"},
+    ],
+    ids=repr,
+)
+def test_config_rejects_each_bad_field(kwargs):
+    with pytest.raises(InvalidInput):
+        ModelConfig(**kwargs)
+
+
+def test_config_takes_enum_string_values():
+    config = ModelConfig(attention="tssa", activation="gelu")
+    assert config.attention is AttentionKind.TSSA
+    assert config.activation is ActivationKind.GELU
+
+
+@pytest.mark.parametrize("kwargs", [{"depth": 10**12, "dim": 2, "heads": 2}, {"mlp_ratio": 1e12}])
+def test_config_caps_the_parameter_count(kwargs):
+    with pytest.raises(InvalidInput, match=str(MAX_PARAMS)):
+        ModelConfig(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
@@ -93,9 +121,18 @@ def test_init_weights_are_truncated():
 def test_param_count_gap_is_membership_projection():
     # a DMSA stack differs from TSSA by exactly one K x d projection per block
     kwargs = dict(depth=3, dim=16, heads=4, input_dim=5)
-    dmsa = param_count(init_params(ModelConfig(attention=AttentionKind.DMSA, **kwargs)))
-    tssa = param_count(init_params(ModelConfig(attention=AttentionKind.TSSA, **kwargs)))
+    dmsa = param_count(ModelConfig(attention=AttentionKind.DMSA, **kwargs))
+    tssa = param_count(ModelConfig(attention=AttentionKind.TSSA, **kwargs))
     assert dmsa - tssa == 3 * 16 * 4
+
+
+@pytest.mark.parametrize("attention", [AttentionKind.DMSA, AttentionKind.TSSA])
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_param_count_equals_the_initialized_sizes(attention, depth):
+    config = ModelConfig(
+        depth=depth, dim=12, heads=3, mlp_ratio=1.5, input_dim=7, num_classes=5, attention=attention
+    )
+    assert param_count(config) == sum(p.data.size for p in init_params(config).values())
 
 
 # ---------------------------------------------------------------------------
