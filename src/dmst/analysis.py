@@ -27,7 +27,13 @@ from typing import Iterator
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttentionKind, MhsaLayerParams, mhsa_layer_forward, rope_precompute
+from .attention import (
+    AttentionKind,
+    MhsaLayerParams,
+    RopeTable,
+    mhsa_layer_forward,
+    rope_precompute,
+)
 from .coding_rate import CodingRateConfig, Membership, SubspaceBank, rate_variational_decoupled
 from .errors import FormatError, InvalidInput
 from .memcount import count_floats
@@ -94,7 +100,7 @@ def _chunk_rates(
     config: ModelConfig,
     params: dict[str, ad.Tensor],
     chunk: np.ndarray,
-    rope_table: np.ndarray | None,
+    rope: RopeTable | None,
 ) -> Iterator[np.ndarray]:
     """Yield each block's per-sample rates ``(B,)`` on one chunk of samples.
 
@@ -110,7 +116,7 @@ def _chunk_rates(
         value_w = params[f"{prefix}.value_proj"].data  # (d, d), columns index output
         bank = SubspaceBank(tuple(np.split(value_w, config.heads, axis=1)))
         if config.attention is AttentionKind.DMSA:
-            scores = membership_scores(ad.Tensor(after), params, prefix, rope_table)
+            scores = membership_scores(ad.Tensor(after), params, prefix, rope)
             Pi = sparsify_scores(ad.transpose(scores, (0, 2, 1)), config, gate=False).data
             if config.activation is ActivationKind.GELU:
                 Pi = np.clip(Pi, 0.0, None)  # rate math needs nonnegative weights
@@ -139,11 +145,11 @@ def layer_rate_curve(
     if config.depth == 0:
         raise InvalidInput("rate curve needs at least one block")
     detached = detach_params(params)
-    rope_table = rope_precompute(tokens.shape[1] + 1, config.dim) if config.use_rope else None
+    rope = rope_precompute(tokens.shape[1] + 1, config.dim) if config.use_rope else None
     totals = np.zeros(config.depth)
     for start in range(0, tokens.shape[0], batch):
         chunk = tokens[start : start + batch]
-        for b, rates in enumerate(_chunk_rates(config, detached, chunk, rope_table)):
+        for b, rates in enumerate(_chunk_rates(config, detached, chunk, rope)):
             for rate in rates:  # in sample order, so the sum matches one sample at a time
                 totals[b] += rate
     return RateCurve(values=totals / tokens.shape[0], samples=int(tokens.shape[0]))
@@ -332,12 +338,12 @@ def profile_attention_memory(
             layer["attn.membership_proj"] = ad.Tensor(rng.normal(size=(d, heads)) * scale)
         layer["attn.out_proj"] = ad.Tensor(rng.normal(size=(d, d)) * scale)
         layer["attn.out_bias"] = ad.Tensor(np.zeros(d))
-        rope_table = rope_precompute(max(token_counts), d)
+        rope = rope_precompute(max(token_counts), d)
 
         def forward(tokens: np.ndarray) -> None:
             x = ad.Tensor(tokens[None])
             if op == "dmsa":
-                _dmsa_attention(x, config, layer, "attn", rope_table)
+                _dmsa_attention(x, config, layer, "attn", rope)
             else:
                 _tssa_attention(x, config, layer, "attn")
 

@@ -10,12 +10,13 @@ information on the membership path only, is the attention sublayer of
 projections).
 
 This file keeps the math-form operator (``dmsa_operator``), the rotary
-tables the model and the analysis share (``rope_precompute`` and
-``rotate_pairs``), and two baselines that the model does not train: standard
-multi-head softmax attention with its explicit quadratic score matrix, which
-registers its intermediates with :mod:`dmst.memcount` so memory contracts can
-be asserted on counted floats, and gated channel attention with its
-masked-basis/matmul equivalence. The softmax baseline writes the scores of
+table the model and the analysis share (``rope_precompute``, a ``(cos,
+sin)`` pair computed once per forward, and ``rotate_pairs``, which applies
+it; ``(cos, -sin)`` is the inverse rotation), and two baselines that the
+model does not train: standard multi-head softmax attention with its
+explicit quadratic score matrix, which registers its intermediates with
+:mod:`dmst.memcount` so memory contracts can be asserted on counted floats,
+and gated channel attention with its masked-basis/matmul equivalence. The softmax baseline writes the scores of
 every query chunk into one reused buffer and normalizes after the value
 product; its count still registers each logical activation (scores, weights
 and output of every chunk), so it counts ``2 * heads * n**2 + 7 * n * d``
@@ -48,6 +49,9 @@ from .memcount import track
 
 ROPE_BASE = 10000.0
 
+# The ``(cos, sin)`` pair of rotary tables from :func:`rope_precompute`.
+RopeTable = tuple[np.ndarray, np.ndarray]
+
 
 class AttentionKind(Enum):
     DMSA = "dmsa"
@@ -60,39 +64,42 @@ class AttentionKind(Enum):
 # ---------------------------------------------------------------------------
 
 
-def rope_precompute(max_len: int, dim: int, base: float = ROPE_BASE) -> np.ndarray:
-    """Rotation angle table for rotary position encoding.
+def rope_precompute(max_len: int, dim: int, base: float = ROPE_BASE) -> RopeTable:
+    """Rotary tables: the cosines and sines of the rotation angles.
 
-    Returns ``(max_len, dim // 2)`` angles ``m * theta_j`` with
-    ``theta_j = base ** (-2 j / dim)``; ``dim`` must be even because channels
-    rotate in adjacent pairs.
+    Returns the ``(cos, sin)`` pair of ``(max_len, dim // 2)`` arrays at the
+    angles ``m * theta_j``, ``theta_j = base ** (-2 j / dim)``; ``dim`` must
+    be even because channels rotate in adjacent pairs. One pair serves every
+    rotation of a forward and, as ``(cos, -sin)``, the inverse rotations of
+    its backward.
     """
     if max_len < 1:
         raise InvalidInput(f"max_len must be positive, got {max_len}")
     if dim < 2 or dim % 2 != 0:
         raise InvalidInput(f"rotary dim must be a positive even number, got {dim}")
     freqs = base ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
-    positions = np.arange(max_len, dtype=np.float64)
-    return np.outer(positions, freqs)
+    angles = np.outer(np.arange(max_len, dtype=np.float64), freqs)
+    return np.cos(angles), np.sin(angles)
 
 
-def rotate_pairs(tokens: np.ndarray, table: np.ndarray) -> np.ndarray:
+def rotate_pairs(tokens: np.ndarray, rope: RopeTable) -> np.ndarray:
     """Rotate adjacent channel pairs of row-major tokens by per-position angles.
 
-    ``tokens`` is ``(..., n, d)``; row ``i`` of every leading index is
-    rotated with row ``i`` of ``table``, and the caller slices the table to
-    select positions. The negated table applies the inverse rotation.
+    ``tokens`` is ``(..., n, d)`` and ``rope`` a ``(cos, sin)`` pair from
+    :func:`rope_precompute`; row ``i`` of every leading index is rotated
+    with row ``i`` of the pair, and the caller slices the pair to select
+    positions. ``(cos, -sin)`` applies the inverse rotation.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim < 2:
         raise InvalidInput(f"tokens must be (..., n, d), got ndim={tokens.ndim}")
     n, d = tokens.shape[-2:]
-    if table.shape[0] < n:
-        raise InvalidInput(f"rope table covers {table.shape[0]} positions, need {n}")
-    if table.shape[1] * 2 != d:
-        raise InvalidInput(f"rope table is for dim {table.shape[1] * 2}, tokens have {d}")
-    angles = table[:n]
-    cos, sin = np.cos(angles), np.sin(angles)
+    cos, sin = rope
+    if cos.shape[0] < n:
+        raise InvalidInput(f"rope table covers {cos.shape[0]} positions, need {n}")
+    if cos.shape[1] * 2 != d:
+        raise InvalidInput(f"rope table is for dim {cos.shape[1] * 2}, tokens have {d}")
+    cos, sin = cos[:n], sin[:n]
     even, odd = tokens[..., 0::2], tokens[..., 1::2]
     out = np.empty_like(tokens)
     out_even, out_odd = out[..., 0::2], out[..., 1::2]

@@ -13,6 +13,16 @@ whose fresh output takes the bias in place. While a :mod:`dmst.memcount`
 counter is active, every node's array is registered with it unless it is a
 view into a parent's array.
 
+A node links to its parents and keeps its backward closure only when a
+parent requires grad. In a no-grad forward (every input and parameter a
+plain leaf) a result therefore holds none of the arrays it was made from,
+and each activation lives only as long as its caller holds it. GELU keeps
+Phi only for a backward; without one it writes the product into Phi's own
+buffer, and :func:`linear_gelu` runs GELU in place on its projection's
+fresh output, so an MLP holds one hidden activation at a time. The rotary
+rotation takes the ``(cos, sin)`` pair that a forward computes once and,
+as ``(cos, -sin)``, rotates its gradient back.
+
 Gradient ownership: an interior node (one with a backward closure) keeps
 the first gradient it receives without a copy, so interior gradients may
 alias each other and the arrays their children's backwards computed. Only a
@@ -35,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .attention import rotate_pairs
+from .attention import RopeTable, rotate_pairs
 from .errors import InvalidInput
 from .functional import normal_cdf, normal_pdf
 from .functional import sigmoid as _sigmoid_fwd
@@ -147,8 +157,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _node(
     data: np.ndarray,
     parents: Sequence[Tensor],
-    backward: Callable[[np.ndarray], None],
+    backward: Callable[[np.ndarray], None] | None,
 ) -> Tensor:
+    """A tensor made from ``parents``; ``backward`` is kept only if one requires grad."""
     out = Tensor(data)
     if counting() and not any(np.may_share_memory(out.data, p.data) for p in parents):
         track(out.data)
@@ -411,9 +422,15 @@ def relu(a) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    """Exact GELU ``x * Phi(x)``; the backward reuses Phi from the forward."""
+    """Exact GELU ``x * Phi(x)``; Phi is kept only for a backward.
+
+    Without one (``a`` requires no gradient) the product is written into
+    Phi's own buffer, so a no-grad forward holds one array instead of two.
+    """
     a = as_tensor(a)
     cdf = normal_cdf(a.data)
+    if not a.requires_grad:
+        return _node(np.multiply(a.data, cdf, out=cdf), (a,), None)
 
     def backward(g: np.ndarray) -> None:
         slope = normal_pdf(a.data)
@@ -423,6 +440,31 @@ def gelu(a) -> Tensor:
         _accumulate(a, slope)
 
     return _node(a.data * cdf, (a,), backward)
+
+
+# Elements per pass of the in-place GELU in :func:`linear_gelu`, so that
+# Phi of one pass is a small temporary rather than a second hidden activation.
+_GELU_CHUNK = 1 << 16
+
+
+def linear_gelu(x, W, b) -> Tensor:
+    """``gelu(linear(x, W, b))``: a projection into an MLP's hidden layer and its GELU.
+
+    With a gradient to build, these are the two nodes :func:`linear` and
+    :func:`gelu`. Without one, the projection's output is a fresh array that
+    no caller has seen, so GELU overwrites it in place, one chunk at a time:
+    the forward holds one hidden activation where the two nodes hold the
+    pre-activation and Phi or the product beside it. Both paths do the same
+    IEEE operations, so their values are equal bit for bit.
+    """
+    pre = linear(x, W, b)
+    if pre.requires_grad:
+        return gelu(pre)
+    flat = pre.data.reshape(-1)  # a view: the GEMM output is contiguous
+    for start in range(0, flat.size, _GELU_CHUNK):
+        chunk = flat[start : start + _GELU_CHUNK]
+        chunk *= normal_cdf(chunk)
+    return pre
 
 
 def exp(a) -> Tensor:
@@ -551,18 +593,20 @@ def soft_threshold_rows(a, topk: int | None = None) -> Tensor:
     return _node(out.reshape(a.shape), (a,), backward)
 
 
-def rope_rotate(a, table: np.ndarray) -> Tensor:
+def rope_rotate(a, rope: RopeTable) -> Tensor:
     """Rotate adjacent channel pairs of ``(..., n, d)`` tokens by position.
 
-    The adjoint rotates the gradient by the negated angles (the rotation's
-    transpose), so the pass is exactly norm preserving in both directions.
+    ``rope`` is the ``(cos, sin)`` pair of :func:`dmst.attention.rope_precompute`.
+    The adjoint rotates the gradient by ``(cos, -sin)``, the rotation's
+    transpose, so the pass is exactly norm preserving in both directions.
     """
     a = as_tensor(a)
+    cos, sin = rope
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, rotate_pairs(g, -table))
+        _accumulate(a, rotate_pairs(g, (cos, -sin)))
 
-    return _node(rotate_pairs(a.data, table), (a,), backward)
+    return _node(rotate_pairs(a.data, rope), (a,), backward)
 
 
 def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -128,19 +128,24 @@ def _check_data_matches(config: ModelConfig, ds: TokenDataset) -> None:
 
 
 def _train_from_args(
-    args: argparse.Namespace, out_dir: str | None = None, **overrides
+    args: argparse.Namespace,
+    out_dir: str | None = None,
+    results: str | None = None,
+    **overrides,
 ) -> int | tuple[ModelConfig, TrainResult, int, int]:
     """Config, seed, datasets, data check and training shared by ``train`` and ``ablate``.
 
-    ``overrides`` replace config keys. ``out_dir`` is created before training,
-    so an unwritable one costs no training. Returns ``(config, result,
-    epochs, seed)``, or the exit code of the error it printed.
+    ``overrides`` replace config keys. The resolved seed is the model's
+    seed too, so it sets the initial weights. The ``out_dir`` directory and
+    the ``results`` file are created before training, so an unwritable one
+    costs no training. Returns ``(config, result, epochs, seed)``, or the
+    exit code of the error it printed.
     """
     try:
         values = load_config(args.config) if args.config else {}
         values.update(overrides)
         seed = resolve_seed(args.seed, values)
-        config = build_section(ModelConfig, values)
+        config = build_section(ModelConfig, {**values, "seed": seed})
         spec = build_section(SyntheticDatasetSpec, values)
         options = build_section(TrainOptions, values)
         epochs = args.epochs if args.epochs is not None else values.get("epochs", 10)
@@ -152,10 +157,12 @@ def _train_from_args(
         train_ds, test_ds = _load_train_datasets(args.data, spec, seed)
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
+        if results is not None:
+            open(results, "a", encoding="utf-8").close()
     except FormatError as exc:
         return _fail(EXIT_USAGE, str(exc))
     except OSError as exc:
-        return _cannot_write(out_dir, exc)
+        return _cannot_write(out_dir or results, exc)
     try:
         _check_data_matches(config, train_ds)
         result = train(config, train_ds, test_ds, epochs=epochs, seed=seed, options=options)
@@ -303,7 +310,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    run = _train_from_args(args, sparsity_axis=args.axis, activation=args.activation)
+    run = _train_from_args(
+        args, results=args.results, sparsity_axis=args.axis, activation=args.activation
+    )
     if isinstance(run, int):
         return run
     _, result, epochs, seed = run
@@ -311,10 +320,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     final_loss = train_rows[-1][2] if train_rows else float("nan")
     test_acc = result.final_test_accuracy
     test_acc = test_acc if test_acc is not None else float("nan")
-    fresh = not os.path.exists(args.results)
     try:
         with open(args.results, "a", encoding="utf-8") as fh:
-            if fresh:
+            if fh.tell() == 0:
                 fh.write(ABLATE_HEADER + "\n")
             fh.write(
                 f"{args.axis},{args.activation},{epochs},{seed},"

@@ -9,12 +9,19 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp for large |x|.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function ``1 / (1 + exp(-x))`` in float64, without overflow at any sign.
+
+    With ``e = exp(-|x|)`` it is ``1 / (1 + e)`` where ``x >= 0`` and
+    ``e / (1 + e)`` elsewhere: ``exp`` only sees nonpositive arguments, and
+    no mask gathers or scatters the two halves.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

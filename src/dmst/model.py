@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttentionKind, rope_precompute
+from .attention import AttentionKind, RopeTable, rope_precompute
 from .errors import InvalidInput, NumericalFault, check_int, check_real
 from .rng import stream
 from .sparsify import SPARSITY_AXES, ActivationKind
@@ -289,10 +289,10 @@ def second_moment_tail(
 
 
 def membership_scores(
-    x: ad.Tensor, p: dict[str, ad.Tensor], prefix: str, rope_table: np.ndarray | None
+    x: ad.Tensor, p: dict[str, ad.Tensor], prefix: str, rope: RopeTable | None
 ) -> ad.Tensor:
     """DMSA scores ``(B, n, K)``: the (rotary-rotated) tokens through the membership projection."""
-    rotated = ad.rope_rotate(x, rope_table) if rope_table is not None else x
+    rotated = ad.rope_rotate(x, rope) if rope is not None else x
     return rotated @ p[f"{prefix}.membership_proj"]
 
 
@@ -301,7 +301,7 @@ def _dmsa_attention(
     config: ModelConfig,
     p: dict[str, ad.Tensor],
     prefix: str,
-    rope_table: np.ndarray | None,
+    rope: RopeTable | None,
     capture: dict | None = None,
 ) -> ad.Tensor:
     """DMSA sublayer on ``(B, n, d)`` tokens.
@@ -313,7 +313,7 @@ def _dmsa_attention(
     B = x.shape[0]
     K = config.heads
     w = split_heads(x @ p[f"{prefix}.value_proj"], K)  # (B, K, n, hd)
-    scores = membership_scores(x, p, prefix, rope_table)  # (B, n, K)
+    scores = membership_scores(x, p, prefix, rope)  # (B, n, K)
 
     if config.sparsity_axis in ("head", "both"):
         mask = sparsify_scores(ad.mean(scores, axis=1), config, gate=True)  # (B, K)
@@ -342,6 +342,34 @@ def _tssa_attention(
     return second_moment_tail(w, Pi, p[f"{prefix}.out_proj"], p[f"{prefix}.out_bias"])
 
 
+def _attention_sublayer(
+    x: ad.Tensor,
+    config: ModelConfig,
+    p: dict[str, ad.Tensor],
+    prefix: str,
+    rope: RopeTable | None,
+    capture: dict | None,
+) -> ad.Tensor:
+    """Block ``prefix``'s attention sublayer on its pre-norm of the residual stream ``x``."""
+    normed = _layer_norm(x, p[f"{prefix}.norm1.scale"], p[f"{prefix}.norm1.shift"])
+    if config.attention is AttentionKind.DMSA:
+        return _dmsa_attention(normed, config, p, f"{prefix}.attn", rope, capture)
+    return _tssa_attention(normed, config, p, f"{prefix}.attn", capture)
+
+
+def _mlp_sublayer(x: ad.Tensor, p: dict[str, ad.Tensor], prefix: str) -> ad.Tensor:
+    """Block ``prefix``'s two-layer GELU MLP on its pre-norm of the residual stream ``x``.
+
+    Without a graph to hold them, the norm is freed once the first layer has
+    read it, and :func:`ad.linear_gelu` runs GELU in place, so the hidden
+    activation is the only array of its size.
+    """
+    normed = _layer_norm(x, p[f"{prefix}.norm2.scale"], p[f"{prefix}.norm2.shift"])
+    hidden = ad.linear_gelu(normed, p[f"{prefix}.mlp.fc1.weight"], p[f"{prefix}.mlp.fc1.bias"])
+    del normed
+    return ad.linear(hidden, p[f"{prefix}.mlp.fc2.weight"], p[f"{prefix}.mlp.fc2.bias"])
+
+
 def model_forward(
     config: ModelConfig,
     params: dict[str, ad.Tensor],
@@ -354,6 +382,11 @@ def model_forward(
     one dict per block is appended with the block's membership matrix, its
     head mask on head-gated DMSA blocks, and the token matrix after the
     attention residual (all as plain arrays).
+
+    Each sublayer's temporaries are locals of its function and its output
+    is read once, by the residual sum, so a forward on detached parameters
+    frees every activation at its last use; a training graph keeps what its
+    backward reads. The rotary table is computed once per forward.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim == 4:
@@ -366,13 +399,15 @@ def model_forward(
         )
     if not np.all(np.isfinite(inputs)):
         raise InvalidInput("inputs contain non-finite entries")
+    # Finite entries whose squares overflow make LayerNorm's variance
+    # infinite, and the forward would go on with every token normed to zero.
+    if not np.all(np.isfinite(np.einsum("...i,...i->...", inputs, inputs))):
+        raise InvalidInput("inputs contain a token whose squared norm overflows")
     B, n, _ = inputs.shape
     if n + 1 > config.max_tokens:
         raise InvalidInput(f"{n} tokens exceed max_tokens={config.max_tokens} (class token included)")
 
-    rope_table = (
-        rope_precompute(n + 1, config.dim) if (config.use_rope and config.depth > 0) else None
-    )
+    rope = rope_precompute(n + 1, config.dim) if (config.use_rope and config.depth > 0) else None
 
     x = ad.linear(inputs, params["embed.weight"], params["embed.bias"])
     cls = ad.broadcast_to(params["cls_token"], (B, 1, config.dim))
@@ -381,24 +416,13 @@ def model_forward(
     for i in range(config.depth):
         prefix = f"blocks.{i}"
         block_capture: dict | None = {} if capture is not None else None
-        normed = _layer_norm(x, params[f"{prefix}.norm1.scale"], params[f"{prefix}.norm1.shift"])
-        if config.attention is AttentionKind.DMSA:
-            attn_out = _dmsa_attention(
-                normed, config, params, f"{prefix}.attn", rope_table, block_capture
-            )
-        else:
-            attn_out = _tssa_attention(normed, config, params, f"{prefix}.attn", block_capture)
-        x = x + attn_out
+        x = x + _attention_sublayer(x, config, params, prefix, rope, block_capture)
         if not np.all(np.isfinite(x.data)):
             raise NumericalFault(f"non-finite activations after attention block {i}")
         if block_capture is not None:
             block_capture["tokens_after_attention"] = x.data.copy()
             capture.append(block_capture)
-        normed = _layer_norm(x, params[f"{prefix}.norm2.scale"], params[f"{prefix}.norm2.shift"])
-        hidden = ad.gelu(
-            ad.linear(normed, params[f"{prefix}.mlp.fc1.weight"], params[f"{prefix}.mlp.fc1.bias"])
-        )
-        x = x + ad.linear(hidden, params[f"{prefix}.mlp.fc2.weight"], params[f"{prefix}.mlp.fc2.bias"])
+        x = x + _mlp_sublayer(x, params, prefix)
         if not np.all(np.isfinite(x.data)):
             raise NumericalFault(f"non-finite activations after MLP block {i}")
 

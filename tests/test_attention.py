@@ -114,26 +114,28 @@ def test_rope_position_zero_is_identity():
 
 def test_rope_inner_products_depend_only_on_position_difference():
     rng = np.random.default_rng(5)
-    table = rope_precompute(64, 8)
+    cos, sin = rope_precompute(64, 8)
     u = rng.normal(size=(1, 8))
     v = rng.normal(size=(1, 8))
+
+    def at(m):  # the pair's row for position m
+        return cos[m : m + 1], sin[m : m + 1]
+
     for i, j, shift in [(0, 3, 5), (2, 9, 17), (1, 40, 20)]:
-        a = rotate_pairs(u, table[i : i + 1]) @ rotate_pairs(v, table[j : j + 1]).T
-        b = rotate_pairs(u, table[i + shift : i + shift + 1]) @ rotate_pairs(
-            v, table[j + shift : j + shift + 1]
-        ).T
+        a = rotate_pairs(u, at(i)) @ rotate_pairs(v, at(j)).T
+        b = rotate_pairs(u, at(i + shift)) @ rotate_pairs(v, at(j + shift)).T
         assert abs(a.item() - b.item()) < 1e-12
 
 
 def test_rotate_pairs_rotates_each_leading_index_alike():
     rng = np.random.default_rng(23)
-    table = rope_precompute(5, 4)
+    cos, sin = rope_precompute(5, 4)
     x = rng.normal(size=(2, 3, 5, 4))
-    batched = rotate_pairs(x, table)
+    batched = rotate_pairs(x, (cos, sin))
     for idx in np.ndindex(2, 3):
-        assert np.array_equal(batched[idx], rotate_pairs(x[idx], table))
-    # the negated table is the inverse rotation
-    assert np.max(np.abs(rotate_pairs(batched, -table) - x)) < 1e-12
+        assert np.array_equal(batched[idx], rotate_pairs(x[idx], (cos, sin)))
+    # the pair with negated sines is the inverse rotation
+    assert np.max(np.abs(rotate_pairs(batched, (cos, -sin)) - x)) < 1e-12
 
 
 def test_rope_rejects_bad_shapes():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -215,6 +217,43 @@ def test_gelu_gradient_matches_finite_differences():
     assert np.max(np.abs(t.grad - fd)) < 1e-8
 
 
+def test_no_grad_gelu_equals_grad_gelu_and_keeps_no_backward():
+    x = np.random.default_rng(2).normal(scale=3.0, size=(4, 7, 9))
+    plain = ad.Tensor(x)
+    no_grad = ad.gelu(plain)
+    with_grad = ad.gelu(ad.Tensor(x, requires_grad=True))
+    assert np.array_equal(no_grad.data, with_grad.data)
+    assert not no_grad.requires_grad
+    assert no_grad._backward is None and no_grad._parents == ()
+    assert with_grad._backward is not None
+    assert np.array_equal(plain.data, x)  # the input is read, never written
+    # without a backward, Phi's buffer becomes the output: one array, not two
+    tracemalloc.start()
+    try:
+        ad.gelu(plain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.nbytes
+
+
+def test_no_grad_linear_gelu_is_the_two_nodes_in_one_array():
+    rng = np.random.default_rng(3)
+    # more elements than one in-place pass, so the chunk boundaries are crossed
+    x, W, b = rng.normal(size=(3, 700, 16)), rng.normal(size=(16, 96)), rng.normal(size=96)
+    no_grad = ad.linear_gelu(x, W, b)
+    two_nodes = ad.gelu(ad.linear(ad.Tensor(x, requires_grad=True), W, b))
+    assert np.array_equal(no_grad.data, two_nodes.data)
+    assert np.array_equal(ad.linear_gelu(ad.Tensor(x, requires_grad=True), W, b).data, no_grad.data)
+    tracemalloc.start()
+    try:
+        ad.linear_gelu(x, W, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * no_grad.data.nbytes  # no pre-activation beside the output
+
+
 def test_layer_norm_gradient():
     rng = np.random.default_rng(15)
     x = rng.normal(size=(2, 3, 5))
@@ -376,6 +415,7 @@ BACKWARD_CASES = {
     "pow_scalar": (lambda a: ad.pow_scalar(a, -0.5), [(3, 4)]),
     "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
     "linear_2d": (ad.linear, [(3, 4), (4, 5), (5,)]),
+    "linear_gelu": (ad.linear_gelu, [(2, 3, 4), (4, 5), (5,)]),
     "matmul": (ad.matmul, [(3, 4), (4, 2)]),
     "matmul_batched": (ad.matmul, [(2, 3, 4), (2, 4, 2)]),
     "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)]),

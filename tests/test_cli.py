@@ -21,6 +21,7 @@ from dmst.cli import (
 )
 from dmst.data import SyntheticDatasetSpec, generate_synthetic, save_token_dataset
 from dmst.errors import InvalidInput
+from dmst.model import init_params
 from dmst.train import METRICS_HEADER
 from dmst.verify import Check
 
@@ -121,6 +122,22 @@ def test_dmst_seed_env_matches_flag(tmp_path, config_path, monkeypatch):
     assert main(["train", "--config", config_path, "--out", str(from_env)]) == EXIT_OK
     assert (flagged / "metrics.csv").read_bytes() == (from_env / "metrics.csv").read_bytes()
     assert (flagged / "checkpoint.dmst").read_bytes() == (from_env / "checkpoint.dmst").read_bytes()
+
+
+def test_seed_flag_sets_the_initial_weights(tmp_path, config_path, monkeypatch):
+    monkeypatch.delenv("DMST_SEED", raising=False)
+    runs = {}
+    for seed in ("0", "7"):
+        out = tmp_path / f"seed{seed}"
+        argv = ["train", "--config", config_path, "--out", str(out), "--epochs", "0", "--seed", seed]
+        assert main(argv) == EXIT_OK
+        runs[seed] = out / "checkpoint.dmst"
+    assert runs["0"].read_bytes() != runs["7"].read_bytes()
+    config, params = load_checkpoint(str(runs["7"]))
+    assert config.seed == 7
+    expected = init_params(config)  # the payload is float32
+    assert all(np.array_equal(params[name], p.data.astype(np.float32))
+               for name, p in expected.items())
 
 
 def test_train_epochs_flag_overrides_config(tmp_path, config_path, capsys):
@@ -801,7 +818,11 @@ def test_profile_unwritable_csv_exits_usage(tmp_path, capsys):
     assert_cannot_write(code, capsys, csv)
 
 
-def test_ablate_unwritable_results_exits_usage(tmp_path, config_path, capsys):
+def test_ablate_unwritable_results_exits_usage(tmp_path, config_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite an unwritable --results")
+
+    monkeypatch.setattr("dmst.cli.train", no_training)
     results = tmp_path / "missing" / "a.csv"
     code = main(["ablate", "--axis", "token", "--activation", "st", "--config", config_path,
                  "--results", str(results), "--seed", "0", "--epochs", "0"])
@@ -816,3 +837,39 @@ def test_profile_rejects_a_huge_dim_before_drawing(tmp_path, capsys, op):
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not csv.exists()
+
+
+# ---------------------------------------------------------------------------
+# finite inputs too large for the model
+# ---------------------------------------------------------------------------
+
+HUGE_TOKENS = np.full((4, 6, 8), 1e308)  # finite, but their squares overflow
+
+
+@pytest.mark.parametrize("subcommand,code", [
+    ("membership", EXIT_USAGE),
+    ("rates", EXIT_MISMATCH),
+    ("train", EXIT_MISMATCH),
+])
+def test_huge_finite_inputs_exit_like_non_finite_ones(
+    run_dir, config_path, tmp_path, capsys, subcommand, code
+):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    labels = np.array([0, 1, 0, 1])
+    for split in ("train", "test"):
+        save_npz_bytes(data_dir / f"{split}.npz", tokens=HUGE_TOKENS, labels=labels)
+    np.save(data_dir / "s.npy", HUGE_TOKENS[0])
+    checkpoint = str(run_dir / "checkpoint.dmst")
+    argv = {
+        "membership": ["membership", "--checkpoint", checkpoint, "--input",
+                       str(data_dir / "s.npy"), "--layer", "0", "--out", str(tmp_path / "maps")],
+        "rates": ["rates", "--checkpoint", checkpoint, "--data", str(data_dir),
+                  "--csv", str(tmp_path / "r.csv")],
+        "train": ["train", "--config", config_path, "--data", str(data_dir),
+                  "--out", str(tmp_path / "run")],
+    }[subcommand]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err == "error: inputs contain a token whose squared norm overflows\n"
+    assert not (tmp_path / "maps").exists() and not (tmp_path / "r.csv").exists()

@@ -21,6 +21,26 @@ def test_sigmoid_symmetry_and_saturation():
     assert out[1] == 1.0
 
 
+def masked_sigmoid(x):
+    # the sign-split form with a masked gather and scatter per half
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_the_masked_sign_split_bit_for_bit():
+    rng = np.random.default_rng(5)
+    edges = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -746.0])
+    for x in (rng.normal(scale=6.0, size=(3, 4, 50)), edges, np.arange(-40, 41)):
+        out = sigmoid(x)
+        assert out.dtype == np.float64 and out.shape == x.shape
+        assert np.array_equal(out, masked_sigmoid(x))
+    assert np.array_equal(np.signbit(sigmoid(edges)), np.zeros(edges.size, dtype=bool))
+
+
 def test_relu_clamps_negatives():
     x = np.array([-2.0, 0.0, 3.5])
     assert np.array_equal(relu(x), [0.0, 0.0, 3.5])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,32 @@ def test_forward_input_validation():
     tight = small_config(max_tokens=4)
     with pytest.raises(InvalidInput):
         model_forward(tight, init_params(tight), np.zeros((1, 4, 5)))  # class token overflows
+    # finite entries whose squares overflow LayerNorm's variance
+    with pytest.raises(InvalidInput, match="squared norm overflows"):
+        model_forward(config, params, np.full((2, 4, 5), 1e308))
+    bad = np.zeros((2, 4, 5))
+    bad[1, 2] = 1e160
+    with pytest.raises(InvalidInput, match="squared norm overflows"):
+        model_forward(config, params, bad)
+    assert np.all(np.isfinite(model_forward(config, params, np.full((2, 4, 5), 1e100)).data))
+
+
+def test_predict_peak_memory_is_a_few_hidden_activations():
+    # a no-grad forward frees each activation at its last use: no graph holds
+    # them, and the MLP's GELU runs in place on its projection's output
+    config = ModelConfig()
+    params = init_params(config)
+    B, n = 2, 512
+    x = np.random.default_rng(0).normal(size=(B, n, config.input_dim))
+    predict(config, params, x)  # warm numpy's caches outside the measurement
+    tracemalloc.start()
+    try:
+        predict(config, params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hidden = B * (n + 1) * config.mlp_hidden * 8  # bytes of one MLP hidden activation
+    assert peak <= 2.25 * hidden
 
 
 def test_zero_input_has_finite_loss_and_gradients():
