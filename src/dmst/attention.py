@@ -56,7 +56,6 @@ RopeTable = tuple[np.ndarray, np.ndarray]
 class AttentionKind(Enum):
     DMSA = "dmsa"
     TSSA = "tssa"
-    MHSA = "mhsa"
 
 
 # ---------------------------------------------------------------------------

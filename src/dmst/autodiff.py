@@ -3,9 +3,16 @@
 A :class:`Tensor` wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar result walks the recorded graph in reverse
 topological order and accumulates gradients into every tensor that requires
-them. Only the operations the classifier needs are provided, each with an
-exact adjoint, including the simplex soft threshold (through its active-set
-Jacobian) and the pairwise rotary rotation. LayerNorm and the DMSA/TSSA
+them. Only the 20 operations the classifier builds are provided, each with
+an exact adjoint: ``add``, ``mul``, ``pow_scalar``, ``linear``, ``reshape``,
+``transpose``, ``broadcast_to``, ``concat``, ``getitem``, ``sum_``,
+``mean``, ``sigmoid``, ``relu``, ``gelu``, ``softmax``, ``layer_norm``,
+``second_moment_rescale``, ``soft_threshold_rows`` (the simplex soft
+threshold, through its active-set Jacobian), ``rope_rotate`` (the pairwise
+rotary rotation) and ``cross_entropy_mean``; ``linear_gelu`` builds
+``linear`` and ``gelu`` nodes. ``+``, ``*`` and ``[]`` are ``add``, ``mul``
+and ``getitem``, and ``@`` is ``linear`` without a bias, so its right
+operand is a 2-D weight. LayerNorm and the DMSA/TSSA
 second-moment rescaling are single nodes with closed-form adjoints, since
 per-node overhead dominates a training step on arrays this small; for the
 same reason a biased projection is one :func:`linear` node, a single GEMM
@@ -49,6 +56,7 @@ from .attention import RopeTable, rotate_pairs
 from .errors import InvalidInput
 from .functional import normal_cdf, normal_pdf
 from .functional import sigmoid as _sigmoid_fwd
+from .functional import softmax as _softmax_fwd
 from .memcount import counting, track
 from .sparsify import soft_threshold_backward, soft_threshold_matrix
 
@@ -72,9 +80,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -109,28 +114,13 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
+        return linear(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -197,17 +187,6 @@ def add(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _node(data, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
@@ -217,26 +196,6 @@ def mul(a, b) -> Tensor:
         _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(data, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _node(data, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, -g)
-
-    return _node(-a.data, (a,), backward)
 
 
 def pow_scalar(a, exponent: float) -> Tensor:
@@ -255,9 +214,13 @@ def linear(x, W, b=None) -> Tensor:
     The product runs as one ``(N, d) @ (d, h)`` GEMM over the flattened
     leading axes, so the weight gradient is one ``(d, N) @ (N, h)`` product
     instead of a batch of products summed afterwards; the bias is added in
-    place into the GEMM's fresh output.
+    place into the GEMM's fresh output. ``Tensor.__matmul__`` is this
+    function without a bias, so ``x @ W`` needs a 2-D ``W`` too; any other
+    weight raises ``InvalidInput``.
     """
     x, W = as_tensor(x), as_tensor(W)
+    if W.ndim != 2:
+        raise InvalidInput(f"linear expects a 2-d (d, h) weight, got shape {W.shape}")
     bias = None if b is None else as_tensor(b)
     parents = (x, W) if bias is None else (x, W, bias)
     x2 = x.data.reshape(-1, x.shape[-1])
@@ -275,29 +238,6 @@ def linear(x, W, b=None) -> Tensor:
             _accumulate(bias, g2.sum(axis=0))
 
     return _node(out.reshape(x.shape[:-1] + W.shape[-1:]), parents, backward)
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product with numpy broadcasting over leading axes.
-
-    A ``(..., n, d)`` left operand against a 2-D weight is :func:`linear`
-    without a bias.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim >= 3 and b.ndim == 2:
-        return linear(a, b)
-
-    data = a.data @ b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            _accumulate(a, _unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            _accumulate(b, _unbroadcast(gb, b.shape))
-
-    return _node(data, (a, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -467,30 +407,9 @@ def linear_gelu(x, W, b) -> Tensor:
     return pre
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * data)
-
-    return _node(data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g / a.data)
-
-    return _node(np.log(a.data), (a,), backward)
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = _softmax_fwd(a.data, axis)
 
     def backward(g: np.ndarray) -> None:
         inner = (g * data).sum(axis=axis, keepdims=True)

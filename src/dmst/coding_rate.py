@@ -14,12 +14,14 @@ Conventions used throughout the module:
 
 The total rate ``R(Z)`` measures the volume of the whole token set under a
 Gaussian codebook at precision ``epsilon``; the segmented rate measures it
-after splitting tokens into groups; the variational forms replace the
-log-determinant with a sum of scalar ``f(x) = log(1 + (d/eps^2) x)`` terms
-over per-direction second moments, which is what the attention operator
-differentiates. ``grad_rate_wrt_tokens`` is that token gradient at a fixed
-membership (its negation is the DMSA operator); it and
-``rate_variational_decoupled`` share one per-group second-moment loop.
+after splitting tokens into groups, each group's rate weighted by its token
+share ``tr(Pi_k)/n`` as in MCR² (arXiv 2006.08558); the variational forms
+replace the log-determinant with a sum of scalar
+``f(x) = log(1 + (d/eps^2) x)`` terms over per-direction second moments,
+which is what the attention operator differentiates. ``grad_rate_wrt_tokens``
+is that token gradient at a fixed membership (its negation is the DMSA
+operator); it and ``rate_variational_decoupled`` share one per-group
+second-moment loop.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput, NotPSD
-from .functional import softmax_columns
+from .functional import softmax
 
 logger = logging.getLogger(__name__)
 
@@ -206,19 +208,23 @@ def _check_membership(Z: TokenMatrix, Pi: Membership) -> np.ndarray:
 def rate_segmented(Z: TokenMatrix, Pi: Membership, cfg: CodingRateConfig) -> float:
     """Rate after segmenting tokens by ``Pi``.
 
-    Sums ``0.5 logdet(I + gamma_k Z diag(pi_k) Z^T)`` over groups. Groups
-    with mass at or below ``ZERO_MASS`` contribute zero.
+    MCR²'s compression term: the sum over groups of
+    ``(n_k/n) * 0.5 logdet(I + gamma_k Z diag(pi_k) Z^T)`` with
+    ``n_k = tr(Pi_k)``, the group weight of ``rate_variational_decoupled``.
+    Log-det concavity then makes ``rate_total - rate_segmented`` nonnegative
+    for every hard partition. Groups with mass at or below ``ZERO_MASS``
+    contribute zero.
     """
     Z = check_tokens(Z)
     weights = _check_membership(Z, Pi)
-    d = Z.shape[0]
+    d, n = Z.shape
     total = 0.0
     for pik in weights:
         mass = float(pik.sum())
         if mass <= ZERO_MASS:
             continue
         weighted = Z * np.sqrt(pik)[None, :]
-        total += _gram_rate(weighted, cfg.gamma(d, mass))
+        total += (mass / n) * _gram_rate(weighted, cfg.gamma(d, mass))
     return total
 
 
@@ -240,7 +246,7 @@ def membership_from_subspaces(Z: TokenMatrix, U: SubspaceBank, eta: float) -> Me
     if not (np.isfinite(eta) and eta > 0):
         raise InvalidInput(f"eta must be finite and positive, got {eta}")
     energy = np.stack([np.sum((Uk.T @ Z) ** 2, axis=0) for Uk in U.bases])
-    return Membership(softmax_columns(energy / (2.0 * eta)))
+    return Membership(softmax(energy / (2.0 * eta), axis=0))
 
 
 def _nonempty_groups(Z: TokenMatrix, Pi: Membership, U: SubspaceBank):

@@ -49,8 +49,8 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return x * normal_cdf(x)
 
 
-def softmax_columns(x: np.ndarray) -> np.ndarray:
-    """Softmax over axis 0, numerically stabilized."""
-    shifted = x - np.max(x, axis=0, keepdims=True)
+def softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along ``axis``, shifted by the axis maximum so ``exp`` cannot overflow."""
+    shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=0, keepdims=True)
+    return e / np.sum(e, axis=axis, keepdims=True)

@@ -96,10 +96,6 @@ class ModelConfig:
             )
         if self.sparsity_axis not in SPARSITY_AXES:
             raise InvalidInput(f"unknown sparsity_axis {self.sparsity_axis!r}")
-        if self.attention not in (AttentionKind.DMSA, AttentionKind.TSSA):
-            raise InvalidInput(
-                f"trainable blocks support DMSA or TSSA attention, got {self.attention}"
-            )
         if not isinstance(self.use_rope, bool):
             raise InvalidInput(f"use_rope must be true or false, got {self.use_rope!r}")
         check_real("mlp_ratio", self.mlp_ratio, 0.0, strict=True)

@@ -246,6 +246,22 @@ def suite_rates(seed: int = 0) -> list[Check]:
         min_gap = min(min_gap, gap)
     checks.append(Check("rates", "sparse-decoupled-rate-below-coupled", violations == 0,
                         count_thm, f"violations {violations}, min gap {min_gap:.2e}", bad))
+
+    # MCR²'s rate reduction R(Z) - R^c(Z, Pi) is nonnegative by the concavity
+    # of log det; a partition that puts every token in one group gives exactly
+    # 0, so only rounding may take it below zero.
+    hard_cfg = CodingRateConfig(epsilon=0.5)
+    min_gap, bad = np.inf, {}
+    for _ in range(count_thm):
+        d, n, K = int(rng.integers(2, 8)), int(rng.integers(4, 20)), int(rng.integers(2, 4))
+        Z = rng.normal(size=(d, n))
+        labels = rng.integers(0, K, size=n)
+        one_hot = Membership((labels == np.arange(K)[:, None]).astype(np.float64))
+        gap = rate_total(Z, hard_cfg) - rate_segmented(Z, one_hot, hard_cfg)
+        if gap < min_gap:
+            min_gap, bad = gap, {"Z": Z, "labels": labels}
+    checks.append(Check("rates", "rate-reduction-nonnegative-on-hard-partitions",
+                        min_gap >= -1e-9, count_thm, f"min gap {min_gap:.2e}", bad))
     return checks
 
 

@@ -378,7 +378,7 @@ def rewrite_config(src, dst, **changes):
     [
         {"attention": "gated"},  # an attention kind the package no longer has
         {"attention": "bogus"},
-        {"attention": "mhsa"},  # a valid kind ModelConfig cannot train
+        {"attention": "mhsa"},  # the softmax baseline, which is no attention kind
         {"activation": "tanh"},
         {"colour": "red"},  # an unknown key
         {"heads": 0},

@@ -140,6 +140,8 @@ def test_rate_segmented_single_group_equals_total():
 
 
 def test_rate_segmented_matches_outer_product_oracle():
+    # MCR²'s compression term (arXiv 2006.08558), with Z Pi_k Z^T as a sum of
+    # outer products: sum_k tr(Pi_k)/(2n) logdet(I + d/(tr(Pi_k) eps^2) Z Pi_k Z^T)
     rng = np.random.default_rng(5)
     cfg = CodingRateConfig(epsilon=0.8)
     for _ in range(20):
@@ -150,13 +152,26 @@ def test_rate_segmented_matches_outer_product_oracle():
         weights = rng.uniform(0.1, 1.0, size=(K, n))
         expected = 0.0
         for k in range(K):
-            mass = weights[k].sum()
-            gamma = d / (mass * cfg.epsilon**2)
-            M = np.eye(d)
+            trace = np.trace(np.diag(weights[k]))
+            scatter = np.zeros((d, d))
             for j in range(n):
-                M = M + gamma * weights[k, j] * np.outer(Z[:, j], Z[:, j])
-            expected += 0.5 * eig_logdet(M)
+                scatter = scatter + weights[k, j] * np.outer(Z[:, j], Z[:, j])
+            M = np.eye(d) + d / (trace * cfg.epsilon**2) * scatter
+            expected += trace / (2 * n) * eig_logdet(M)
         assert abs(rate_segmented(Z, Membership(weights), cfg) - expected) < 1e-7
+
+
+def test_rate_reduction_is_nonnegative_on_hard_partitions():
+    # log det is concave, so MCR²'s rate reduction R(Z) - R^c(Z, Pi) is never
+    # negative; without the tr(Pi_k)/n group weight it is on most partitions
+    rng = np.random.default_rng(24)
+    cfg = CodingRateConfig(epsilon=0.5)
+    for _ in range(50):
+        d, n, K = int(rng.integers(2, 8)), int(rng.integers(4, 20)), int(rng.integers(2, 4))
+        Z = rng.normal(size=(d, n))
+        labels = rng.integers(0, K, size=n)
+        Pi = Membership((labels == np.arange(K)[:, None]).astype(np.float64))
+        assert rate_total(Z, cfg) - rate_segmented(Z, Pi, cfg) >= -1e-9
 
 
 def test_rate_segmented_ignores_zero_mass_group():

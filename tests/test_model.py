@@ -65,7 +65,7 @@ def test_config_validation():
     with pytest.raises(InvalidInput):
         ModelConfig(sparsity_axis="channel")
     with pytest.raises(InvalidInput):
-        ModelConfig(attention=AttentionKind.MHSA)  # baseline is not trainable
+        ModelConfig(attention="mhsa")  # the softmax baseline is no attention kind
     with pytest.raises(InvalidInput):
         ModelConfig(topk=0)
     with pytest.raises(InvalidInput):

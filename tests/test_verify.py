@@ -121,7 +121,8 @@ def test_rates_suite_passes():
     counts = {c.name: c.count for c in checks}
     assert counts["coupled-equals-decoupled-at-softmax"] == 40
     assert counts["sparse-decoupled-rate-below-coupled"] == 200
-    assert len(counts) == len(checks) == 6
+    assert counts["rate-reduction-nonnegative-on-hard-partitions"] == 200
+    assert len(counts) == len(checks) == 7
 
 
 def test_gradients_suite_passes():
