@@ -379,6 +379,13 @@ def model_forward(
     head mask on head-gated DMSA blocks, and the token matrix after the
     attention residual (all as plain arrays).
 
+    Only the class token is read out, and the MLP and the final LayerNorm
+    act on each token on its own, so after the last block's attention
+    residual (and its capture) the stream holds only the class token,
+    ``(B, d)``: that block's MLP, the final norm and the head run on one
+    token per sample, and the last finiteness check covers only that token.
+    With ``depth = 0`` the cut comes just before the final norm.
+
     Each sublayer's temporaries are locals of its function and its output
     is read once, by the residual sum, so a forward on detached parameters
     frees every activation at its last use; a training graph keeps what its
@@ -418,13 +425,16 @@ def model_forward(
         if block_capture is not None:
             block_capture["tokens_after_attention"] = x.data.copy()
             capture.append(block_capture)
+        if i == config.depth - 1:
+            x = x[:, 0, :]  # the class token: nothing reads the others from here on
         x = x + _mlp_sublayer(x, params, prefix)
         if not np.all(np.isfinite(x.data)):
             raise NumericalFault(f"non-finite activations after MLP block {i}")
+    if config.depth == 0:
+        x = x[:, 0, :]
 
     x = _layer_norm(x, params["norm.scale"], params["norm.shift"])
-    cls_state = x[:, 0, :]
-    logits = ad.linear(cls_state, params["head.weight"], params["head.bias"])
+    logits = ad.linear(x, params["head.weight"], params["head.bias"])
     if not np.all(np.isfinite(logits.data)):
         raise NumericalFault("non-finite logits")
     return logits

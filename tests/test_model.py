@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from dmst import autodiff as ad
-from dmst.attention import AttentionKind
+from dmst.attention import AttentionKind, rope_precompute
 from dmst.errors import InvalidInput, NumericalFault
 from dmst.model import (
     MAX_PARAMS,
     ModelConfig,
+    _attention_sublayer,
+    _layer_norm,
+    _mlp_sublayer,
     config_from_dict,
     config_to_dict,
     init_params,
@@ -345,3 +348,91 @@ def test_model_gradients_match_finite_differences(attention):
         scale = max(float(np.max(np.abs(fd))), 1e-8)
         worst = max(worst, float(np.max(np.abs(grads[name].reshape(-1) - fd))) / scale)
     assert worst < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# class-token readout
+# ---------------------------------------------------------------------------
+
+
+def all_token_forward(config, params, inputs, capture=None):
+    """Logits from a forward that runs every block and the final norm on all n+1 tokens."""
+    B, n, _ = inputs.shape
+    rope = rope_precompute(n + 1, config.dim) if (config.use_rope and config.depth > 0) else None
+    x = ad.linear(inputs, params["embed.weight"], params["embed.bias"])
+    x = ad.concat([ad.broadcast_to(params["cls_token"], (B, 1, config.dim)), x], axis=1)
+    for i in range(config.depth):
+        prefix = f"blocks.{i}"
+        block_capture = {} if capture is not None else None
+        x = x + _attention_sublayer(x, config, params, prefix, rope, block_capture)
+        if block_capture is not None:
+            block_capture["tokens_after_attention"] = x.data.copy()
+            capture.append(block_capture)
+        x = x + _mlp_sublayer(x, params, prefix)
+    x = _layer_norm(x, params["norm.scale"], params["norm.shift"])
+    return ad.linear(x[:, 0, :], params["head.weight"], params["head.bias"])
+
+
+def all_token_grads(config, params, inputs, labels):
+    for p in params.values():
+        p.zero_grad()
+    ad.cross_entropy_mean(all_token_forward(config, params, inputs), labels).backward()
+    return {name: p.grad for name, p in params.items()}
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+def test_last_block_mlp_sees_only_the_class_token(monkeypatch, depth):
+    config = small_config(depth=depth)
+    params = init_params(config)
+    B, n = 3, 6
+    x = np.random.default_rng(8).normal(size=(B, n, config.input_dim))
+    shapes = []
+    linear_gelu = ad.linear_gelu
+
+    def recording_linear_gelu(inputs, W, b):
+        shapes.append(inputs.shape)
+        return linear_gelu(inputs, W, b)
+
+    monkeypatch.setattr(ad, "linear_gelu", recording_linear_gelu)
+    expected = [(B, n + 1, config.dim)] * (depth - 1) + [(B, config.dim)]
+    predict(config, params, x)
+    assert shapes == expected
+    shapes.clear()
+    model_backward(config, params, x, np.array([0, 1, 2]))
+    assert shapes == expected
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4])
+@pytest.mark.parametrize("use_rope", [True, False], ids=["rope", "norope"])
+@pytest.mark.parametrize("axis", ["head", "token", "both"])
+@pytest.mark.parametrize("attention", [AttentionKind.DMSA, AttentionKind.TSSA])
+def test_class_token_readout_matches_an_all_token_forward(attention, axis, use_rope, depth):
+    # the MLP and the LayerNorm act on each token alone, so cutting the stream
+    # to the class token before them changes no value a caller reads; only a
+    # one-row GEMM (B = 1) and the weight gradients' row sums may round apart
+    config = small_config(
+        depth=depth, heads=4, topk=2, attention=attention, sparsity_axis=axis, use_rope=use_rope
+    )
+    params = init_params(config)
+    rng = np.random.default_rng(9)
+    for B in (1, 2, 3):
+        x = rng.normal(size=(B, 6, config.input_dim))
+        capture, ref_capture = [], []
+        logits = model_forward(config, params, x, capture=capture).data
+        ref_logits = all_token_forward(config, params, x, capture=ref_capture).data
+        if B == 1:
+            np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(logits, ref_logits)
+        assert len(capture) == len(ref_capture) == depth
+        for block, ref_block in zip(capture, ref_capture):
+            assert block.keys() == ref_block.keys()
+            for key in block:
+                np.testing.assert_array_equal(block[key], ref_block[key])
+
+    labels = np.array([0, 2, 1])
+    _, grads = model_backward(config, params, x, labels)
+    ref_grads = all_token_grads(config, params, x, labels)
+    for name, ref in ref_grads.items():
+        tol = 1e-12 * float(np.max(np.abs(ref)))
+        assert np.max(np.abs(grads[name] - ref)) <= tol, name
