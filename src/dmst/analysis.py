@@ -11,8 +11,8 @@ layer's folded form (``d/eps^2 = 1``). Each chunk of samples takes one
 forward and one stacked rate call per block. A stack that compresses its
 tokens shows a broadly non-increasing curve.
 
-Membership maps reshape each head's token weights at a chosen block into the
-patch grid and render them as 8-bit grayscale (PGM, P5) with per-head
+Membership maps reshape each head's token weights at a chosen block into a
+near-square grid and render them as 8-bit grayscale (PGM, P5) with per-head
 min-max normalization, plus a JSON sidecar holding the raw values.
 """
 
@@ -72,7 +72,7 @@ class RateCurve:
 
 @dataclass(frozen=True)
 class MembershipMap:
-    """One block's per-head token weights arranged on the patch grid."""
+    """One block's per-head token weights arranged on a near-square grid."""
 
     layer: int
     grid: tuple[int, int]
@@ -160,12 +160,11 @@ def membership_map(
     params: dict[str, ad.Tensor],
     sample_tokens: np.ndarray,
     layer: int,
-    grid: tuple[int, int] | None = None,
 ) -> MembershipMap:
     """Per-head membership weights of one sample at one block.
 
-    The class token is dropped; the remaining weights reshape to ``grid``
-    (near-square by default, or the patch grid when the token count matches).
+    The class token is dropped; the remaining weights reshape to the
+    near-square grid of :func:`infer_grid`.
     """
     sample_tokens = np.asarray(sample_tokens, dtype=np.float64)
     if sample_tokens.ndim != 2:
@@ -175,15 +174,9 @@ def membership_map(
     capture: list[dict] = []
     model_forward(config, detach_params(params), sample_tokens[None], capture=capture)
     Pi = capture[layer]["membership"][0]  # (K, n+1) including the class token
-    patch_weights = Pi[:, 1:]
-    n = patch_weights.shape[1]
-    if grid is None:
-        side = config.image_size // config.patch_size
-        grid = (side, side) if side * side == n else infer_grid(n)
-    rows, cols = grid
-    if rows * cols != n:
-        raise InvalidInput(f"grid {grid} does not cover {n} tokens")
-    return MembershipMap(layer=layer, grid=grid, values=patch_weights.reshape(-1, rows, cols))
+    token_weights = Pi[:, 1:]
+    grid = infer_grid(token_weights.shape[1])
+    return MembershipMap(layer=layer, grid=grid, values=token_weights.reshape(-1, *grid))
 
 
 def to_grayscale(values: np.ndarray) -> np.ndarray:

@@ -237,13 +237,12 @@ class GatedChannelParams:
     """Channel attention with one shared full-space basis and per-head token gates.
 
     ``full_space`` is the shared ``d x p`` basis; ``membership_proj`` rows
-    produce one scalar gate per token and head through a sigmoid.
+    produce one scalar gate per token and head through a sigmoid. The rate
+    coefficient is folded, ``d/eps^2 = 1``.
     """
 
     full_space: np.ndarray
     membership_proj: np.ndarray
-    epsilon_fold: bool = True
-    epsilon: float = 1.0
 
     def __post_init__(self) -> None:
         self.full_space = np.asarray(self.full_space, dtype=np.float64)
@@ -259,9 +258,6 @@ class GatedChannelParams:
     def heads(self) -> int:
         return self.membership_proj.shape[0]
 
-    def f_coeff(self) -> float:
-        return 1.0 if self.epsilon_fold else self.full_space.shape[0] / self.epsilon**2
-
     def gates(self, Z: TokenMatrix, override: np.ndarray | None = None) -> np.ndarray:
         if override is not None:
             g = np.asarray(override, dtype=np.float64)
@@ -274,9 +270,8 @@ class GatedChannelParams:
         """Per-head diagonal rescalings ``f'`` at the gate-weighted second moments."""
         proj = self.full_space.T @ Z  # (p, n)
         weights = gates / gates.sum(axis=1, keepdims=True)
-        coeff = self.f_coeff()
         args = (proj * proj) @ weights.T  # (p, K)
-        return coeff / (1.0 + coeff * args.T)  # (K, p)
+        return 1.0 / (1.0 + args.T)  # (K, p)
 
 
 def gated_channel_forward(

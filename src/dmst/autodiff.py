@@ -533,13 +533,16 @@ def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of ``(B, C)`` logits against integer labels.
 
     The adjoint is the classic ``(softmax - onehot) / B`` scaled by the
-    incoming gradient.
+    incoming gradient. Labels outside ``[0, C)`` raise ``InvalidInput``;
+    numpy would read a negative one as a class counted from the end.
     """
     logits = as_tensor(logits)
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise InvalidInput("cross_entropy_mean expects (B, C) logits and (B,) labels")
-    B = logits.shape[0]
+    B, C = logits.shape
+    if B and not 0 <= labels.min() <= labels.max() < C:
+        raise InvalidInput(f"labels span {labels.min()}..{labels.max()}, outside 0..{C - 1}")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - lse

@@ -165,6 +165,7 @@ def _train_from_args(
         return _cannot_write(out_dir or results, exc)
     try:
         _check_data_matches(config, train_ds)
+        _check_data_matches(config, test_ds)
         result = train(config, train_ds, test_ds, epochs=epochs, seed=seed, options=options)
     except (InvalidInput, NumericalFault) as exc:
         return _fail(EXIT_MISMATCH, str(exc))

@@ -1,12 +1,11 @@
 """Toy token classifier built from DMSA blocks.
 
-Input tokens (or image patches) are linearly embedded, a class token is
-prepended at position zero, and the sequence passes through ``depth``
-pre-norm residual blocks: an attention sublayer (DMSA by default, TSSA as a
-baseline) followed by a two-layer GELU MLP. The class token's final state
-feeds a linear head. All computation runs through :mod:`dmst.autodiff`, so
-gradients for every parameter come from the same graph the forward pass
-builds.
+Input tokens are linearly embedded, a class token is prepended at position
+zero, and the sequence passes through ``depth`` pre-norm residual blocks: an
+attention sublayer (DMSA by default, TSSA as a baseline) followed by a
+two-layer GELU MLP. The class token's final state feeds a linear head. All
+computation runs through :mod:`dmst.autodiff`, so gradients for every
+parameter come from the same graph the forward pass builds.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ MEMBERSHIP_EPS = 1e-8
 # Integer fields and their least allowed value; ``max_tokens`` leaves room
 # for the class token and one input token.
 _INT_MINIMUMS = {
-    "depth": 0, "dim": 1, "heads": 1, "patch_size": 1, "image_size": 1, "channels": 1,
-    "num_classes": 1, "input_dim": 1, "topk": 1, "max_tokens": 2, "seed": 0,
+    "depth": 0, "dim": 1, "heads": 1, "num_classes": 1, "input_dim": 1, "topk": 1,
+    "max_tokens": 2, "seed": 0,
 }
 
 
@@ -55,9 +54,9 @@ def _enum_field(name: str, kind: type[Enum], value) -> Enum:
 class ModelConfig:
     """Architecture and initialization settings of the classifier.
 
-    ``input_dim`` is the feature size of incoming tokens; image input is
-    patchified to tokens of size ``patch_size**2 * channels`` first.
-    ``max_tokens`` bounds the rotary table length (class token included).
+    ``input_dim`` is the feature size of incoming tokens; membership maps
+    lay a sample's tokens out on a near-square grid. ``max_tokens`` bounds
+    the rotary table length (class token included).
     Every field is checked on construction, so a bad value raises
     ``InvalidInput`` whether it comes from Python, a config file or a
     checkpoint header; ``attention`` and ``activation`` also accept their
@@ -68,9 +67,6 @@ class ModelConfig:
     dim: int = 64
     heads: int = 8
     mlp_ratio: float = MLP_HIDDEN_RATIO_DEFAULT
-    patch_size: int = 4
-    image_size: int = 16
-    channels: int = 1
     num_classes: int = 4
     input_dim: int = 32
     attention: AttentionKind = AttentionKind.DMSA
@@ -90,10 +86,6 @@ class ModelConfig:
             raise InvalidInput(f"dim {self.dim} must be a positive multiple of heads {self.heads}")
         if self.dim % 2 != 0:
             raise InvalidInput(f"dim must be even for rotary pairs, got {self.dim}")
-        if self.image_size % self.patch_size != 0:
-            raise InvalidInput(
-                f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
-            )
         if self.sparsity_axis not in SPARSITY_AXES:
             raise InvalidInput(f"unknown sparsity_axis {self.sparsity_axis!r}")
         if not isinstance(self.use_rope, bool):
@@ -111,10 +103,6 @@ class ModelConfig:
     @property
     def mlp_hidden(self) -> int:
         return int(round(self.dim * self.mlp_ratio))
-
-    def patch_grid(self) -> tuple[int, int]:
-        side = self.image_size // self.patch_size
-        return side, side
 
 
 def config_to_dict(config: ModelConfig) -> dict:
@@ -205,20 +193,6 @@ def param_count(config: ModelConfig) -> int:
         sum(math.prod(shape) for _, shape in param_shapes(config, depth)) for depth in (0, 1)
     )
     return outer + config.depth * (with_block - outer)
-
-
-def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
-    """Split ``(B, H, W, C)`` images into ``(B, n_patches, patch_size^2 * C)`` tokens."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4:
-        raise InvalidInput(f"images must be (B, H, W, C), got ndim={images.ndim}")
-    B, H, W, C = images.shape
-    if H % patch_size or W % patch_size:
-        raise InvalidInput(f"image size {(H, W)} not divisible by patch size {patch_size}")
-    gh, gw = H // patch_size, W // patch_size
-    patches = images.reshape(B, gh, patch_size, gw, patch_size, C)
-    patches = patches.transpose(0, 1, 3, 2, 4, 5)
-    return patches.reshape(B, gh * gw, patch_size * patch_size * C)
 
 
 def _layer_norm(x: ad.Tensor, scale: ad.Tensor, shift: ad.Tensor, eps: float = 1e-6) -> ad.Tensor:
@@ -372,9 +346,9 @@ def model_forward(
     inputs: np.ndarray,
     capture: list[dict] | None = None,
 ) -> ad.Tensor:
-    """Logits for a batch of token sequences ``(B, n, input_dim)`` or images.
+    """Logits for a batch of token sequences ``(B, n, input_dim)``.
 
-    Four-dimensional input is patchified first. When ``capture`` is a list,
+    When ``capture`` is a list,
     one dict per block is appended with the block's membership matrix, its
     head mask on head-gated DMSA blocks, and the token matrix after the
     attention residual (all as plain arrays).
@@ -392,10 +366,8 @@ def model_forward(
     backward reads. The rotary table is computed once per forward.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim == 4:
-        inputs = patchify(inputs, config.patch_size)
     if inputs.ndim != 3:
-        raise InvalidInput(f"inputs must be (B, n, input_dim) tokens or images, got ndim={inputs.ndim}")
+        raise InvalidInput(f"inputs must be (B, n, input_dim) tokens, got ndim={inputs.ndim}")
     if inputs.shape[2] != config.input_dim:
         raise InvalidInput(
             f"tokens have feature size {inputs.shape[2]}, config.input_dim is {config.input_dim}"

@@ -42,7 +42,7 @@ from .coding_rate import (
 from .errors import InvalidInput
 from .model import second_moment_tail, split_heads
 from .rng import orthonormal_basis, stream
-from .sparsify import soft_threshold, soft_threshold_matrix
+from .sparsify import soft_threshold, soft_threshold_matrix, sparse_subspace
 
 SUITES = ("rates", "sparsify", "gradients", "equivalence")
 
@@ -235,9 +235,8 @@ def suite_rates(seed: int = 0) -> list[Check]:
         sparse_rows = np.stack([
             soft_threshold(row).values if row.sum() > 1.0 else row for row in Pi.data
         ])
-        gates = np.clip(Pi.data.mean(axis=1), 0.0, 1.0)
         decoupled = rate_variational_decoupled(
-            Z, Membership(sparse_rows), bank.scaled(gates), cfg
+            Z, Membership(sparse_rows), sparse_subspace(bank, Pi, "head"), cfg
         )
         gap = coupled - decoupled
         if gap <= 0:

@@ -131,20 +131,12 @@ def test_membership_map_shapes_and_inferred_grid():
     rng = np.random.default_rng(1)
     mmap = membership_map(config, params, rng.normal(size=(12, 5)), layer=1)
     assert mmap.layer == 1
-    assert mmap.grid == (3, 4)  # class token dropped, 12 patch tokens remain
+    assert mmap.grid == (3, 4)  # class token dropped, 12 tokens remain
     assert mmap.values.shape == (config.heads, 3, 4)
     assert np.all(np.isfinite(mmap.values))
 
 
-def test_membership_map_uses_patch_grid_when_it_matches():
-    config = small_config(image_size=16, patch_size=4)
-    params = init_params(config)
-    rng = np.random.default_rng(2)
-    mmap = membership_map(config, params, rng.normal(size=(16, 5)), layer=0)
-    assert mmap.grid == (4, 4)
-
-
-def test_membership_map_validates_layer_and_grid():
+def test_membership_map_validates_layer_and_sample():
     config = small_config()
     params = init_params(config)
     rng = np.random.default_rng(3)
@@ -154,9 +146,21 @@ def test_membership_map_validates_layer_and_grid():
     with pytest.raises(InvalidInput):
         membership_map(config, params, sample, layer=-1)
     with pytest.raises(InvalidInput):
-        membership_map(config, params, sample, layer=0, grid=(5, 3))
-    with pytest.raises(InvalidInput):
         membership_map(config, params, sample[None], layer=0)
+
+
+def test_membership_map_lays_tokens_in_order_on_the_inferred_grid():
+    config = small_config(depth=1)
+    params = init_params(config)
+    rng = np.random.default_rng(5)
+    for n in range(1, 21):
+        sample = rng.normal(size=(n, 5))
+        mmap = membership_map(config, params, sample, layer=0)
+        capture: list[dict] = []
+        model_forward(config, params, sample[None], capture=capture)
+        assert mmap.grid == infer_grid(n)
+        weights = capture[0]["membership"][0, :, 1:]  # class token dropped
+        assert np.array_equal(mmap.values.reshape(weights.shape), weights)
 
 
 def test_write_membership_artifacts(tmp_path):

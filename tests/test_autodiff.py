@@ -401,6 +401,13 @@ def test_cross_entropy_rejects_bad_shapes():
         ad.cross_entropy_mean(ad.Tensor(np.zeros(4)), np.zeros(4, dtype=int))
 
 
+@pytest.mark.parametrize("label", [-1, 4, 7])
+def test_cross_entropy_rejects_labels_outside_the_classes(label):
+    # without the check -1 would score class 3 and 4 would index past the end
+    with pytest.raises(InvalidInput, match="outside 0..3"):
+        ad.cross_entropy_mean(ad.Tensor(np.zeros((3, 4))), np.array([0, label, 2]))
+
+
 # ---------------------------------------------------------------------------
 # gradient ownership
 # ---------------------------------------------------------------------------

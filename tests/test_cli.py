@@ -261,23 +261,42 @@ def test_train_token_width_mismatch_exits_mismatch(tmp_path, config_path, capsys
     assert "input_dim" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("label", [-1, 2])
-def test_train_labels_outside_the_classes_exit_mismatch(tmp_path, config_path, capsys, label):
+def dataset_with_label(directory, split, label):
+    """A two-class dataset directory whose ``split`` has one sample relabelled ``label``."""
     spec = SyntheticDatasetSpec(
         num_classes=2, ambient_dim=8, subspace_dim=2, tokens_per_sample=6, samples_per_class=4
     )
-    train_ds = generate_synthetic(spec, 0, "train")
-    train_ds.labels[3] = label
-    data_dir = tmp_path / "labels"
-    save_token_dataset(str(data_dir), "train", train_ds)
-    save_token_dataset(str(data_dir), "test", generate_synthetic(spec, 0, "test"))
-    code = main(
-        ["train", "--config", config_path, "--data", str(data_dir), "--out", str(tmp_path / "o")]
-    )
+    for name in ("train", "test"):
+        ds = generate_synthetic(spec, 0, name)
+        if name == split:
+            ds.labels[3] = label
+        save_token_dataset(str(directory), name, ds)
+    return str(directory)
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+@pytest.mark.parametrize("split", ["train", "test"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_train_labels_outside_the_classes_exit_mismatch(
+    tmp_path, config_path, capsys, monkeypatch, command, split, label
+):
+    # Unchecked, a test label of -1 scores the last class and 2 indexes past
+    # the end, both at the first evaluation, after an epoch of training.
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on a dataset the model cannot score")
+
+    monkeypatch.setattr("dmst.cli.train", no_training)
+    data_dir = dataset_with_label(tmp_path / "labels", split, label)
+    argv = {
+        "train": ["train", "--out", str(tmp_path / "o")],
+        "ablate": ["ablate", "--axis", "head", "--activation", "st",
+                   "--results", str(tmp_path / "r.csv")],
+    }[command]
+    code = main(argv + ["--config", config_path, "--data", data_dir])
     err = capsys.readouterr().err
     assert code == EXIT_MISMATCH
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "labels" in err
+    assert f"labels span {min(label, 0)}..{max(label, 1)}" in err
 
 
 def test_train_divergence_exits_mismatch(tmp_path, capsys):
@@ -397,6 +416,25 @@ def test_rates_rejects_bad_checkpoint_config_in_one_line(run_dir, tmp_path, caps
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "invalid config" in err
+
+
+@pytest.mark.parametrize("key", ["patch_size", "image_size", "channels"])
+def test_removed_image_keys_exit_usage_in_one_line(run_dir, tmp_path, capsys, key):
+    # a checkpoint header and a config file naming a key of the removed image path
+    bad = tmp_path / "bad.dmst"
+    rewrite_config(run_dir / "checkpoint.dmst", bad, **{key: 4})
+    conf = tmp_path / "image.conf"
+    conf.write_text(config_text(**{key: "4"}))
+    runs = [
+        ["rates", "--checkpoint", str(bad), "--csv", str(tmp_path / "r.csv")],
+        ["train", "--config", str(conf), "--out", str(tmp_path / "o"), "--epochs", "0"],
+    ]
+    for argv in runs:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
 
 
 # The run_dir checkpoint is depth 1, dim 16, input_dim 8: its first tensor is
@@ -522,7 +560,7 @@ def test_membership_writes_maps(run_dir, tmp_path, capsys):
     )
     assert code == EXIT_OK
     image = read_pgm(str(out / "head_00.pgm"))
-    assert image.shape == (2, 3)  # six patch tokens on a near-square grid
+    assert image.shape == (2, 3)  # six tokens on a near-square grid
     assert (out / "head_01.pgm").exists()
     assert (out / "membership.json").exists()
 

@@ -109,9 +109,9 @@ def test_train_options_from_values():
 def test_schema_keys_types_and_order_are_pinned():
     model = [
         ("depth", int), ("dim", int), ("heads", int), ("mlp_ratio", float),
-        ("patch_size", int), ("image_size", int), ("channels", int), ("num_classes", int),
-        ("input_dim", int), ("attention", str), ("sparsity_axis", str), ("topk", int),
-        ("activation", str), ("use_rope", bool), ("max_tokens", int), ("seed", int),
+        ("num_classes", int), ("input_dim", int), ("attention", str), ("sparsity_axis", str),
+        ("topk", int), ("activation", str), ("use_rope", bool), ("max_tokens", int),
+        ("seed", int),
     ]
     data = [
         ("data_classes", int), ("data_ambient_dim", int), ("data_subspace_dim", int),

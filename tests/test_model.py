@@ -19,7 +19,6 @@ from dmst.model import (
     model_forward,
     model_loss,
     param_count,
-    patchify,
     predict,
 )
 from dmst.sparsify import ActivationKind
@@ -58,6 +57,14 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("key", ["patch_size", "image_size", "channels"])
+def test_config_from_dict_rejects_the_image_keys(key):
+    # the model takes tokens only; its image keys are gone, not ignored
+    raw = config_to_dict(ModelConfig()) | {key: 4}
+    with pytest.raises(InvalidInput, match=key):
+        config_from_dict(raw)
+
+
 def test_config_validation():
     with pytest.raises(InvalidInput):
         ModelConfig(depth=-1)
@@ -73,8 +80,6 @@ def test_config_validation():
         ModelConfig(topk=0)
     with pytest.raises(InvalidInput):
         ModelConfig(mlp_ratio=0.0)
-    with pytest.raises(InvalidInput):
-        ModelConfig(image_size=10, patch_size=4)
 
 
 @pytest.mark.parametrize(
@@ -82,8 +87,8 @@ def test_config_validation():
     [
         {"depth": 1.0}, {"topk": True}, {"seed": -1}, {"use_rope": "no"}, {"dim": 2**64},
         {"mlp_ratio": float("nan")}, {"mlp_ratio": float("inf")}, {"mlp_ratio": 0.001},
-        {"mlp_ratio": 1e308}, {"patch_size": 0}, {"image_size": 0}, {"channels": 0},
-        {"num_classes": 0}, {"input_dim": -1}, {"max_tokens": 1}, {"activation": "tanh"},
+        {"mlp_ratio": 1e308}, {"num_classes": 0}, {"input_dim": -1}, {"max_tokens": 1},
+        {"activation": "tanh"},
     ],
     ids=repr,
 )
@@ -138,27 +143,6 @@ def test_param_count_equals_the_initialized_sizes(attention, depth):
         depth=depth, dim=12, heads=3, mlp_ratio=1.5, input_dim=7, num_classes=5, attention=attention
     )
     assert param_count(config) == sum(p.data.size for p in init_params(config).values())
-
-
-# ---------------------------------------------------------------------------
-# patchify
-# ---------------------------------------------------------------------------
-
-
-def test_patchify_known_layout():
-    image = np.arange(16.0).reshape(1, 4, 4, 1)
-    tokens = patchify(image, 2)
-    expected = np.array(
-        [[[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]], dtype=np.float64
-    )
-    assert np.array_equal(tokens, expected)
-
-
-def test_patchify_rejects_bad_shapes():
-    with pytest.raises(InvalidInput):
-        patchify(np.zeros((4, 4, 1)), 2)
-    with pytest.raises(InvalidInput):
-        patchify(np.zeros((1, 5, 5, 1)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +204,8 @@ def test_forward_input_validation():
     params = init_params(config)
     with pytest.raises(InvalidInput):
         model_forward(config, params, np.zeros((2, 4)))  # missing batch axis
+    with pytest.raises(InvalidInput, match="ndim=4"):
+        model_forward(config, params, np.zeros((2, 4, 4, 5)))  # images are not tokens
     with pytest.raises(InvalidInput):
         model_forward(config, params, np.zeros((2, 4, 7)))  # wrong feature size
     bad = np.zeros((2, 4, 5))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmst.data import SyntheticDatasetSpec, generate_synthetic
-from dmst.errors import NumericalFault
+from dmst.errors import InvalidInput, NumericalFault
 from dmst.model import ModelConfig, init_params, model_forward
 from dmst.train import (
     METRICS_HEADER,
@@ -97,6 +97,15 @@ def test_non_finite_gradient_stops_training_before_any_update(monkeypatch):
         train(CONFIG, train_ds, None, epochs=1, seed=0)
     for name, p in init_params(CONFIG).items():
         assert np.array_equal(params[name].data, p.data), name
+
+
+@pytest.mark.parametrize("label", [-1, 7])
+def test_test_label_outside_the_classes_raises_invalid_input(label):
+    # -1 would score the last class and 7 would index past the end
+    train_ds, test_ds = datasets()
+    test_ds.labels[0] = label
+    with pytest.raises(InvalidInput, match="outside 0..1"):
+        train(CONFIG, train_ds, test_ds, epochs=1, seed=0)
 
 
 def test_evaluate_matches_direct_forward():
