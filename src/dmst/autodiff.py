@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .attention import RopeTable, rotate_pairs
-from .errors import InvalidInput
+from .errors import InvalidInput, NumericalFault
 from .functional import normal_cdf, normal_pdf
 from .functional import sigmoid as _sigmoid_fwd
 from .functional import softmax as _softmax_fwd
@@ -425,11 +425,18 @@ def layer_norm(x, scale, shift, eps: float) -> Tensor:
     With ``xhat = (x - mean) * inv`` and ``inv = (var + eps)^-1/2``, the
     input adjoint is ``inv * (gx - mean(gx) - xhat * mean(gx * xhat))`` for
     ``gx = g * scale``, all means over the last axis.
+
+    A finite entry above about 1e154 overflows its token's variance, which
+    would make ``inv`` zero and the output ``shift``; that, and a non-finite
+    entry, raise ``NumericalFault`` instead.
     """
     x, scale, shift = as_tensor(x), as_tensor(scale), as_tensor(shift)
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    out = np.multiply(xhat, xhat)
-    inv = (out.mean(axis=-1, keepdims=True) + eps) ** -0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+        out = np.multiply(xhat, xhat)
+        inv = (out.mean(axis=-1, keepdims=True) + eps) ** -0.5
+    if not np.all(inv > 0):
+        raise NumericalFault("LayerNorm variance overflows")
     xhat *= inv
     np.multiply(xhat, scale.data, out=out)
     out += shift.data

@@ -3,8 +3,10 @@
 Subcommands: ``train``, ``verify``, ``rates``, ``membership``, ``profile``,
 ``ablate``. Exit codes: 0 on success, 1 when a verify suite fails, 2 for
 configuration or usage errors, 3 for numerical divergence or a checkpoint,
-config, or data mismatch. The seed resolves in order: ``--seed`` flag, the
-``DMST_SEED`` environment variable, the ``seed`` config key, then 0.
+config, or data mismatch. The library decides what a data mismatch is
+(:meth:`dmst.data.TokenDataset.check_fits`); the CLI only maps it to exit
+3. The seed resolves in order: ``--seed`` flag, the ``DMST_SEED``
+environment variable, the ``seed`` config key, then 0.
 """
 
 from __future__ import annotations
@@ -108,20 +110,6 @@ def _load_eval_dataset(source: str, config: ModelConfig, seed: int) -> TokenData
     return load_token_dataset(directory or ".", name[: -len(".npz")])
 
 
-def _check_data_matches(config: ModelConfig, ds: TokenDataset) -> None:
-    """Mismatches raise ``InvalidInput``; callers map them to exit code 3."""
-    if ds.tokens.shape[2] != config.input_dim:
-        raise InvalidInput(
-            f"dataset token width {ds.tokens.shape[2]} does not match "
-            f"model input_dim {config.input_dim}"
-        )
-    if ds.labels.size and not 0 <= ds.labels.min() <= ds.labels.max() < config.num_classes:
-        raise InvalidInput(
-            f"dataset labels span {int(ds.labels.min())}..{int(ds.labels.max())} but the "
-            f"model has {config.num_classes} classes, labels 0..{config.num_classes - 1}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -133,13 +121,15 @@ def _train_from_args(
     results: str | None = None,
     **overrides,
 ) -> int | tuple[ModelConfig, TrainResult, int, int]:
-    """Config, seed, datasets, data check and training shared by ``train`` and ``ablate``.
+    """Config, seed, datasets and training shared by ``train`` and ``ablate``.
 
     ``overrides`` replace config keys. The resolved seed is the model's
     seed too, so it sets the initial weights. The ``out_dir`` directory and
     the ``results`` file are created before training, so an unwritable one
-    costs no training. Returns ``(config, result, epochs, seed)``, or the
-    exit code of the error it printed.
+    costs no training. :func:`train` checks both splits against the model
+    before it trains; a split it rejects, like a divergence, exits 3.
+    Returns ``(config, result, epochs, seed)``, or the exit code of the
+    error it printed.
     """
     try:
         values = load_config(args.config) if args.config else {}
@@ -164,8 +154,6 @@ def _train_from_args(
     except OSError as exc:
         return _cannot_write(out_dir or results, exc)
     try:
-        _check_data_matches(config, train_ds)
-        _check_data_matches(config, test_ds)
         result = train(config, train_ds, test_ds, epochs=epochs, seed=seed, options=options)
     except (InvalidInput, NumericalFault) as exc:
         return _fail(EXIT_MISMATCH, str(exc))
@@ -224,7 +212,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
     except (InvalidInput, FormatError) as exc:
         return _fail(EXIT_USAGE, str(exc))
     try:
-        _check_data_matches(config, ds)
+        ds.check_fits(config.input_dim, config.num_classes, "evaluated")
         params = {name: ad.Tensor(value) for name, value in raw_params.items()}
         curve = layer_rate_curve(config, params, ds.tokens, max_samples=args.samples)
     except (InvalidInput, NumericalFault) as exc:

@@ -80,11 +80,15 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str) -> dict:
-    """Read and parse a config file; a missing file names the path."""
+    """Read and parse a config file; a missing or non-UTF-8 file names the path."""
     if not os.path.isfile(path):
         raise InvalidInput(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise InvalidInput(f"config file {path} is not UTF-8 text") from None
+    return parse_config_text(text)
 
 
 def build_section(cls: type, values: dict):

@@ -63,6 +63,30 @@ class TokenDataset:
     def size(self) -> int:
         return self.tokens.shape[0]
 
+    def check_fits(self, input_dim: int, num_classes: int, split: str) -> None:
+        """Raise ``InvalidInput`` naming ``split`` unless a model of this shape can score it.
+
+        The split needs a sample, tokens ``input_dim`` wide and one label per
+        sample in ``[0, num_classes)``: unchecked, a label of -1 would score
+        the last class and one of ``num_classes`` would index past the logits.
+        """
+        if self.size == 0:
+            raise InvalidInput(f"{split} split holds no samples")
+        if self.labels.shape != (self.size,):
+            raise InvalidInput(
+                f"{split} split has labels of shape {self.labels.shape} for {self.size} samples"
+            )
+        width = self.tokens.shape[-1]
+        if width != input_dim:
+            raise InvalidInput(
+                f"{split} split token width {width} does not match model input_dim {input_dim}"
+            )
+        lo, hi = int(self.labels.min()), int(self.labels.max())
+        if lo < 0 or hi >= num_classes:
+            raise InvalidInput(
+                f"{split} split labels span {lo}..{hi}, outside 0..{num_classes - 1}"
+            )
+
 
 def generate_synthetic(spec: SyntheticDatasetSpec, seed: int, split: str = "train") -> TokenDataset:
     """Draw a dataset deterministically from ``(seed, split)``.

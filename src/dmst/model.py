@@ -195,8 +195,14 @@ def param_count(config: ModelConfig) -> int:
     return outer + config.depth * (with_block - outer)
 
 
-def _layer_norm(x: ad.Tensor, scale: ad.Tensor, shift: ad.Tensor, eps: float = 1e-6) -> ad.Tensor:
-    return ad.layer_norm(x, scale, shift, eps)
+def _layer_norm(
+    x: ad.Tensor, scale: ad.Tensor, shift: ad.Tensor, name: str = "norm", eps: float = 1e-6
+) -> ad.Tensor:
+    """LayerNorm ``name`` (``norm`` is the final one); an overflow names it."""
+    try:
+        return ad.layer_norm(x, scale, shift, eps)
+    except NumericalFault as exc:
+        raise NumericalFault(f"{name}: {exc}") from None
 
 
 def sparsify_scores(scores: ad.Tensor, config: ModelConfig, *, gate: bool) -> ad.Tensor:
@@ -321,7 +327,8 @@ def _attention_sublayer(
     capture: dict | None,
 ) -> ad.Tensor:
     """Block ``prefix``'s attention sublayer on its pre-norm of the residual stream ``x``."""
-    normed = _layer_norm(x, p[f"{prefix}.norm1.scale"], p[f"{prefix}.norm1.shift"])
+    norm = f"{prefix}.norm1"
+    normed = _layer_norm(x, p[f"{norm}.scale"], p[f"{norm}.shift"], norm)
     if config.attention is AttentionKind.DMSA:
         return _dmsa_attention(normed, config, p, f"{prefix}.attn", rope, capture)
     return _tssa_attention(normed, config, p, f"{prefix}.attn", capture)
@@ -334,7 +341,8 @@ def _mlp_sublayer(x: ad.Tensor, p: dict[str, ad.Tensor], prefix: str) -> ad.Tens
     read it, and :func:`ad.linear_gelu` runs GELU in place, so the hidden
     activation is the only array of its size.
     """
-    normed = _layer_norm(x, p[f"{prefix}.norm2.scale"], p[f"{prefix}.norm2.shift"])
+    norm = f"{prefix}.norm2"
+    normed = _layer_norm(x, p[f"{norm}.scale"], p[f"{norm}.shift"], norm)
     hidden = ad.linear_gelu(normed, p[f"{prefix}.mlp.fc1.weight"], p[f"{prefix}.mlp.fc1.bias"])
     del normed
     return ad.linear(hidden, p[f"{prefix}.mlp.fc2.weight"], p[f"{prefix}.mlp.fc2.bias"])
@@ -374,8 +382,8 @@ def model_forward(
         )
     if not np.all(np.isfinite(inputs)):
         raise InvalidInput("inputs contain non-finite entries")
-    # Finite entries whose squares overflow make LayerNorm's variance
-    # infinite, and the forward would go on with every token normed to zero.
+    # Finite entries whose squares overflow are bad inputs: reject them here,
+    # before the stream carries them to a LayerNorm whose variance overflows.
     if not np.all(np.isfinite(np.einsum("...i,...i->...", inputs, inputs))):
         raise InvalidInput("inputs contain a token whose squared norm overflows")
     B, n, _ = inputs.shape

@@ -69,7 +69,13 @@ def evaluate(
     ds: TokenDataset,
     batch: int = 256,
 ) -> tuple[float, float]:
-    """Mean loss and accuracy over a dataset, without building gradients."""
+    """Mean loss and accuracy over a dataset, without building gradients.
+
+    A dataset the model cannot score (see :meth:`TokenDataset.check_fits`)
+    and a ``batch`` below 1 raise ``InvalidInput`` before any forward.
+    """
+    ds.check_fits(config.input_dim, config.num_classes, "evaluated")
+    check_int("batch", batch, 1)
     detached = detach_params(params)
     total_loss = 0.0
     correct = 0
@@ -98,7 +104,13 @@ def train(
     Metric rows are ``(epoch, split, loss, accuracy)`` with the train row
     measuring the running minibatch average of that epoch. Epoch zero rows
     are not emitted; ``epochs=0`` returns the untouched initialization.
+    Both splits are checked against the model first, so a split it cannot
+    score (see :meth:`TokenDataset.check_fits`) raises ``InvalidInput``
+    naming the split before any parameter is initialized.
     """
+    train_ds.check_fits(config.input_dim, config.num_classes, "train")
+    if test_ds is not None:
+        test_ds.check_fits(config.input_dim, config.num_classes, "test")
     options = options or TrainOptions()
     params = init_params(config)
     state = OptimState(lr=options.lr, weight_decay=options.weight_decay)

@@ -1,5 +1,6 @@
 import json
 import struct
+import sys
 import time
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from dmst.analysis import PROFILE_MAX_TOKENS, read_pgm
-from dmst.checkpoint import load_checkpoint
+from dmst.checkpoint import load_checkpoint, save_checkpoint
 from dmst.config import SCHEMA
 from dmst.cli import (
     ABLATE_HEADER,
@@ -222,6 +223,21 @@ def test_train_missing_config_exits_usage(tmp_path, capsys):
     assert "nope.conf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_config_that_is_not_utf8_exits_usage_in_one_line(tmp_path, capsys, command):
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"depth = 2\n\xff\xfe = 3\n")
+    argv = {
+        "train": ["train", "--out", str(tmp_path / "o")],
+        "ablate": ["ablate", "--axis", "head", "--activation", "st",
+                   "--results", str(tmp_path / "r.csv")],
+    }[command]
+    code = main(argv + ["--config", str(conf)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: config file {conf} is not UTF-8 text\n"
+    assert not (tmp_path / "o").exists() and not (tmp_path / "r.csv").exists()
+
+
 def test_train_from_dataset_directory(tmp_path, config_path):
     spec = SyntheticDatasetSpec(
         num_classes=2, ambient_dim=8, subspace_dim=2, tokens_per_sample=6, samples_per_class=16
@@ -285,7 +301,8 @@ def test_train_labels_outside_the_classes_exit_mismatch(
     def no_training(*args, **kwargs):
         raise AssertionError("trained on a dataset the model cannot score")
 
-    monkeypatch.setattr("dmst.cli.train", no_training)
+    # "dmst.train" as a dotted string names the function the package re-exports
+    monkeypatch.setattr(sys.modules["dmst.train"], "init_params", no_training)
     data_dir = dataset_with_label(tmp_path / "labels", split, label)
     argv = {
         "train": ["train", "--out", str(tmp_path / "o")],
@@ -911,3 +928,20 @@ def test_huge_finite_inputs_exit_like_non_finite_ones(
     err = capsys.readouterr().err
     assert err == "error: inputs contain a token whose squared norm overflows\n"
     assert not (tmp_path / "maps").exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_stream_overflowing_layer_norm_exits_mismatch_in_one_line(run_dir, tmp_path, capsys):
+    # every token's squared norm is finite, but the scaled embedding carries
+    # the stream past ~1e154, where LayerNorm's variance overflows; unchecked,
+    # every token would be normed to the shift and the maps would read 0.5
+    config, params = load_checkpoint(str(run_dir / "checkpoint.dmst"))
+    params["embed.weight"] = params["embed.weight"] * 1e4
+    checkpoint = tmp_path / "scaled.dmst"
+    save_checkpoint(str(checkpoint), config, params)
+    sample = tmp_path / "s.npy"
+    np.save(sample, np.full((6, config.input_dim), 1e152))
+    code = main(["membership", "--checkpoint", str(checkpoint), "--input", str(sample),
+                 "--layer", "0", "--out", str(tmp_path / "maps")])
+    assert code == EXIT_MISMATCH
+    assert capsys.readouterr().err == "error: blocks.0.norm1: LayerNorm variance overflows\n"
+    assert not (tmp_path / "maps").exists()

@@ -74,6 +74,13 @@ def test_load_config_missing_file_names_path(tmp_path):
         load_config(missing)
 
 
+def test_load_config_not_utf8_names_path(tmp_path):
+    path = tmp_path / "latin1.conf"
+    path.write_bytes("depth = 2\n# caf\xe9\n".encode("latin-1"))
+    with pytest.raises(InvalidInput, match=r"latin1\.conf is not UTF-8 text$"):
+        load_config(str(path))
+
+
 def test_model_config_from_values():
     config = build_section(ModelConfig, parse_config_text(SAMPLE))
     assert config.depth == 2

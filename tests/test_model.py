@@ -225,6 +225,25 @@ def test_forward_input_validation():
     assert np.all(np.isfinite(model_forward(config, params, np.full((2, 4, 5), 1e100)).data))
 
 
+@pytest.mark.parametrize("depth,param,norm", [
+    (0, "cls_token", "norm"),
+    (1, "embed.weight", "blocks.0.norm1"),
+    (1, "blocks.0.attn.out_proj", "blocks.0.norm2"),
+])
+def test_stream_overflowing_a_layer_norm_raises_naming_it(depth, param, norm):
+    # finite inputs, but the scaled parameter carries the residual stream past
+    # ~1e154, where the norm's variance overflows: unchecked, every token
+    # would come out as the norm's shift
+    config = small_config(depth=depth)
+    params = init_params(config)
+    params[param].data *= 1e160
+    x = np.random.default_rng(4).normal(size=(2, 4, config.input_dim))
+    with pytest.raises(NumericalFault, match=rf"^{norm}: LayerNorm variance overflows$"):
+        model_forward(config, params, x)
+    with pytest.raises(NumericalFault, match=rf"^{norm}: LayerNorm variance overflows$"):
+        model_backward(config, params, x, np.array([0, 1]))
+
+
 def test_predict_peak_memory_is_a_few_hidden_activations():
     # a no-grad forward frees each activation at its last use: no graph holds
     # them, and the MLP's GELU runs in place on its projection's output

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import numpy as np
@@ -106,6 +107,53 @@ def test_test_label_outside_the_classes_raises_invalid_input(label):
     test_ds.labels[0] = label
     with pytest.raises(InvalidInput, match="outside 0..1"):
         train(CONFIG, train_ds, test_ds, epochs=1, seed=0)
+
+
+def broken(ds, fault):
+    """``ds`` with one defect a model of ``CONFIG`` cannot score."""
+    if fault == "empty":
+        return dataclasses.replace(ds, tokens=ds.tokens[:0], labels=ds.labels[:0])
+    if fault == "width":
+        return dataclasses.replace(ds, tokens=ds.tokens[:, :, :5])
+    if fault == "no labels":
+        return dataclasses.replace(ds, labels=ds.labels[:0])
+    labels = ds.labels.copy()
+    labels[3] = {"label -1": -1, "label 2": 2}[fault]
+    return dataclasses.replace(ds, labels=labels)
+
+
+FAULTS = {
+    "empty": "holds no samples",
+    "width": "token width 5 does not match model input_dim 8",
+    "no labels": r"has labels of shape \(0,\) for 32 samples",
+    "label -1": r"labels span -1\.\.1, outside 0\.\.1",
+    "label 2": r"labels span 0\.\.2, outside 0\.\.1",
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_train_checks_both_splits_before_initializing(monkeypatch, split, fault):
+    def no_init(config):
+        raise AssertionError("initialized a model for a split it cannot score")
+
+    monkeypatch.setattr(importlib.import_module("dmst.train"), "init_params", no_init)
+    splits = dict(zip(("train", "test"), datasets()))
+    splits[split] = broken(splits[split], fault)
+    with pytest.raises(InvalidInput, match=f"^{split} split {FAULTS[fault]}$"):
+        train(CONFIG, splits["train"], splits["test"], epochs=0, seed=0)
+
+
+@pytest.mark.parametrize("fault", [*FAULTS, "batch 0"])
+def test_evaluate_rejects_what_it_cannot_score(fault):
+    train_ds, _ = datasets()
+    params = init_params(CONFIG)
+    if fault == "batch 0":
+        with pytest.raises(InvalidInput, match="^batch must be an integer from 1"):
+            evaluate(CONFIG, params, train_ds, batch=0)
+    else:
+        with pytest.raises(InvalidInput, match=f"^evaluated split {FAULTS[fault]}$"):
+            evaluate(CONFIG, params, broken(train_ds, fault))
 
 
 def test_evaluate_matches_direct_forward():
