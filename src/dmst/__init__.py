@@ -36,7 +36,7 @@ from .coding_rate import (
 )
 from .config import load_config, parse_config_text
 from .data import SyntheticDatasetSpec, TokenDataset, generate_synthetic
-from .errors import DmstError, FormatError, InvalidInput, NotPSD, NumericalFault
+from .errors import DataMismatch, DmstError, FormatError, InvalidInput, NotPSD, NumericalFault
 from .model import ModelConfig, init_params, model_forward, predict
 from .sparsify import (
     ActivationKind,
@@ -54,6 +54,7 @@ __all__ = [
     "AttentionKind",
     "Check",
     "CodingRateConfig",
+    "DataMismatch",
     "DmstError",
     "FormatError",
     "GatedChannelParams",

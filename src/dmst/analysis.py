@@ -35,7 +35,7 @@ from .attention import (
     rope_precompute,
 )
 from .coding_rate import CodingRateConfig, Membership, SubspaceBank, rate_variational_decoupled
-from .errors import FormatError, InvalidInput
+from .errors import DataMismatch, FormatError, InvalidInput
 from .memcount import count_floats
 from .model import (
     MAX_PARAMS,
@@ -143,7 +143,7 @@ def layer_rate_curve(
     if tokens.shape[0] == 0:
         raise InvalidInput("rate curve needs at least one sample")
     if config.depth == 0:
-        raise InvalidInput("rate curve needs at least one block")
+        raise DataMismatch("rate curve needs at least one block")
     detached = detach_params(params)
     rope = rope_precompute(tokens.shape[1] + 1, config.dim) if config.use_rope else None
     totals = np.zeros(config.depth)

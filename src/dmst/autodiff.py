@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .attention import RopeTable, rotate_pairs
-from .errors import InvalidInput, NumericalFault
+from .errors import DataMismatch, InvalidInput, NumericalFault
 from .functional import normal_cdf, normal_pdf
 from .functional import sigmoid as _sigmoid_fwd
 from .functional import softmax as _softmax_fwd
@@ -540,7 +540,7 @@ def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of ``(B, C)`` logits against integer labels.
 
     The adjoint is the classic ``(softmax - onehot) / B`` scaled by the
-    incoming gradient. Labels outside ``[0, C)`` raise ``InvalidInput``;
+    incoming gradient. Labels outside ``[0, C)`` raise ``DataMismatch``;
     numpy would read a negative one as a class counted from the end.
     """
     logits = as_tensor(logits)
@@ -549,7 +549,7 @@ def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise InvalidInput("cross_entropy_mean expects (B, C) logits and (B,) labels")
     B, C = logits.shape
     if B and not 0 <= labels.min() <= labels.max() < C:
-        raise InvalidInput(f"labels span {labels.min()}..{labels.max()}, outside 0..{C - 1}")
+        raise DataMismatch(f"labels span {labels.min()}..{labels.max()}, outside 0..{C - 1}")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - lse

@@ -1,11 +1,19 @@
 """Command-line interface.
 
 Subcommands: ``train``, ``verify``, ``rates``, ``membership``, ``profile``,
-``ablate``. Exit codes: 0 on success, 1 when a verify suite fails, 2 for
-configuration or usage errors, 3 for numerical divergence or a checkpoint,
-config, or data mismatch. The library decides what a data mismatch is
-(:meth:`dmst.data.TokenDataset.check_fits`); the CLI only maps it to exit
-3. The seed resolves in order: ``--seed`` flag, the ``DMST_SEED``
+``ablate``. Exit codes: 0 on success, 1 when a verify suite fails. Any other
+exit is decided once, in :func:`main`, by the type of the error that ended
+the subcommand, and prints one ``error:`` line; no subcommand catches one.
+
+- 2: ``InvalidInput`` or ``FormatError``, a bad argument, config file,
+  data file or checkpoint; or an ``OSError``, an output that cannot be
+  written.
+- 3: ``DataMismatch``, well-formed data the model cannot take (see
+  :meth:`dmst.data.TokenDataset.check_fits` and
+  :func:`dmst.model.model_forward`); ``NumericalFault`` and any other
+  ``DmstError``.
+
+The seed resolves in order: ``--seed`` flag, the ``DMST_SEED``
 environment variable, the ``seed`` config key, then 0.
 """
 
@@ -35,7 +43,7 @@ from .data import (
     load_array_file,
     load_token_dataset,
 )
-from .errors import DmstError, FormatError, InvalidInput, NumericalFault
+from .errors import DataMismatch, DmstError, FormatError, InvalidInput
 from .model import ModelConfig
 from .sparsify import SPARSITY_AXES, ActivationKind
 from .train import TrainOptions, TrainResult, train, write_metrics
@@ -54,10 +62,6 @@ ABLATE_HEADER = "axis,activation,epochs,seed,train_loss,test_accuracy"
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _cannot_write(path: str, exc: OSError) -> int:
-    return _fail(EXIT_USAGE, f"cannot write {exc.filename or path}: {exc.strerror or exc}")
 
 
 def resolve_seed(flag: int | None, config_values: dict | None = None) -> int:
@@ -120,60 +124,42 @@ def _train_from_args(
     out_dir: str | None = None,
     results: str | None = None,
     **overrides,
-) -> int | tuple[ModelConfig, TrainResult, int, int]:
+) -> tuple[ModelConfig, TrainResult, int, int]:
     """Config, seed, datasets and training shared by ``train`` and ``ablate``.
 
     ``overrides`` replace config keys. The resolved seed is the model's
     seed too, so it sets the initial weights. The ``out_dir`` directory and
     the ``results`` file are created before training, so an unwritable one
     costs no training. :func:`train` checks both splits against the model
-    before it trains; a split it rejects, like a divergence, exits 3.
-    Returns ``(config, result, epochs, seed)``, or the exit code of the
-    error it printed.
+    before it trains. Returns ``(config, result, epochs, seed)``; an error
+    propagates to :func:`main`, whose type decides the exit code.
     """
-    try:
-        values = load_config(args.config) if args.config else {}
-        values.update(overrides)
-        seed = resolve_seed(args.seed, values)
-        config = build_section(ModelConfig, {**values, "seed": seed})
-        spec = build_section(SyntheticDatasetSpec, values)
-        options = build_section(TrainOptions, values)
-        epochs = args.epochs if args.epochs is not None else values.get("epochs", 10)
-        if epochs < 0:
-            raise InvalidInput(f"epochs must be nonnegative, got {epochs}")
-    except (InvalidInput, FormatError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        train_ds, test_ds = _load_train_datasets(args.data, spec, seed)
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-        if results is not None:
-            open(results, "a", encoding="utf-8").close()
-    except FormatError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except OSError as exc:
-        return _cannot_write(out_dir or results, exc)
-    try:
-        result = train(config, train_ds, test_ds, epochs=epochs, seed=seed, options=options)
-    except (InvalidInput, NumericalFault) as exc:
-        return _fail(EXIT_MISMATCH, str(exc))
+    values = load_config(args.config) if args.config else {}
+    values.update(overrides)
+    seed = resolve_seed(args.seed, values)
+    config = build_section(ModelConfig, {**values, "seed": seed})
+    spec = build_section(SyntheticDatasetSpec, values)
+    options = build_section(TrainOptions, values)
+    epochs = args.epochs if args.epochs is not None else values.get("epochs", 10)
+    if epochs < 0:
+        raise InvalidInput(f"epochs must be nonnegative, got {epochs}")
+    train_ds, test_ds = _load_train_datasets(args.data, spec, seed)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    if results is not None:
+        open(results, "a", encoding="utf-8").close()
+    result = train(config, train_ds, test_ds, epochs=epochs, seed=seed, options=options)
     return config, result, epochs, seed
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    run = _train_from_args(args, out_dir=args.out)
-    if isinstance(run, int):
-        return run
-    config, result, epochs, _ = run
-    try:
-        write_metrics(os.path.join(args.out, "metrics.csv"), result.metrics)
-        save_checkpoint(
-            os.path.join(args.out, "checkpoint.dmst"),
-            config,
-            {name: p.data for name, p in result.params.items()},
-        )
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
+    config, result, epochs, _ = _train_from_args(args, out_dir=args.out)
+    write_metrics(os.path.join(args.out, "metrics.csv"), result.metrics)
+    save_checkpoint(
+        os.path.join(args.out, "checkpoint.dmst"),
+        config,
+        {name: p.data for name, p in result.params.items()},
+    )
     if result.final_test_accuracy is not None:
         print(f"test accuracy {result.final_test_accuracy:.4f} after {epochs} epochs")
     print(f"wrote {os.path.join(args.out, 'metrics.csv')}")
@@ -181,16 +167,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        checks = run_suite(args.suite, seed=resolve_seed(args.seed))
-    except InvalidInput as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    checks = run_suite(args.suite, seed=resolve_seed(args.seed))
     for check in checks:
         print(check.line())
-    try:
-        failures = write_failure_report(checks, args.report)
-    except OSError as exc:
-        return _cannot_write(args.report, exc)
+    failures = write_failure_report(checks, args.report)
     passed = len(checks) - failures
     print(f"{passed}/{len(checks)} properties passed")
     if failures:
@@ -201,29 +181,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_rates(args: argparse.Namespace) -> int:
     if args.samples < 1:
-        return _fail(EXIT_USAGE, f"--samples must be at least 1, got {args.samples}")
-    try:
-        config, raw_params = load_checkpoint(args.checkpoint)
-    except FormatError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        seed = resolve_seed(args.seed)
-        ds = _load_eval_dataset(args.data, config, seed)
-    except (InvalidInput, FormatError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        ds.check_fits(config.input_dim, config.num_classes, "evaluated")
-        params = {name: ad.Tensor(value) for name, value in raw_params.items()}
-        curve = layer_rate_curve(config, params, ds.tokens, max_samples=args.samples)
-    except (InvalidInput, NumericalFault) as exc:
-        return _fail(EXIT_MISMATCH, str(exc))
-    try:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(RATES_HEADER + "\n")
-            for layer, rate in enumerate(curve.values):
-                fh.write(f"{layer},{rate:.12g}\n")
-    except OSError as exc:
-        return _cannot_write(args.csv, exc)
+        raise InvalidInput(f"--samples must be at least 1, got {args.samples}")
+    config, raw_params = load_checkpoint(args.checkpoint)
+    ds = _load_eval_dataset(args.data, config, resolve_seed(args.seed))
+    ds.check_fits(config.input_dim, config.num_classes, "evaluated")
+    params = {name: ad.Tensor(value) for name, value in raw_params.items()}
+    curve = layer_rate_curve(config, params, ds.tokens, max_samples=args.samples)
+    with open(args.csv, "w", encoding="utf-8") as fh:
+        fh.write(RATES_HEADER + "\n")
+        for layer, rate in enumerate(curve.values):
+            fh.write(f"{layer},{rate:.12g}\n")
     print(f"averaged {curve.samples} samples over {curve.values.size} layers")
     print(f"wrote {args.csv}")
     return EXIT_OK
@@ -253,19 +220,11 @@ def _load_sample(path: str, index: int) -> np.ndarray:
 
 
 def cmd_membership(args: argparse.Namespace) -> int:
-    try:
-        config, raw_params = load_checkpoint(args.checkpoint)
-        sample = _load_sample(args.input, args.index)
-        params = {name: ad.Tensor(value) for name, value in raw_params.items()}
-        mmap = membership_map(config, params, sample, args.layer)
-    except (InvalidInput, FormatError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except NumericalFault as exc:
-        return _fail(EXIT_MISMATCH, str(exc))
-    try:
-        written = write_membership_artifacts(args.out, mmap)
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
+    config, raw_params = load_checkpoint(args.checkpoint)
+    sample = _load_sample(args.input, args.index)
+    params = {name: ad.Tensor(value) for name, value in raw_params.items()}
+    mmap = membership_map(config, params, sample, args.layer)
+    written = write_membership_artifacts(args.out, mmap)
     rows, cols = mmap.grid
     print(f"layer {mmap.layer}: {mmap.values.shape[0]} heads on a {rows}x{cols} grid")
     for path in written:
@@ -277,21 +236,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
     try:
         token_counts = [int(tok) for tok in args.tokens.split(",") if tok.strip()]
     except ValueError:
-        return _fail(EXIT_USAGE, f"--tokens must be comma-separated integers: {args.tokens!r}")
-    try:
-        rows = profile_attention_memory(
-            args.op, token_counts, dim=args.dim, heads=args.heads,
-            seed=resolve_seed(args.seed),
-        )
-    except InvalidInput as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(PROFILE_HEADER + "\n")
-            for op, tokens, peak in rows:
-                fh.write(f"{op},{tokens},{peak}\n")
-    except OSError as exc:
-        return _cannot_write(args.csv, exc)
+        raise InvalidInput(f"--tokens must be comma-separated integers: {args.tokens!r}") from None
+    rows = profile_attention_memory(
+        args.op, token_counts, dim=args.dim, heads=args.heads, seed=resolve_seed(args.seed)
+    )
+    with open(args.csv, "w", encoding="utf-8") as fh:
+        fh.write(PROFILE_HEADER + "\n")
+        for op, tokens, peak in rows:
+            fh.write(f"{op},{tokens},{peak}\n")
     for op, tokens, peak in rows:
         print(f"{op} n={tokens}: {peak} floats")
     print(f"wrote {args.csv}")
@@ -299,26 +251,20 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    run = _train_from_args(
+    _, result, epochs, seed = _train_from_args(
         args, results=args.results, sparsity_axis=args.axis, activation=args.activation
     )
-    if isinstance(run, int):
-        return run
-    _, result, epochs, seed = run
     train_rows = [r for r in result.metrics if r[1] == "train"]
     final_loss = train_rows[-1][2] if train_rows else float("nan")
     test_acc = result.final_test_accuracy
     test_acc = test_acc if test_acc is not None else float("nan")
-    try:
-        with open(args.results, "a", encoding="utf-8") as fh:
-            if fh.tell() == 0:
-                fh.write(ABLATE_HEADER + "\n")
-            fh.write(
-                f"{args.axis},{args.activation},{epochs},{seed},"
-                f"{final_loss:.12g},{test_acc:.12g}\n"
-            )
-    except OSError as exc:
-        return _cannot_write(args.results, exc)
+    with open(args.results, "a", encoding="utf-8") as fh:
+        if fh.tell() == 0:
+            fh.write(ABLATE_HEADER + "\n")
+        fh.write(
+            f"{args.axis},{args.activation},{epochs},{seed},"
+            f"{final_loss:.12g},{test_acc:.12g}\n"
+        )
     print(f"{args.axis}/{args.activation}: test accuracy {test_acc:.4f}")
     print(f"appended to {args.results}")
     return EXIT_OK
@@ -394,12 +340,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the type of the error that ends it decides the exit code."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DmstError as exc:
+    except DataMismatch as exc:
         return _fail(EXIT_MISMATCH, str(exc))
+    except (InvalidInput, FormatError) as exc:
+        return _fail(EXIT_USAGE, str(exc))
+    except DmstError as exc:  # NumericalFault, NotPSD and any other library fault
+        return _fail(EXIT_MISMATCH, str(exc))
+    except OSError as exc:
+        # The library reads inputs and raises DmstError when it cannot, so an
+        # OSError that reaches here is an output that cannot be written.
+        where = f" {exc.filename}" if exc.filename is not None else ""
+        return _fail(EXIT_USAGE, f"cannot write{where}: {exc.strerror or exc}")
 
 
 def entry() -> None:

@@ -80,7 +80,7 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str) -> dict:
-    """Read and parse a config file; a missing or non-UTF-8 file names the path."""
+    """Read and parse a config file; a missing, unreadable or non-UTF-8 file names the path."""
     if not os.path.isfile(path):
         raise InvalidInput(f"config file not found: {path}")
     try:
@@ -88,6 +88,8 @@ def load_config(path: str) -> dict:
             text = fh.read()
     except UnicodeDecodeError:
         raise InvalidInput(f"config file {path} is not UTF-8 text") from None
+    except OSError as exc:
+        raise InvalidInput(f"cannot read config file {path}: {exc.strerror or exc}") from None
     return parse_config_text(text)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidInput, check_int, check_real
+from .errors import DataMismatch, FormatError, InvalidInput, check_int, check_real
 from .rng import orthonormal_basis, stream
 
 
@@ -64,26 +64,26 @@ class TokenDataset:
         return self.tokens.shape[0]
 
     def check_fits(self, input_dim: int, num_classes: int, split: str) -> None:
-        """Raise ``InvalidInput`` naming ``split`` unless a model of this shape can score it.
+        """Raise ``DataMismatch`` naming ``split`` unless a model of this shape can score it.
 
         The split needs a sample, tokens ``input_dim`` wide and one label per
         sample in ``[0, num_classes)``: unchecked, a label of -1 would score
         the last class and one of ``num_classes`` would index past the logits.
         """
         if self.size == 0:
-            raise InvalidInput(f"{split} split holds no samples")
+            raise DataMismatch(f"{split} split holds no samples")
         if self.labels.shape != (self.size,):
-            raise InvalidInput(
+            raise DataMismatch(
                 f"{split} split has labels of shape {self.labels.shape} for {self.size} samples"
             )
         width = self.tokens.shape[-1]
         if width != input_dim:
-            raise InvalidInput(
+            raise DataMismatch(
                 f"{split} split token width {width} does not match model input_dim {input_dim}"
             )
         lo, hi = int(self.labels.min()), int(self.labels.max())
         if lo < 0 or hi >= num_classes:
-            raise InvalidInput(
+            raise DataMismatch(
                 f"{split} split labels span {lo}..{hi}, outside 0..{num_classes - 1}"
             )
 

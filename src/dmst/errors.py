@@ -15,6 +15,10 @@ class InvalidInput(DmstError):
     """An argument violates a documented precondition (shape, range, finiteness)."""
 
 
+class DataMismatch(InvalidInput):
+    """Well-formed data that does not fit the model (width, labels, length, finiteness)."""
+
+
 class NotPSD(DmstError):
     """A matrix required to be positive semi-definite has a negative eigenvalue."""
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import AttentionKind, RopeTable, rope_precompute
-from .errors import InvalidInput, NumericalFault, check_int, check_real
+from .errors import DataMismatch, InvalidInput, NumericalFault, check_int, check_real
 from .rng import stream
 from .sparsify import SPARSITY_AXES, ActivationKind
 
@@ -356,6 +356,10 @@ def model_forward(
 ) -> ad.Tensor:
     """Logits for a batch of token sequences ``(B, n, input_dim)``.
 
+    Tokens of another width, with a non-finite entry or a token whose
+    squared norm overflows, or more than ``max_tokens`` of them (class token
+    included) raise ``DataMismatch``.
+
     When ``capture`` is a list,
     one dict per block is appended with the block's membership matrix, its
     head mask on head-gated DMSA blocks, and the token matrix after the
@@ -377,18 +381,18 @@ def model_forward(
     if inputs.ndim != 3:
         raise InvalidInput(f"inputs must be (B, n, input_dim) tokens, got ndim={inputs.ndim}")
     if inputs.shape[2] != config.input_dim:
-        raise InvalidInput(
+        raise DataMismatch(
             f"tokens have feature size {inputs.shape[2]}, config.input_dim is {config.input_dim}"
         )
     if not np.all(np.isfinite(inputs)):
-        raise InvalidInput("inputs contain non-finite entries")
+        raise DataMismatch("inputs contain non-finite entries")
     # Finite entries whose squares overflow are bad inputs: reject them here,
     # before the stream carries them to a LayerNorm whose variance overflows.
     if not np.all(np.isfinite(np.einsum("...i,...i->...", inputs, inputs))):
-        raise InvalidInput("inputs contain a token whose squared norm overflows")
+        raise DataMismatch("inputs contain a token whose squared norm overflows")
     B, n, _ = inputs.shape
     if n + 1 > config.max_tokens:
-        raise InvalidInput(f"{n} tokens exceed max_tokens={config.max_tokens} (class token included)")
+        raise DataMismatch(f"{n} tokens exceed max_tokens={config.max_tokens} (class token included)")
 
     rope = rope_precompute(n + 1, config.dim) if (config.use_rope and config.depth > 0) else None
 

@@ -72,7 +72,8 @@ def evaluate(
     """Mean loss and accuracy over a dataset, without building gradients.
 
     A dataset the model cannot score (see :meth:`TokenDataset.check_fits`)
-    and a ``batch`` below 1 raise ``InvalidInput`` before any forward.
+    raises ``DataMismatch`` and a ``batch`` below 1 ``InvalidInput``, both
+    before any forward.
     """
     ds.check_fits(config.input_dim, config.num_classes, "evaluated")
     check_int("batch", batch, 1)
@@ -105,7 +106,7 @@ def train(
     measuring the running minibatch average of that epoch. Epoch zero rows
     are not emitted; ``epochs=0`` returns the untouched initialization.
     Both splits are checked against the model first, so a split it cannot
-    score (see :meth:`TokenDataset.check_fits`) raises ``InvalidInput``
+    score (see :meth:`TokenDataset.check_fits`) raises ``DataMismatch``
     naming the split before any parameter is initialized.
     """
     train_ds.check_fits(config.input_dim, config.num_classes, "train")

@@ -19,7 +19,7 @@ from dmst.analysis import (
 )
 from dmst.attention import ROPE_BASE, AttentionKind
 from dmst.coding_rate import CodingRateConfig, Membership, SubspaceBank, rate_variational_decoupled
-from dmst.errors import FormatError, InvalidInput
+from dmst.errors import DataMismatch, FormatError, InvalidInput
 from dmst.model import ModelConfig, init_params, model_forward, split_heads, tssa_membership
 from dmst.sparsify import ActivationKind, soft_threshold_matrix
 
@@ -298,7 +298,7 @@ def test_layer_rate_curve_input_validation():
         with pytest.raises(InvalidInput):
             layer_rate_curve(config, params, tokens, **chunking)
     flat = small_config(depth=0)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(DataMismatch, match="at least one block"):
         layer_rate_curve(flat, init_params(flat), np.zeros((2, 4, 5)))
 
 

@@ -9,7 +9,7 @@ from scipy.special import erf
 
 from dmst import autodiff as ad
 from dmst.attention import rope_precompute
-from dmst.errors import InvalidInput
+from dmst.errors import DataMismatch, InvalidInput
 from dmst.model import MEMBERSHIP_EPS, ModelConfig, init_params, model_backward, predict
 from dmst.sparsify import SPARSITY_AXES, ActivationKind, soft_threshold_matrix
 
@@ -404,7 +404,7 @@ def test_cross_entropy_rejects_bad_shapes():
 @pytest.mark.parametrize("label", [-1, 4, 7])
 def test_cross_entropy_rejects_labels_outside_the_classes(label):
     # without the check -1 would score class 3 and 4 would index past the end
-    with pytest.raises(InvalidInput, match="outside 0..3"):
+    with pytest.raises(DataMismatch, match="outside 0..3"):
         ad.cross_entropy_mean(ad.Tensor(np.zeros((3, 4))), np.array([0, label, 2]))
 
 

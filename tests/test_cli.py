@@ -21,7 +21,7 @@ from dmst.cli import (
     resolve_seed,
 )
 from dmst.data import SyntheticDatasetSpec, generate_synthetic, save_token_dataset
-from dmst.errors import InvalidInput
+from dmst.errors import DataMismatch, FormatError, InvalidInput, NotPSD, NumericalFault
 from dmst.model import init_params
 from dmst.train import METRICS_HEADER
 from dmst.verify import Check
@@ -235,6 +235,25 @@ def test_config_that_is_not_utf8_exits_usage_in_one_line(tmp_path, capsys, comma
     code = main(argv + ["--config", str(conf)])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == f"error: config file {conf} is not UTF-8 text\n"
+    assert not (tmp_path / "o").exists() and not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_unreadable_config_exits_usage_in_one_line(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(conf))
+
+    conf = tmp_path / "run.conf"
+    conf.write_text("depth = 1\n")
+    monkeypatch.setattr("dmst.config.open", refuse, raising=False)
+    argv = {
+        "train": ["train", "--out", str(tmp_path / "o")],
+        "ablate": ["ablate", "--axis", "head", "--activation", "st",
+                   "--results", str(tmp_path / "r.csv")],
+    }[command]
+    code = main(argv + ["--config", str(conf)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: cannot read config file {conf}: Permission denied\n"
     assert not (tmp_path / "o").exists() and not (tmp_path / "r.csv").exists()
 
 
@@ -812,6 +831,39 @@ def test_ablate_rejects_unknown_axis(tmp_path, config_path):
 
 
 # ---------------------------------------------------------------------------
+# exit-code policy: the error's type alone decides the exit code
+# ---------------------------------------------------------------------------
+
+EXIT_POLICY = [
+    (InvalidInput("bad argument"), EXIT_USAGE, "bad argument"),
+    (FormatError("bad file"), EXIT_USAGE, "bad file"),
+    (DataMismatch("data does not fit"), EXIT_MISMATCH, "data does not fit"),
+    (NumericalFault("diverged"), EXIT_MISMATCH, "diverged"),
+    (NotPSD("negative eigenvalue"), EXIT_MISMATCH, "negative eigenvalue"),
+    (PermissionError(13, "Permission denied", "out/p.csv"), EXIT_USAGE,
+     "cannot write out/p.csv: Permission denied"),
+    (OSError(28, "No space left on device"), EXIT_USAGE,
+     "cannot write: No space left on device"),
+]
+
+
+@pytest.mark.parametrize(
+    "exc,code,message", EXIT_POLICY,
+    ids=[f"{type(exc).__name__}-{i}" for i, (exc, _, _) in enumerate(EXIT_POLICY)],
+)
+def test_exit_code_is_decided_by_the_error_type(tmp_path, capsys, monkeypatch, exc, code, message):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr("dmst.cli.cmd_profile", fail)
+    argv = ["profile", "--op", "dmsa", "--tokens", "8", "--csv", str(tmp_path / "p.csv")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
 # unwritable output paths
 # ---------------------------------------------------------------------------
 
@@ -895,26 +947,44 @@ def test_profile_rejects_a_huge_dim_before_drawing(tmp_path, capsys, op):
 
 
 # ---------------------------------------------------------------------------
-# finite inputs too large for the model
+# well-formed inputs that do not fit the model
 # ---------------------------------------------------------------------------
 
 HUGE_TOKENS = np.full((4, 6, 8), 1e308)  # finite, but their squares overflow
+NAN_TOKENS = np.where(np.arange(8) == 3, np.nan, np.zeros((4, 6, 8)))
+NARROW_TOKENS = np.zeros((4, 6, 5))  # the checkpoint's input_dim is 8
+LONG_TOKENS = np.zeros((4, 4096, 8))  # 4097 with the class token, over max_tokens
+
+# (tokens, stderr for membership, rates, train); each exits 3 in one line
+UNFIT_INPUTS = {
+    "overflowing": (HUGE_TOKENS, *["inputs contain a token whose squared norm overflows"] * 3),
+    "nan": (NAN_TOKENS, *["inputs contain non-finite entries"] * 3),
+    "narrow": (
+        NARROW_TOKENS,
+        "tokens have feature size 5, config.input_dim is 8",
+        "evaluated split token width 5 does not match model input_dim 8",
+        "train split token width 5 does not match model input_dim 8",
+    ),
+    "too-long": (LONG_TOKENS, *["4096 tokens exceed max_tokens=4096 (class token included)"] * 3),
+}
 
 
+@pytest.mark.parametrize("case", sorted(UNFIT_INPUTS))
 @pytest.mark.parametrize("subcommand,code", [
-    ("membership", EXIT_USAGE),
+    ("membership", EXIT_MISMATCH),
     ("rates", EXIT_MISMATCH),
     ("train", EXIT_MISMATCH),
 ])
 def test_huge_finite_inputs_exit_like_non_finite_ones(
-    run_dir, config_path, tmp_path, capsys, subcommand, code
+    run_dir, config_path, tmp_path, capsys, subcommand, code, case
 ):
+    tokens, *messages = UNFIT_INPUTS[case]
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     labels = np.array([0, 1, 0, 1])
     for split in ("train", "test"):
-        save_npz_bytes(data_dir / f"{split}.npz", tokens=HUGE_TOKENS, labels=labels)
-    np.save(data_dir / "s.npy", HUGE_TOKENS[0])
+        save_npz_bytes(data_dir / f"{split}.npz", tokens=tokens, labels=labels)
+    np.save(data_dir / "s.npy", tokens[0])
     checkpoint = str(run_dir / "checkpoint.dmst")
     argv = {
         "membership": ["membership", "--checkpoint", checkpoint, "--input",
@@ -925,9 +995,10 @@ def test_huge_finite_inputs_exit_like_non_finite_ones(
                   "--out", str(tmp_path / "run")],
     }[subcommand]
     assert main(argv) == code
-    err = capsys.readouterr().err
-    assert err == "error: inputs contain a token whose squared norm overflows\n"
+    message = messages[["membership", "rates", "train"].index(subcommand)]
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "maps").exists() and not (tmp_path / "r.csv").exists()
+    assert not (tmp_path / "run" / "checkpoint.dmst").exists()
 
 
 def test_stream_overflowing_layer_norm_exits_mismatch_in_one_line(run_dir, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from dmst import autodiff as ad
 from dmst.attention import AttentionKind, rope_precompute
-from dmst.errors import InvalidInput, NumericalFault
+from dmst.errors import DataMismatch, InvalidInput, NumericalFault
 from dmst.model import (
     MAX_PARAMS,
     ModelConfig,
@@ -204,23 +204,25 @@ def test_forward_input_validation():
     params = init_params(config)
     with pytest.raises(InvalidInput):
         model_forward(config, params, np.zeros((2, 4)))  # missing batch axis
-    with pytest.raises(InvalidInput, match="ndim=4"):
+    with pytest.raises(InvalidInput, match="ndim=4") as malformed:
         model_forward(config, params, np.zeros((2, 4, 4, 5)))  # images are not tokens
-    with pytest.raises(InvalidInput):
+    assert not isinstance(malformed.value, DataMismatch)
+    # well-formed tokens that do not fit the model
+    with pytest.raises(DataMismatch):
         model_forward(config, params, np.zeros((2, 4, 7)))  # wrong feature size
     bad = np.zeros((2, 4, 5))
     bad[0, 0, 0] = np.inf
-    with pytest.raises(InvalidInput):
+    with pytest.raises(DataMismatch):
         model_forward(config, params, bad)
     tight = small_config(max_tokens=4)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(DataMismatch):
         model_forward(tight, init_params(tight), np.zeros((1, 4, 5)))  # class token overflows
     # finite entries whose squares overflow LayerNorm's variance
-    with pytest.raises(InvalidInput, match="squared norm overflows"):
+    with pytest.raises(DataMismatch, match="squared norm overflows"):
         model_forward(config, params, np.full((2, 4, 5), 1e308))
     bad = np.zeros((2, 4, 5))
     bad[1, 2] = 1e160
-    with pytest.raises(InvalidInput, match="squared norm overflows"):
+    with pytest.raises(DataMismatch, match="squared norm overflows"):
         model_forward(config, params, bad)
     assert np.all(np.isfinite(model_forward(config, params, np.full((2, 4, 5), 1e100)).data))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dmst.data import SyntheticDatasetSpec, generate_synthetic
-from dmst.errors import InvalidInput, NumericalFault
+from dmst.errors import DataMismatch, InvalidInput, NumericalFault
 from dmst.model import ModelConfig, init_params, model_forward
 from dmst.train import (
     METRICS_HEADER,
@@ -140,7 +140,7 @@ def test_train_checks_both_splits_before_initializing(monkeypatch, split, fault)
     monkeypatch.setattr(importlib.import_module("dmst.train"), "init_params", no_init)
     splits = dict(zip(("train", "test"), datasets()))
     splits[split] = broken(splits[split], fault)
-    with pytest.raises(InvalidInput, match=f"^{split} split {FAULTS[fault]}$"):
+    with pytest.raises(DataMismatch, match=f"^{split} split {FAULTS[fault]}$"):
         train(CONFIG, splits["train"], splits["test"], epochs=0, seed=0)
 
 
@@ -152,7 +152,7 @@ def test_evaluate_rejects_what_it_cannot_score(fault):
         with pytest.raises(InvalidInput, match="^batch must be an integer from 1"):
             evaluate(CONFIG, params, train_ds, batch=0)
     else:
-        with pytest.raises(InvalidInput, match=f"^evaluated split {FAULTS[fault]}$"):
+        with pytest.raises(DataMismatch, match=f"^evaluated split {FAULTS[fault]}$"):
             evaluate(CONFIG, params, broken(train_ds, fault))
 
 
