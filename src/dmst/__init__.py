@@ -7,7 +7,6 @@ from .analysis import (
     layer_rate_curve,
     membership_map,
     profile_attention_memory,
-    read_pgm,
     write_pgm,
 )
 from .attention import (
@@ -40,7 +39,6 @@ from .errors import DataMismatch, DmstError, FormatError, InvalidInput, NotPSD, 
 from .model import ModelConfig, init_params, model_forward, predict
 from .sparsify import (
     ActivationKind,
-    SparseWeights,
     soft_threshold,
     sparse_subspace,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "NotPSD",
     "NumericalFault",
     "RateCurve",
-    "SparseWeights",
     "SubspaceBank",
     "SyntheticDatasetSpec",
     "TokenDataset",
@@ -96,7 +93,6 @@ __all__ = [
     "rate_total",
     "rate_variational_coupled",
     "rate_variational_decoupled",
-    "read_pgm",
     "rope_precompute",
     "run_suite",
     "save_checkpoint",

@@ -13,7 +13,8 @@ tokens shows a broadly non-increasing curve.
 
 Membership maps reshape each head's token weights at a chosen block into a
 near-square grid and render them as 8-bit grayscale (PGM, P5) with per-head
-min-max normalization, plus a JSON sidecar holding the raw values.
+min-max normalization, plus a JSON sidecar holding the raw values; the
+package writes these files and never reads them back.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .attention import (
     rope_precompute,
 )
 from .coding_rate import CodingRateConfig, Membership, SubspaceBank, rate_variational_decoupled
-from .errors import DataMismatch, FormatError, InvalidInput
+from .errors import DataMismatch, InvalidInput
 from .memcount import count_floats
 from .model import (
     MAX_PARAMS,
@@ -62,13 +63,6 @@ class RateCurve:
     values: np.ndarray
     samples: int
 
-    def nonincreasing_fraction(self) -> float:
-        """Fraction of consecutive block pairs where the rate does not increase."""
-        if self.values.size < 2:
-            return 1.0
-        diffs = np.diff(self.values)
-        return float(np.mean(diffs <= 1e-12))
-
 
 @dataclass(frozen=True)
 class MembershipMap:
@@ -90,10 +84,8 @@ def infer_grid(n_tokens: int) -> tuple[int, int]:
     """Near-square factorization of the token count, rows x cols."""
     if n_tokens < 1:
         raise InvalidInput(f"need at least one token, got {n_tokens}")
-    for rows in range(int(math.isqrt(n_tokens)), 0, -1):
-        if n_tokens % rows == 0:
-            return rows, n_tokens // rows
-    return 1, n_tokens
+    rows = next(r for r in range(math.isqrt(n_tokens), 0, -1) if n_tokens % r == 0)
+    return rows, n_tokens // rows
 
 
 def _chunk_rates(
@@ -197,37 +189,6 @@ def write_pgm(path: str, image: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n{PGM_MAXVAL}\n".encode("ascii"))
         fh.write(image.tobytes())
-
-
-def read_pgm(path: str) -> np.ndarray:
-    """Read a binary (P5) grayscale image written by :func:`write_pgm`."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(b"P5"):
-        raise FormatError(f"{path} is not a binary PGM file")
-    fields: list[int] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(blob) and blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError(f"{path} has a truncated PGM header")
-        fields.append(int(blob[start:pos]))
-    pos += 1  # single whitespace byte after maxval
-    cols, rows, maxval = fields
-    if maxval != PGM_MAXVAL:
-        raise FormatError(f"{path} has unsupported maxval {maxval}")
-    if len(blob) - pos < rows * cols:
-        raise FormatError(f"{path} payload is truncated")
-    data = np.frombuffer(blob, dtype=np.uint8, count=rows * cols, offset=pos)
-    return data.reshape(rows, cols).copy()
 
 
 def write_membership_artifacts(out_dir: str, mmap: MembershipMap) -> list[str]:
@@ -345,5 +306,5 @@ def profile_attention_memory(
         tokens = rng.normal(size=(n, d))
         with count_floats() as counter:
             forward(tokens)
-        rows.append((op, n, counter.peak_floats))
+        rows.append((op, n, counter.total_floats))
     return rows

@@ -63,20 +63,20 @@ class AttentionKind(Enum):
 # ---------------------------------------------------------------------------
 
 
-def rope_precompute(max_len: int, dim: int, base: float = ROPE_BASE) -> RopeTable:
+def rope_precompute(max_len: int, dim: int) -> RopeTable:
     """Rotary tables: the cosines and sines of the rotation angles.
 
     Returns the ``(cos, sin)`` pair of ``(max_len, dim // 2)`` arrays at the
-    angles ``m * theta_j``, ``theta_j = base ** (-2 j / dim)``; ``dim`` must
-    be even because channels rotate in adjacent pairs. One pair serves every
-    rotation of a forward and, as ``(cos, -sin)``, the inverse rotations of
-    its backward.
+    angles ``m * theta_j``, ``theta_j = ROPE_BASE ** (-2 j / dim)``; ``dim``
+    must be even because channels rotate in adjacent pairs. One pair serves
+    every rotation of a forward and, as ``(cos, -sin)``, the inverse
+    rotations of its backward.
     """
     if max_len < 1:
         raise InvalidInput(f"max_len must be positive, got {max_len}")
     if dim < 2 or dim % 2 != 0:
         raise InvalidInput(f"rotary dim must be a positive even number, got {dim}")
-    freqs = base ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
+    freqs = ROPE_BASE ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
     angles = np.outer(np.arange(max_len, dtype=np.float64), freqs)
     return np.cos(angles), np.sin(angles)
 

@@ -24,11 +24,12 @@ A node links to its parents and keeps its backward closure only when a
 parent requires grad. In a no-grad forward (every input and parameter a
 plain leaf) a result therefore holds none of the arrays it was made from,
 and each activation lives only as long as its caller holds it. GELU keeps
-Phi only for a backward; without one it writes the product into Phi's own
-buffer, and :func:`linear_gelu` runs GELU in place on its projection's
-fresh output, so an MLP holds one hidden activation at a time. The rotary
-rotation takes the ``(cos, sin)`` pair that a forward computes once and,
-as ``(cos, -sin)``, rotates its gradient back.
+Phi (``scipy.special.ndtr``) only for a backward; without one it writes
+the product into Phi's own buffer, and :func:`linear_gelu` runs GELU in
+place on its projection's fresh output, so an MLP holds one hidden
+activation at a time. The rotary rotation takes the ``(cos, sin)`` pair
+that a forward computes once and, as ``(cos, -sin)``, rotates its gradient
+back.
 
 Gradient ownership: an interior node (one with a backward closure) keeps
 the first gradient it receives without a copy, so interior gradients may
@@ -52,14 +53,15 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
 from .attention import RopeTable, rotate_pairs
 from .errors import DataMismatch, InvalidInput, NumericalFault
-from .functional import normal_cdf, normal_pdf
+from .functional import normal_pdf
 from .functional import sigmoid as _sigmoid_fwd
 from .functional import softmax as _softmax_fwd
 from .memcount import counting, track
-from .sparsify import soft_threshold_backward, soft_threshold_matrix
+from .sparsify import soft_threshold_matrix
 
 
 class Tensor:
@@ -369,7 +371,7 @@ def gelu(a) -> Tensor:
     Phi's own buffer, so a no-grad forward holds one array instead of two.
     """
     a = as_tensor(a)
-    cdf = normal_cdf(a.data)
+    cdf = ndtr(a.data)
     if not a.requires_grad:
         return _node(np.multiply(a.data, cdf, out=cdf), (a,), None)
 
@@ -404,7 +406,7 @@ def linear_gelu(x, W, b) -> Tensor:
     flat = pre.data.reshape(-1)  # a view: the GEMM output is contiguous
     for start in range(0, flat.size, _GELU_CHUNK):
         chunk = flat[start : start + _GELU_CHUNK]
-        chunk *= normal_cdf(chunk)
+        chunk *= ndtr(chunk)
     return pre
 
 
@@ -508,14 +510,21 @@ def second_moment_rescale(w, Pi, eps: float) -> Tensor:
 
 
 def soft_threshold_rows(a, topk: int | None = None) -> Tensor:
-    """Simplex soft threshold along the last axis, with the active-set adjoint."""
+    """Simplex soft threshold along the last axis, with the active-set adjoint.
+
+    On each row's active set ``A`` (its strictly positive outputs) the map is
+    ``x -> x - (sum_A(x) - 1) / |A|``, so the adjoint centers the incoming
+    gradient over ``A`` and zeroes it elsewhere.
+    """
     a = as_tensor(a)
-    flat = a.data.reshape(-1, a.shape[-1])
-    out, _, active = soft_threshold_matrix(flat, topk=topk)
+    out = soft_threshold_matrix(a.data.reshape(-1, a.shape[-1]), topk=topk)
+    active = out > 0.0
 
     def backward(g: np.ndarray) -> None:
         gflat = g.reshape(-1, a.shape[-1])
-        _accumulate(a, soft_threshold_backward(gflat, active).reshape(a.shape))
+        counts = np.maximum(active.sum(axis=-1, keepdims=True), 1)
+        mean = np.where(active, gflat, 0.0).sum(axis=-1, keepdims=True) / counts
+        _accumulate(a, np.where(active, gflat - mean, 0.0).reshape(a.shape))
 
     return _node(out.reshape(a.shape), (a,), backward)
 

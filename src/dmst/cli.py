@@ -98,12 +98,15 @@ def _load_eval_dataset(source: str, config: ModelConfig, seed: int) -> TokenData
     """Evaluation tokens for a loaded checkpoint.
 
     ``synthetic`` draws a test split matching the checkpoint's class count
-    and input width; otherwise ``source`` is a dataset directory (its
-    ``test.npz`` is used) or a single ``.npz`` file.
+    and input width, with class subspaces no wider than that input;
+    otherwise ``source`` is a dataset directory (its ``test.npz`` is used)
+    or a single ``.npz`` file.
     """
     if source == "synthetic":
         spec = SyntheticDatasetSpec(
-            num_classes=config.num_classes, ambient_dim=config.input_dim
+            num_classes=config.num_classes,
+            ambient_dim=config.input_dim,
+            subspace_dim=min(SyntheticDatasetSpec.subspace_dim, config.input_dim),
         )
         return generate_synthetic(spec, seed=seed, split="test")
     if os.path.isdir(source):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -25,15 +24,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal distribution function Phi(x)."""
-    return ndtr(x)
-
-
 def normal_pdf(x: np.ndarray) -> np.ndarray:
     """Standard normal density phi(x), evaluated in one fresh buffer."""
     out = np.empty(np.shape(x))
@@ -42,11 +32,6 @@ def normal_pdf(x: np.ndarray) -> np.ndarray:
     np.exp(out, out=out)
     out *= _INV_SQRT_2PI
     return out
-
-
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Gaussian error linear unit, exact form x * Phi(x)."""
-    return x * normal_cdf(x)
 
 
 def softmax(x: np.ndarray, axis: int) -> np.ndarray:

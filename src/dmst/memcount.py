@@ -5,12 +5,12 @@ process measurements. Every array an autodiff node allocates is registered
 with the active counters (views into a parent's array are not), and the
 standalone numpy baselines register their intermediates with :func:`track`;
 a baseline registers each logical activation, even when it computes several
-of them into one reused buffer. The reported number is the cumulative total
-of floats registered during one forward pass: the footprint of retaining
-every activation, not the resident peak at any instant. This makes the
-measurement deterministic and independent of allocator behavior, while
-still exposing the quadratic explicit-score cost of softmax attention versus
-the linear cost of the second-moment operators.
+of them into one reused buffer. The reported number, ``total_floats``, is
+the cumulative total of floats registered during one forward pass: the
+footprint of retaining every activation, not the resident peak at any
+instant. This makes the measurement deterministic and independent of
+allocator behavior, while still exposing the quadratic explicit-score cost
+of softmax attention versus the linear cost of the second-moment operators.
 """
 
 from __future__ import annotations
@@ -35,20 +35,9 @@ class AllocationCounter:
 
     def __init__(self) -> None:
         self.total_floats = 0
-        self.arrays = 0
 
     def add(self, count: int) -> None:
         self.total_floats += int(count)
-        self.arrays += 1
-
-    @property
-    def peak_floats(self) -> int:
-        """Cumulative count of floats registered in the region, not a resident peak.
-
-        Arrays freed during the region stay counted, so this bounds the
-        resident peak from above; the name is kept for the CSV column.
-        """
-        return self.total_floats
 
 
 @contextmanager

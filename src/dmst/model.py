@@ -55,8 +55,9 @@ class ModelConfig:
     """Architecture and initialization settings of the classifier.
 
     ``input_dim`` is the feature size of incoming tokens; membership maps
-    lay a sample's tokens out on a near-square grid. ``max_tokens`` bounds
-    the rotary table length (class token included).
+    lay a sample's tokens out on a near-square grid. ``max_tokens`` caps the
+    input length (class token included); a forward builds its rotary table
+    for exactly the tokens it is given.
     Every field is checked on construction, so a bad value raises
     ``InvalidInput`` whether it comes from Python, a config file or a
     checkpoint header; ``attention`` and ``activation`` also accept their
@@ -434,24 +435,6 @@ def model_loss(
     logits = model_forward(config, params, inputs)
     loss = ad.cross_entropy_mean(logits, labels)
     return loss, logits
-
-
-def model_backward(
-    config: ModelConfig,
-    params: dict[str, ad.Tensor],
-    inputs: np.ndarray,
-    labels: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss value and gradient arrays for every parameter on one batch.
-
-    A non-finite gradient raises ``NumericalFault`` naming the first such
-    parameter in ``params`` order.
-    """
-    for p in params.values():
-        p.zero_grad()
-    loss, _ = model_loss(config, params, inputs, labels)
-    loss.backward()
-    return float(loss.data), finite_grads(params)
 
 
 def finite_grads(params: dict[str, ad.Tensor]) -> dict[str, np.ndarray]:

@@ -5,8 +5,8 @@ multiplies the weights directly by ``1 - lr * weight_decay`` instead of
 entering the gradient, and both moment estimates are bias corrected. Each
 parameter's update allocates one scratch array plus the step, and runs the
 IEEE operations of the textbook expressions in their order. Defaults follow
-the training recipe used throughout the package: lr 1e-3, betas
-(0.9, 0.999), weight decay 5e-2.
+the training recipe used throughout the package: lr 1e-3 and weight decay
+5e-2; the betas (0.9, 0.999) and eps 1e-8 are constants.
 """
 
 from __future__ import annotations
@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_real
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -23,21 +27,14 @@ class OptimState:
     """First/second moment estimates and step count for AdamW."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     weight_decay: float = 5e-2
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.lr <= 0 or not np.isfinite(self.lr):
-            raise InvalidInput(f"lr must be positive, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise InvalidInput(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise InvalidInput(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
+        check_real("lr", self.lr, 0.0, strict=True)
+        check_real("weight_decay", self.weight_decay, 0.0)
 
 
 def adamw_step(
@@ -54,9 +51,8 @@ def adamw_step(
     if set(params) != set(grads):
         raise InvalidInput("params and grads must share the same keys")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.step
-    bc2 = 1.0 - b2**state.step
+    bc1 = 1.0 - BETA1**state.step
+    bc2 = 1.0 - BETA2**state.step
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -66,19 +62,19 @@ def adamw_step(
             state.v[name] = np.zeros_like(p)
         m, v = state.m[name], state.v[name]
         # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g^2, in place
-        scratch = np.multiply(g, 1.0 - b1)
-        m *= b1
+        scratch = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
         m += scratch
         np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - b2
-        v *= b2
+        scratch *= 1.0 - BETA2
+        v *= BETA2
         v += scratch
         if state.weight_decay:
             p *= 1.0 - state.lr * state.weight_decay
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(v, bc2, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += state.eps
+        scratch += EPS
         step = m / bc1
         step *= state.lr
         step /= scratch

@@ -5,13 +5,14 @@ unique threshold ``t`` that makes the outputs sum to one; this is the
 Euclidean projection onto the simplex and typically zeroes a subset of the
 entries. The threshold is solved exactly with a sort and a cumulative-sum
 scan. An optional ``topk`` restricts the support to the k largest scores
-before projecting. ``soft_threshold`` takes one vector; the model and the
-autodiff op use the row-wise ``soft_threshold_matrix`` and its backward.
+before projecting. ``soft_threshold`` takes one vector and the head gate of
+``sparse_subspace`` uses it; the model reaches the row-wise
+``soft_threshold_matrix`` through ``autodiff.soft_threshold_rows``, which
+holds its active-set adjoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,10 +23,8 @@ from .errors import InvalidInput
 __all__ = [
     "SPARSITY_AXES",
     "ActivationKind",
-    "SparseWeights",
     "soft_threshold",
     "soft_threshold_matrix",
-    "soft_threshold_backward",
     "sparse_subspace",
 ]
 
@@ -43,28 +42,11 @@ class ActivationKind(Enum):
     GELU = "gelu"
 
 
-@dataclass(frozen=True)
-class SparseWeights:
-    """Result of a simplex soft-threshold: weights, threshold, and support."""
-
-    values: np.ndarray
-    threshold: float
-    support: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        object.__setattr__(self, "support", np.asarray(self.support, dtype=np.int64))
-
-
-def soft_threshold_matrix(
-    X: np.ndarray, topk: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def soft_threshold_matrix(X: np.ndarray, topk: int | None = None) -> np.ndarray:
     """Row-wise simplex soft-threshold with an optional top-k support restriction.
 
-    Returns ``(out, thresholds, active)`` where each row of ``out`` is
-    ``max(x - t, 0)`` on its allowed support and zero elsewhere, ``thresholds``
-    holds the per-row ``t``, and ``active`` flags the strictly positive
-    outputs (the set the backward pass centers over). Ties at the top-k
+    Each row of the result is ``max(x - t, 0)`` on its allowed support and
+    zero elsewhere, with the row's own threshold ``t``. Ties at the top-k
     boundary resolve to the lowest index via a stable sort.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -92,26 +74,10 @@ def soft_threshold_matrix(
     vals = np.clip(top - thresholds[:, None], 0.0, None)
     out = np.zeros_like(X)
     np.put_along_axis(out, order, vals, axis=1)
-    active = out > 0.0
-    return out, thresholds, active
+    return out
 
 
-def soft_threshold_backward(dout: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Backward pass of the row-wise soft threshold at a fixed active set.
-
-    On the active set the map is ``x -> x - (sum(x) - 1)/|A|``, so the
-    Jacobian-transpose action centers the incoming gradient over the active
-    entries and zeroes it elsewhere.
-    """
-    dout = np.asarray(dout, dtype=np.float64)
-    counts = active.sum(axis=-1, keepdims=True)
-    counts = np.maximum(counts, 1)
-    masked = np.where(active, dout, 0.0)
-    mean = masked.sum(axis=-1, keepdims=True) / counts
-    return np.where(active, dout - mean, 0.0)
-
-
-def soft_threshold(s: np.ndarray, topk: int | None = None) -> SparseWeights:
+def soft_threshold(s: np.ndarray, topk: int | None = None) -> np.ndarray:
     """Project a score vector onto the probability simplex.
 
     With ``topk`` the support is restricted to the ``topk`` largest scores;
@@ -120,9 +86,7 @@ def soft_threshold(s: np.ndarray, topk: int | None = None) -> SparseWeights:
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise InvalidInput(f"scores must be a nonempty 1-d vector, got shape {s.shape}")
-    out, thresholds, _ = soft_threshold_matrix(s[None, :], topk=topk)
-    values = out[0]
-    return SparseWeights(values, float(thresholds[0]), np.flatnonzero(values > 0.0))
+    return soft_threshold_matrix(s[None, :], topk=topk)[0]
 
 
 def sparse_subspace(S: SubspaceBank, Pi: Membership, axis: str, topk: int = 4) -> SubspaceBank:
@@ -142,4 +106,4 @@ def sparse_subspace(S: SubspaceBank, Pi: Membership, axis: str, topk: int = 4) -
     if axis == "token":
         return SubspaceBank(S.bases, orthonormal=S.orthonormal)
     gate = soft_threshold(Pi.data.mean(axis=1), topk=min(int(topk), S.count))
-    return S.scaled(gate.values)
+    return S.scaled(gate)

@@ -57,11 +57,6 @@ class TrainResult:
         rows = [r for r in self.metrics if r[1] == "test"]
         return rows[-1][3] if rows else None
 
-    @property
-    def final_train_accuracy(self) -> float | None:
-        rows = [r for r in self.metrics if r[1] == "train"]
-        return rows[-1][3] if rows else None
-
 
 def evaluate(
     config: ModelConfig,

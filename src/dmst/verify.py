@@ -233,7 +233,7 @@ def suite_rates(seed: int = 0) -> list[Check]:
         coupled = rate_variational_coupled(Z, bank, eta, cfg)
         Pi = membership_from_subspaces(Z, bank, eta)
         sparse_rows = np.stack([
-            soft_threshold(row).values if row.sum() > 1.0 else row for row in Pi.data
+            soft_threshold(row) if row.sum() > 1.0 else row for row in Pi.data
         ])
         decoupled = rate_variational_decoupled(
             Z, Membership(sparse_rows), sparse_subspace(bank, Pi, "head"), cfg
@@ -274,7 +274,7 @@ def suite_sparsify(seed: int = 0) -> list[Check]:
     # errors stay in draw order, so argmax picks the first worst vector
     errors = np.empty(count)
     for idx, S in _length_groups(vectors):
-        diff = soft_threshold_matrix(S)[0] - simplex_project_bisection(S)
+        diff = soft_threshold_matrix(S) - simplex_project_bisection(S)
         errors[idx] = np.max(np.abs(diff), axis=1)
     first = int(np.argmax(errors))
     worst = float(errors[first])
@@ -290,9 +290,9 @@ def suite_sparsify(seed: int = 0) -> list[Check]:
         shifts[i] = rng.normal()
     ok = np.empty(count, dtype=bool)
     for idx, S in _length_groups(vectors):
-        out = soft_threshold_matrix(S)[0]
+        out = soft_threshold_matrix(S)
         ranked = np.take_along_axis(out, np.argsort(-S, axis=1, kind="stable"), axis=1)
-        shifted = soft_threshold_matrix(S + shifts[idx, None])[0]
+        shifted = soft_threshold_matrix(S + shifts[idx, None])
         ok[idx] = (
             np.all(out >= 0, axis=1)
             & (np.abs(out.sum(axis=1) - 1.0) < 1e-9)
@@ -311,7 +311,7 @@ def suite_sparsify(seed: int = 0) -> list[Check]:
         n = int(rng.integers(3, 33))
         k = int(rng.integers(1, n))
         s = rng.normal(scale=2.0, size=n)
-        out = soft_threshold(s, topk=k).values
+        out = soft_threshold(s, topk=k)
         if np.count_nonzero(out) > k or abs(out.sum() - 1.0) > 1e-9:
             failures += 1
             bad = {"s": s, "k": k}

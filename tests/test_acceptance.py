@@ -25,7 +25,7 @@ from dmst.coding_rate import (
     rate_variational_decoupled,
 )
 from dmst.data import SyntheticDatasetSpec, generate_synthetic, nearest_subspace_accuracy
-from dmst.model import ModelConfig, init_params, model_backward, model_loss
+from dmst.model import ModelConfig, finite_grads, init_params, model_loss
 from dmst.rng import orthonormal_basis
 from dmst.sparsify import soft_threshold, sparse_subspace
 from dmst.train import TrainOptions, format_metrics, train
@@ -77,7 +77,7 @@ def test_simplex_projection_matches_bisection_oracle():
             hi = np.where(mass < 1.0, mid, hi)
             lo = np.where(mass >= 1.0, mid, lo)
         expected = np.maximum(S - hi[:, None], 0.0)
-        got = np.stack([soft_threshold(row).values for row in S])
+        got = np.stack([soft_threshold(row) for row in S])
         worst_gap = max(worst_gap, float(np.max(np.abs(got - expected))))
         worst_sum = max(worst_sum, float(np.max(np.abs(got.sum(axis=1) - 1.0))))
         min_value = min(min_value, float(got.min()))
@@ -153,7 +153,7 @@ def test_sparse_decoupled_rate_strictly_below_coupled():
         Z = rng.normal(size=(d, n))
         bank = random_bank(rng, d, K, p)
         Pi = membership_from_subspaces(Z, bank, eta=1.0)
-        sparse_rows = np.stack([soft_threshold(row).values for row in Pi.data])
+        sparse_rows = np.stack([soft_threshold(row) for row in Pi.data])
         # construction guards: dominance with at least one strict decrease
         assert np.all(sparse_rows <= Pi.data + 1e-12)
         assert np.any(sparse_rows < Pi.data - 1e-12)
@@ -215,7 +215,8 @@ def test_full_model_gradients_match_central_differences():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(2, 9, 6))
     y = np.array([0, 2])
-    _, grads = model_backward(config, params, x, y)
+    model_loss(config, params, x, y)[0].backward()
+    grads = finite_grads(params)
 
     h = 1e-5
     worst = 0.0
@@ -276,7 +277,7 @@ def test_layer_rates_mostly_nonincreasing_after_training(toy_run):
     # the consecutive block pairs.
     test_ds, result = toy_run
     curve = layer_rate_curve(ModelConfig(), result.params, test_ds.tokens, max_samples=128)
-    fraction = curve.nonincreasing_fraction()
+    fraction = float(np.mean(np.diff(curve.values) <= 1e-12))  # over the 3 block pairs
     report(
         "per-layer compression rate non-increasing for most block pairs",
         fraction > 0.5,

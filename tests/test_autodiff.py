@@ -10,7 +10,7 @@ from scipy.special import erf
 from dmst import autodiff as ad
 from dmst.attention import rope_precompute
 from dmst.errors import DataMismatch, InvalidInput
-from dmst.model import MEMBERSHIP_EPS, ModelConfig, init_params, model_backward, predict
+from dmst.model import MEMBERSHIP_EPS, ModelConfig, finite_grads, init_params, model_loss, predict
 from dmst.sparsify import SPARSITY_AXES, ActivationKind, soft_threshold_matrix
 
 FD_H = 1e-6
@@ -275,8 +275,8 @@ def sigmoid_membership(rng, shape):
 
 
 def simplex_membership_with_zeros(rng, shape):
-    Pi, _, active = soft_threshold_matrix(rng.normal(size=(int(np.prod(shape[:-1])), shape[-1])))
-    assert not active.all()  # the case under test has exact zeros
+    Pi = soft_threshold_matrix(rng.normal(size=(int(np.prod(shape[:-1])), shape[-1])))
+    assert not (Pi > 0.0).all()  # the case under test has exact zeros
     return Pi.reshape(shape)
 
 
@@ -347,7 +347,10 @@ def test_soft_threshold_rows_gradient_at_stable_active_set():
     checked = 0
     while checked < 10:
         a = rng.normal(size=(2, 6))
-        out, thresholds, active = soft_threshold_matrix(a)
+        out = soft_threshold_matrix(a)
+        active = out > 0.0
+        # each row's threshold: the one shift s - out shared by its active entries
+        thresholds = np.where(active, a - out, 0.0).sum(axis=1) / active.sum(axis=1)
         margin = np.where(active, out, np.inf).min()
         slack = np.where(active, np.inf, thresholds[:, None] - a).min()
         if margin < 1e-3 or slack < 1e-3:
@@ -355,6 +358,15 @@ def test_soft_threshold_rows_gradient_at_stable_active_set():
         w = weighted(rng, (2, 6))
         check_op(lambda x: w(ad.soft_threshold_rows(x)), [a])
         checked += 1
+
+
+def test_soft_threshold_rows_backward_centers_over_active_set():
+    # threshold 0: entries 0, 2 and 3 are active, entry 1 is not
+    x = ad.Tensor(np.array([[0.5, -1.0, 0.3, 0.2]]), requires_grad=True)
+    out = ad.soft_threshold_rows(x)
+    assert np.array_equal(out.data, [[0.5, 0.0, 0.3, 0.2]])
+    out.backward(np.array([[3.0, 5.0, 0.0, 0.0]]))
+    assert np.max(np.abs(x.grad - [[2.0, 0.0, -1.0, -1.0]])) < 1e-15
 
 
 def test_rope_rotate_gradient_and_norm_preservation():
@@ -470,7 +482,9 @@ def test_model_gradients_own_their_memory():
     config = ModelConfig(depth=2, dim=16, heads=4, input_dim=5, num_classes=3)
     params = init_params(config)
     rng = np.random.default_rng(21)
-    _, grads = model_backward(config, params, rng.normal(size=(2, 4, 5)), np.array([0, 2]))
+    loss, _ = model_loss(config, params, rng.normal(size=(2, 4, 5)), np.array([0, 2]))
+    loss.backward()
+    grads = finite_grads(params)
     for name, g in grads.items():
         assert g.flags.owndata and g.flags.writeable, name
     arrays = list(grads.values()) + [p.data for p in params.values()]
@@ -566,7 +580,7 @@ def test_every_node_building_op_is_reached_by_some_model_config(monkeypatch):
                              attention=attention, activation=activation, sparsity_axis=axis,
                              use_rope=rope)
         params = init_params(config)
-        model_backward(config, params, x, labels)
+        model_loss(config, params, x, labels)[0].backward()
         predict(config, params, x)
         configs += 1
     assert configs == 48

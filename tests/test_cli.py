@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dmst.analysis import PROFILE_MAX_TOKENS, read_pgm
+from dmst.analysis import PROFILE_MAX_TOKENS
 from dmst.checkpoint import load_checkpoint, save_checkpoint
 from dmst.config import SCHEMA
 from dmst.cli import (
@@ -17,12 +17,13 @@ from dmst.cli import (
     EXIT_USAGE,
     PROFILE_HEADER,
     RATES_HEADER,
+    _load_eval_dataset,
     main,
     resolve_seed,
 )
 from dmst.data import SyntheticDatasetSpec, generate_synthetic, save_token_dataset
 from dmst.errors import DataMismatch, FormatError, InvalidInput, NotPSD, NumericalFault
-from dmst.model import init_params
+from dmst.model import ModelConfig, init_params
 from dmst.train import METRICS_HEADER
 from dmst.verify import Check
 
@@ -581,6 +582,29 @@ def test_rates_data_width_mismatch_exits_mismatch(run_dir, tmp_path, capsys):
     assert code == EXIT_MISMATCH
 
 
+def test_rates_on_default_synthetic_data_fits_an_input_narrower_than_its_subspaces(
+    tmp_path, capsys
+):
+    # the synthetic split's default subspaces are 4 wide; a model 2 wide must
+    # get 2-wide tokens without the user setting a key they never saw
+    conf = tmp_path / "narrow.conf"
+    conf.write_text(config_text(input_dim=2, data_ambient_dim=2, data_subspace_dim=1))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(conf), "--out", str(out), "--epochs", "1"]) == EXIT_OK
+    csv = tmp_path / "r.csv"
+    code = main(["rates", "--checkpoint", str(out / "checkpoint.dmst"), "--csv", str(csv)])
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert csv.read_text().startswith(RATES_HEADER + "\n0,")
+
+
+def test_synthetic_eval_split_at_least_four_wide_keeps_the_default_subspaces():
+    config = ModelConfig(depth=1, dim=16, heads=2, num_classes=3, input_dim=4)
+    drawn = _load_eval_dataset("synthetic", config, 7)
+    reference = generate_synthetic(SyntheticDatasetSpec(num_classes=3, ambient_dim=4), 7, "test")
+    assert np.array_equal(drawn.tokens, reference.tokens)
+    assert np.array_equal(drawn.bases, reference.bases)
+
+
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
@@ -595,8 +619,8 @@ def test_membership_writes_maps(run_dir, tmp_path, capsys):
          "--input", str(sample), "--layer", "0", "--out", str(out)]
     )
     assert code == EXIT_OK
-    image = read_pgm(str(out / "head_00.pgm"))
-    assert image.shape == (2, 3)  # six tokens on a near-square grid
+    # six tokens on a near-square grid: 3 columns, 2 rows
+    assert (out / "head_00.pgm").read_bytes().startswith(b"P5\n3 2\n255\n")
     assert (out / "head_01.pgm").exists()
     assert (out / "membership.json").exists()
 

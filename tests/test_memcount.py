@@ -9,8 +9,6 @@ def test_track_registers_sizes_with_active_counter():
         track(np.zeros((3, 4)))
         track(np.zeros(5))
     assert counter.total_floats == 17
-    assert counter.peak_floats == 17
-    assert counter.arrays == 2
 
 
 def test_track_is_a_no_op_without_a_counter():
@@ -46,7 +44,6 @@ def test_counter_direct_accumulation():
     counter.add(3)
     counter.add(4)
     assert counter.total_floats == 7
-    assert counter.arrays == 2
 
 
 def test_autodiff_nodes_count_owned_arrays_and_skip_views():
@@ -59,6 +56,5 @@ def test_autodiff_nodes_count_owned_arrays_and_skip_views():
         flat = ad.reshape(ad.transpose(c, (1, 0)), (15,))  # a non-contiguous reshape copies: 15
         total = ad.sum_(scaled) + ad.sum_(flat)  # 1 + 1 + 1
     assert counter.total_floats == 48
-    assert counter.arrays == 6
     assert total.data.shape == ()
 

@@ -14,8 +14,8 @@ from dmst.model import (
     _mlp_sublayer,
     config_from_dict,
     config_to_dict,
+    finite_grads,
     init_params,
-    model_backward,
     model_forward,
     model_loss,
     param_count,
@@ -28,6 +28,15 @@ def small_config(**kwargs):
     base = dict(depth=1, dim=8, heads=2, mlp_ratio=1.0, num_classes=3, input_dim=5, seed=3)
     base.update(kwargs)
     return ModelConfig(**base)
+
+
+def loss_and_grads(config, params, inputs, labels):
+    """Loss value and checked gradients of one batch, as a training step takes them."""
+    for p in params.values():
+        p.zero_grad()
+    loss, _ = model_loss(config, params, inputs, labels)
+    loss.backward()
+    return float(loss.data), finite_grads(params)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +252,7 @@ def test_stream_overflowing_a_layer_norm_raises_naming_it(depth, param, norm):
     with pytest.raises(NumericalFault, match=rf"^{norm}: LayerNorm variance overflows$"):
         model_forward(config, params, x)
     with pytest.raises(NumericalFault, match=rf"^{norm}: LayerNorm variance overflows$"):
-        model_backward(config, params, x, np.array([0, 1]))
+        loss_and_grads(config, params, x, np.array([0, 1]))
 
 
 def test_predict_peak_memory_is_a_few_hidden_activations():
@@ -267,7 +276,7 @@ def test_predict_peak_memory_is_a_few_hidden_activations():
 def test_zero_input_has_finite_loss_and_gradients():
     config = small_config()
     params = init_params(config)
-    loss, grads = model_backward(config, params, np.zeros((2, 4, 5)), np.array([0, 1]))
+    loss, grads = loss_and_grads(config, params, np.zeros((2, 4, 5)), np.array([0, 1]))
     assert np.isfinite(loss)
     assert all(np.all(np.isfinite(g)) for g in grads.values())
 
@@ -285,7 +294,7 @@ def test_non_finite_gradient_names_the_first_bad_parameter(monkeypatch):
 
     monkeypatch.setattr(ad.Tensor, "backward", poisoning_backward)
     with pytest.raises(NumericalFault, match=r"^non-finite gradient in blocks\.1\.attn\.membership_proj$"):
-        model_backward(config, params, np.zeros((2, 4, 5)), np.array([0, 1]))
+        loss_and_grads(config, params, np.zeros((2, 4, 5)), np.array([0, 1]))
 
 
 def test_predict_uses_detached_parameters():
@@ -337,7 +346,7 @@ def test_model_gradients_match_finite_differences(attention):
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 4, 5))
     y = np.array([0, 2])
-    _, grads = model_backward(config, params, x, y)
+    _, grads = loss_and_grads(config, params, x, y)
 
     h = 1e-5
     worst = 0.0
@@ -405,7 +414,7 @@ def test_last_block_mlp_sees_only_the_class_token(monkeypatch, depth):
     predict(config, params, x)
     assert shapes == expected
     shapes.clear()
-    model_backward(config, params, x, np.array([0, 1, 2]))
+    loss_and_grads(config, params, x, np.array([0, 1, 2]))
     assert shapes == expected
 
 
@@ -438,7 +447,7 @@ def test_class_token_readout_matches_an_all_token_forward(attention, axis, use_r
                 np.testing.assert_array_equal(block[key], ref_block[key])
 
     labels = np.array([0, 2, 1])
-    _, grads = model_backward(config, params, x, labels)
+    _, grads = loss_and_grads(config, params, x, labels)
     ref_grads = all_token_grads(config, params, x, labels)
     for name, ref in ref_grads.items():
         tol = 1e-12 * float(np.max(np.abs(ref)))

@@ -4,6 +4,9 @@ import pytest
 from dmst.errors import InvalidInput
 from dmst.optim import OptimState, adamw_step
 
+# the textbook AdamW constants: betas (0.9, 0.999), eps 1e-8
+B1, B2, EPS = 0.9, 0.999, 1e-8
+
 
 def test_first_step_moves_by_signed_unit_lr():
     # from zero moments the bias corrections cancel the betas exactly, so the
@@ -14,7 +17,7 @@ def test_first_step_moves_by_signed_unit_lr():
     before = p.copy()
     state = OptimState(lr=1e-3, weight_decay=0.0)
     adamw_step({"w": p}, {"w": g}, state)
-    expected = before - state.lr * g / (np.abs(g) + state.eps)
+    expected = before - state.lr * g / (np.abs(g) + EPS)
     assert np.max(np.abs(p - expected)) < 1e-12
     assert state.step == 1
 
@@ -36,8 +39,8 @@ def test_moments_follow_exponential_averages():
     state = OptimState(weight_decay=0.0)
     adamw_step({"w": p}, {"w": g1}, state)
     adamw_step({"w": p}, {"w": g2}, state)
-    m = (1 - state.beta1) * (state.beta1 * g1 + g2)
-    v = (1 - state.beta2) * (state.beta2 * g1 * g1 + g2 * g2)
+    m = (1 - B1) * (B1 * g1 + g2)
+    v = (1 - B2) * (B2 * g1 * g1 + g2 * g2)
     assert np.max(np.abs(state.m["w"] - m)) < 1e-12
     assert np.max(np.abs(state.v["w"] - v)) < 1e-12
     assert state.step == 2
@@ -47,8 +50,8 @@ def test_two_steps_match_scalar_reference():
     # scalar AdamW transcribed step by step
     p = np.array([1.0])
     g = np.array([0.5])
-    lr, b1, b2, wd, eps = 0.01, 0.9, 0.999, 0.04, 1e-8
-    state = OptimState(lr=lr, beta1=b1, beta2=b2, weight_decay=wd, eps=eps)
+    lr, b1, b2, wd, eps = 0.01, B1, B2, 0.04, EPS
+    state = OptimState(lr=lr, weight_decay=wd)
     adamw_step({"w": p}, {"w": g}, state)
     adamw_step({"w": p}, {"w": g}, state)
 
@@ -66,7 +69,7 @@ def test_five_in_place_steps_match_the_out_of_place_formula_bit_for_bit():
     rng = np.random.default_rng(2)
     p = rng.normal(scale=1e-3, size=(4, 5))
     state = OptimState(lr=3e-3, weight_decay=0.1)
-    lr, b1, b2, wd, eps = state.lr, state.beta1, state.beta2, state.weight_decay, state.eps
+    lr, b1, b2, wd, eps = state.lr, B1, B2, state.weight_decay, EPS
     ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
     for step in range(1, 6):
         g = rng.normal(size=p.shape)
@@ -92,10 +95,9 @@ def test_update_is_applied_in_place_per_parameter():
 
 
 def test_state_validation():
-    with pytest.raises(InvalidInput):
-        OptimState(lr=0.0)
-    with pytest.raises(InvalidInput):
-        OptimState(beta1=1.0)
+    for lr in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(InvalidInput):
+            OptimState(lr=lr)
     for decay in (-0.1, float("nan"), float("inf")):
         with pytest.raises(InvalidInput):
             OptimState(weight_decay=decay)

@@ -4,12 +4,7 @@ import pytest
 from dmst.coding_rate import Membership, SubspaceBank
 from dmst.errors import InvalidInput
 from dmst.rng import orthonormal_basis
-from dmst.sparsify import (
-    soft_threshold,
-    soft_threshold_backward,
-    soft_threshold_matrix,
-    sparse_subspace,
-)
+from dmst.sparsify import soft_threshold, soft_threshold_matrix, sparse_subspace
 
 
 def bisect_threshold(s, iters=200):
@@ -32,20 +27,14 @@ def bisect_threshold(s, iters=200):
 
 
 def test_soft_threshold_frozen_examples():
-    out = soft_threshold(np.array([2.0, 0.0]))
-    assert np.array_equal(out.values, [1.0, 0.0])
-    assert out.threshold == 1.0
-    assert np.array_equal(out.support, [0])
-
-    out = soft_threshold(np.array([3.0, 1.0, 0.0]))
-    assert np.array_equal(out.values, [1.0, 0.0, 0.0])
-    assert out.threshold == 2.0
+    # thresholds 1 and 2: each output is max(s - t, 0)
+    assert np.array_equal(soft_threshold(np.array([2.0, 0.0])), [1.0, 0.0])
+    assert np.array_equal(soft_threshold(np.array([3.0, 1.0, 0.0])), [1.0, 0.0, 0.0])
 
 
 def test_soft_threshold_simplex_input_is_fixed_point():
     out = soft_threshold(np.array([0.5, 0.3, 0.2, 0.0]))
-    assert np.max(np.abs(out.values - [0.5, 0.3, 0.2, 0.0])) < 1e-15
-    assert abs(out.threshold) < 1e-15
+    assert np.max(np.abs(out - [0.5, 0.3, 0.2, 0.0])) < 1e-15
 
 
 def test_soft_threshold_matches_bisection_oracle():
@@ -56,9 +45,7 @@ def test_soft_threshold_matches_bisection_oracle():
         s = rng.normal(scale=rng.uniform(0.1, 5.0), size=n)
         theta = bisect_threshold(s)
         expected = np.clip(s - theta, 0.0, None)
-        got = soft_threshold(s)
-        assert np.max(np.abs(got.values - expected)) < tol
-        assert abs(got.threshold - theta) < tol
+        assert np.max(np.abs(soft_threshold(s) - expected)) < tol
 
 
 def test_soft_threshold_simplex_properties():
@@ -66,7 +53,7 @@ def test_soft_threshold_simplex_properties():
     for _ in range(500):
         n = int(rng.integers(2, 32))
         s = rng.normal(size=n)
-        out = soft_threshold(s).values
+        out = soft_threshold(s)
         assert np.min(out) >= 0.0
         assert abs(out.sum() - 1.0) < 1e-12
         # order preservation: larger score never gets smaller weight
@@ -80,10 +67,7 @@ def test_soft_threshold_translation_invariance():
         n = int(rng.integers(2, 32))
         s = rng.normal(size=n)
         c = float(rng.normal(scale=10.0))
-        base = soft_threshold(s)
-        shifted = soft_threshold(s + c)
-        assert np.max(np.abs(base.values - shifted.values)) < 1e-12
-        assert abs((shifted.threshold - base.threshold) - c) < 1e-12
+        assert np.max(np.abs(soft_threshold(s) - soft_threshold(s + c))) < 1e-12
 
 
 def test_soft_threshold_shrinks_when_mass_exceeds_one():
@@ -92,21 +76,23 @@ def test_soft_threshold_shrinks_when_mass_exceeds_one():
         s = rng.uniform(0.0, 1.0, size=6)
         out = soft_threshold(s)
         if s.sum() >= 1.0:
-            assert out.threshold >= -1e-12
-            assert np.all(out.values <= s + 1e-12)
+            assert np.all(out <= s + 1e-12)
         else:
-            # mass below one forces a negative threshold, lifting entries
-            assert out.threshold < 0.0
+            # mass below one forces a negative threshold, lifting every entry
+            assert np.all(out > s)
 
 
-def test_soft_threshold_support_matches_positive_entries():
+def test_soft_threshold_shifts_positive_entries_by_one_threshold():
     rng = np.random.default_rng(4)
     for _ in range(200):
         s = rng.normal(size=10)
         out = soft_threshold(s)
-        assert np.array_equal(out.support, np.flatnonzero(out.values > 0.0))
-        # on the support the map is exactly s - threshold
-        assert np.max(np.abs(out.values[out.support] - (s[out.support] - out.threshold))) < 1e-12
+        support = out > 0.0
+        # on the support the map is exactly s - t for one t, and every
+        # entry off the support lies at or below t
+        shifts = s[support] - out[support]
+        assert np.ptp(shifts) < 1e-12
+        assert np.all(s[~support] <= shifts.mean() + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -120,32 +106,27 @@ def test_soft_threshold_topk_support_bound():
         n = int(rng.integers(2, 24))
         k = int(rng.integers(1, n + 1))
         out = soft_threshold(rng.normal(size=n), topk=k)
-        assert out.support.size <= k
-        assert abs(out.values.sum() - 1.0) < 1e-12
+        assert np.count_nonzero(out) <= k
+        assert abs(out.sum() - 1.0) < 1e-12
 
 
 def test_soft_threshold_topk_full_k_equals_plain():
     rng = np.random.default_rng(6)
     for _ in range(100):
         s = rng.normal(size=12)
-        assert np.array_equal(soft_threshold(s, topk=12).values, soft_threshold(s).values)
+        assert np.array_equal(soft_threshold(s, topk=12), soft_threshold(s))
 
 
 def test_soft_threshold_topk_tie_breaks_to_lowest_index():
-    out = soft_threshold(np.array([1.0, 1.0, 0.0]), topk=1)
-    assert np.array_equal(out.values, [1.0, 0.0, 0.0])
-    assert np.array_equal(out.support, [0])
+    assert np.array_equal(soft_threshold(np.array([1.0, 1.0, 0.0]), topk=1), [1.0, 0.0, 0.0])
 
 
 def test_soft_threshold_matrix_rows_match_vector_form():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(8, 11))
-    out, thresholds, active = soft_threshold_matrix(X)
+    out = soft_threshold_matrix(X)
     for r in range(8):
-        row = soft_threshold(X[r])
-        assert np.array_equal(out[r], row.values)
-        assert thresholds[r] == row.threshold
-    assert np.array_equal(active, out > 0.0)
+        assert np.array_equal(out[r], soft_threshold(X[r]))
 
 
 def test_soft_threshold_input_validation():
@@ -162,45 +143,6 @@ def test_soft_threshold_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# backward pass
-# ---------------------------------------------------------------------------
-
-
-def test_soft_threshold_backward_matches_finite_differences():
-    rng = np.random.default_rng(8)
-    h = 1e-7
-    checked = 0
-    while checked < 20:
-        s = rng.normal(size=7)
-        out, _, active = soft_threshold_matrix(s[None, :])
-        margin = np.where(active[0], out[0], np.inf).min()
-        slack = np.where(active[0], np.inf, -(s - soft_threshold(s).threshold)).min()
-        if margin < 1e-3 or slack < 1e-3:
-            continue  # active set would flip under perturbation
-        dout = rng.normal(size=7)
-        grad = soft_threshold_backward(dout[None, :], active)[0]
-        fd = np.zeros(7)
-        for j in range(7):
-            sp = s.copy()
-            sp[j] += h
-            sm = s.copy()
-            sm[j] -= h
-            fd[j] = (
-                soft_threshold(sp).values @ dout - soft_threshold(sm).values @ dout
-            ) / (2 * h)
-        assert np.max(np.abs(grad - fd)) < 1e-6
-        checked += 1
-
-
-def test_soft_threshold_backward_centers_over_active_set():
-    active = np.array([[True, False, True, True]])
-    dout = np.array([[3.0, 5.0, 0.0, 0.0]])
-    grad = soft_threshold_backward(dout, active)
-    assert np.max(np.abs(grad - [[2.0, 0.0, -1.0, -1.0]])) < 1e-15
-    assert abs(grad[0, active[0]].sum()) < 1e-15
-
-
-# ---------------------------------------------------------------------------
 # subspace sparsifier
 # ---------------------------------------------------------------------------
 
@@ -212,7 +154,7 @@ def test_sparse_subspace_head_axis_gates_bases():
     Pi = Membership(rng.uniform(0.0, 1.0, size=(3, 8)))
     gate = soft_threshold(Pi.data.mean(axis=1), topk=3)
     gated = sparse_subspace(bank, Pi, "head", topk=3)
-    for g, b, original in zip(gate.values, gated.bases, bases):
+    for g, b, original in zip(gate, gated.bases, bases):
         assert np.array_equal(b, g * original)
 
 

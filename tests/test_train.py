@@ -34,7 +34,6 @@ def test_zero_epochs_returns_untouched_initialization():
     reference = init_params(CONFIG)
     assert result.metrics == []
     assert result.final_test_accuracy is None
-    assert result.final_train_accuracy is None
     for name, p in reference.items():
         assert np.array_equal(result.params[name].data, p.data)
 
@@ -46,7 +45,6 @@ def test_metric_rows_cover_both_splits_in_epoch_order():
         (1, "train"), (1, "test"), (2, "train"), (2, "test"), (3, "train"), (3, "test"),
     ]
     assert result.final_test_accuracy == result.metrics[-1][3]
-    assert result.final_train_accuracy == result.metrics[-2][3]
 
 
 def test_training_reduces_loss():

@@ -22,7 +22,7 @@ def test_bisection_projection_agrees_with_direct_solver():
 
     for _ in range(50):
         s = rng.normal(size=int(rng.integers(2, 12)))
-        assert np.max(np.abs(simplex_project_bisection(s) - soft_threshold(s).values)) < 1e-9
+        assert np.max(np.abs(simplex_project_bisection(s) - soft_threshold(s))) < 1e-9
 
 
 def scalar_bisection(s, iters=200):
@@ -71,12 +71,12 @@ def break_projection(monkeypatch, targets, edit):
     original = dmst.verify.soft_threshold_matrix
 
     def broken(X, topk=None):
-        out, thresholds, active = original(X, topk)
+        out = original(X, topk)
         for target in targets:
             if X.shape[1] == target.size:
                 for r in np.flatnonzero(np.all(X == target, axis=1)):
                     edit(out[r], X[r])
-        return out, thresholds, active
+        return out
 
     monkeypatch.setattr(dmst.verify, "soft_threshold_matrix", broken)
 
@@ -138,6 +138,28 @@ def test_equivalence_suite_passes():
     assert all(c.passed for c in checks)
     names = {c.name for c in checks}
     assert len(names) == len(checks)  # property names are unique
+
+
+def test_all_suites_run_each_property_on_its_instance_count_in_order():
+    # each check is keyed on "suite/name"; a paper gate keeps its instance count
+    checks = run_suite("all", 0)
+    assert [(c.suite, c.name, c.count) for c in checks] == [
+        ("rates", "total-rate-vs-eigendecomposition", 40),
+        ("rates", "gram-side-duality", 40),
+        ("rates", "right-rotation-invariance", 40),
+        ("rates", "coupled-equals-decoupled-at-softmax", 40),
+        ("rates", "single-group-segmentation-equals-total", 40),
+        ("rates", "sparse-decoupled-rate-below-coupled", 200),
+        ("rates", "rate-reduction-nonnegative-on-hard-partitions", 200),
+        ("sparsify", "soft-threshold-vs-bisection", 10_000),
+        ("sparsify", "simplex-and-translation-invariance", 500),
+        ("sparsify", "topk-support-bound", 500),
+        ("gradients", "rate-gradient-vs-finite-difference", 25),
+        ("gradients", "operator-is-negated-gradient", 25),
+        ("equivalence", "gated-bases-match-channel-form", 50),
+        ("equivalence", "layer-matches-operator-on-orthonormal-bank", 20),
+    ]
+    assert all(c.passed for c in checks)
 
 
 def test_suites_are_deterministic_per_seed():
