@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import weakref
 
 import numpy as np
 import pytest
@@ -96,6 +97,27 @@ def test_non_finite_gradient_stops_training_before_any_update(monkeypatch):
         train(CONFIG, train_ds, None, epochs=1, seed=0)
     for name, p in init_params(CONFIG).items():
         assert np.array_equal(params[name].data, p.data), name
+
+
+def test_each_step_frees_the_previous_graph_before_the_next_forward(monkeypatch):
+    # Tensor takes no weakref, but its ndarray does; the previous step's
+    # logits must be gone when the next step's forward begins.
+    train_mod = importlib.import_module("dmst.train")
+    model_loss = train_mod.model_loss
+    previous, alive = [], []
+
+    def watching_model_loss(*args):
+        alive.extend(ref() is not None for ref in previous)
+        previous.clear()
+        loss, logits = model_loss(*args)
+        previous.append(weakref.ref(logits.data))
+        return loss, logits
+
+    monkeypatch.setattr(train_mod, "model_loss", watching_model_loss)
+    train_ds, _ = datasets()
+    train(CONFIG, train_ds, None, epochs=2, seed=0, options=TrainOptions(batch_size=4))
+    assert len(alive) == 15
+    assert not any(alive)
 
 
 @pytest.mark.parametrize("label", [-1, 7])

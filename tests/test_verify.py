@@ -50,6 +50,36 @@ def test_bisection_on_a_stack_equals_each_row_alone():
             assert np.array_equal(out, single)
 
 
+def assert_rows_match_scalar_bisection(S, iters=200):
+    stacked = simplex_project_bisection(S, iters)
+    for row, out in zip(S, stacked):
+        assert np.array_equal(out, scalar_bisection(row, iters))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_bisection_stopping_at_its_fixed_point_equals_the_full_count(scale):
+    rng = np.random.default_rng(7)
+    for n in (2, 5, 33):
+        assert_rows_match_scalar_bisection(rng.normal(scale=scale, size=(6, n)))
+
+
+def test_bisection_fixed_point_on_ties_integers_and_single_entries():
+    rng = np.random.default_rng(8)
+    ties = np.array([[1.0, 1.0, 1.0, 1.0], [2.0, 2.0, -3.0, 2.0], [0.5, 0.5, 0.25, 0.25]])
+    integers = rng.integers(-5, 6, size=(8, 7)).astype(np.float64)
+    singles = np.array([[3.0], [-2.0], [0.0], [1e8]])
+    for S in (ties, integers, singles):
+        assert_rows_match_scalar_bisection(S)
+
+
+def test_bisection_iteration_cap_keeps_its_meaning():
+    # ten halvings leave the bracket far from its fixed point, so the cap,
+    # not the stop rule, ends the loop
+    S = np.random.default_rng(9).normal(scale=2.0, size=(5, 12))
+    assert_rows_match_scalar_bisection(S, iters=10)
+    assert not np.array_equal(simplex_project_bisection(S, 10), simplex_project_bisection(S))
+
+
 def test_sparsify_suite_passes():
     checks = run_suite("sparsify", seed=0)
     assert [(c.name, c.count, c.passed) for c in checks] == [
