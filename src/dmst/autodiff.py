@@ -23,7 +23,13 @@ view into a parent's array.
 A node links to its parents and keeps its backward closure only when a
 parent requires grad. In a no-grad forward (every input and parameter a
 plain leaf) a result therefore holds none of the arrays it was made from,
-and each activation lives only as long as its caller holds it. GELU keeps
+and each activation lives only as long as its caller holds it. A graph
+lives until ``backward`` has passed it: once a node's adjoint has run, the
+node drops its closure, its parent links and its gradient, so each
+activation and interior gradient is freed after its last use and a training
+step peaks at about the memory of its forward graph. The node is then
+consumed, and a second ``backward`` through it, from the same root or from
+another root that shares it, raises ``InvalidInput``. GELU keeps
 Phi (``scipy.special.ndtr``) only for a backward; without one it writes
 the product into Phi's own buffer, and :func:`linear_gelu` runs GELU in
 place on its projection's fresh output, so an MLP holds one hidden
@@ -34,14 +40,16 @@ back.
 Gradient ownership: an interior node (one with a backward closure) keeps
 the first gradient it receives without a copy, so interior gradients may
 alias each other and the arrays their children's backwards computed. Only a
-read-only view, such as a broadcast reduction gradient, is copied. Leaves
-(parameters and inputs) always get an owned copy, so every ``p.grad`` a
-caller sees owns its memory and shares it with no other array. Fused
-adjoints reuse their temporaries in place, with the same IEEE operations in
-the same order as the plain expressions, so every value is bit for bit that
-of the out-of-place evaluation. One rule makes the aliasing safe: a backward
-never writes into ``g``, into any parent's ``.data``, or into an array it
-has saved for backward, and a second gradient is accumulated out of place.
+read-only view, such as a broadcast reduction gradient, is copied. Interior
+gradients do not survive ``backward``: each is dropped once its node's
+adjoint has run. Leaves (parameters and inputs) always get an owned copy
+and keep it, so every ``p.grad`` a caller sees owns its memory and shares
+it with no other array. Fused adjoints reuse their temporaries in place,
+with the same IEEE operations in the same order as the plain expressions,
+so every value is bit for bit that of the out-of-place evaluation. One rule
+makes the aliasing safe: a backward never writes into ``g``, into any
+parent's ``.data``, or into an array it has saved for backward, and a
+second gradient is accumulated out of place.
 
 Bit-identical training runs rest on a fixed seed, one platform and one
 BLAS build; numpy's BLAS may use several threads, and with OpenBLAS 0.3.31
@@ -88,10 +96,23 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad: np.ndarray | None = None) -> None:
+        """Backpropagate ``grad`` (ones for a scalar) and free the graph on the way.
+
+        The adjoints run in reverse topological order. Once a node's adjoint
+        has run, its closure, parent links and gradient are dropped, so each
+        activation and interior gradient is freed after its last use; only
+        leaves keep their gradients. A freed node is consumed: a second
+        ``backward`` through it, from this tensor or from any other root that
+        shares it, raises ``InvalidInput`` before any gradient is touched. A
+        seed whose shape is not this tensor's raises ``InvalidInput`` too.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise InvalidInput("backward() without a seed needs a scalar tensor")
             grad = np.ones_like(self.data)
+        grad = np.asarray(grad, dtype=np.float64)
+        if grad.shape != self.shape:
+            raise InvalidInput(f"backward() seed has shape {grad.shape}, tensor has shape {self.shape}")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -102,14 +123,20 @@ class Tensor:
                 continue
             if id(node) in seen or not node.requires_grad:
                 continue
+            if node._backward is _consumed:
+                _consumed(grad)
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 stack.append((parent, False))
-        self.grad = np.asarray(grad, dtype=np.float64)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        self.grad = grad
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents, node.grad = _consumed, (), None
 
     # Operator sugar; every dunder defers to the module-level ops.
     def __add__(self, other):
@@ -130,6 +157,11 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _consumed(g: np.ndarray) -> None:
+    """The backward closure of a node whose graph an earlier ``backward`` has freed."""
+    raise InvalidInput("backward() through a graph that an earlier backward() already freed")
 
 
 def as_tensor(value) -> Tensor:

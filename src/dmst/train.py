@@ -136,8 +136,8 @@ def train(
                 adamw_step(raw, finite_grads(params), state)
             epoch_loss += loss * len(batch_idx)
             epoch_correct += int(np.sum(np.argmax(logits.data, axis=1) == y))
-            # Through its parents the loss holds this step's whole graph,
-            # interior gradients included; free it before the next forward.
+            # Backward has already freed the graph; this drops the logits
+            # and the loss before the next forward.
             del loss_t, logits
         train_loss = epoch_loss / train_ds.size
         train_acc = epoch_correct / train_ds.size

@@ -528,6 +528,49 @@ def test_backward_requires_scalar_without_seed():
         ad.add(x, x).backward()
 
 
+def test_backward_rejects_a_seed_of_another_shape():
+    x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+    out = ad.mul(x, 2.0)
+    with pytest.raises(InvalidInput, match=r"^backward\(\) seed has shape \(3,\), tensor has shape \(2, 3\)$"):
+        out.backward(np.ones(3))
+    assert x.grad is None
+    out.backward(np.ones((2, 3)))  # the failed call consumed nothing
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+def test_second_backward_through_a_graph_raises():
+    # the interior gradient of b * 2.0 would otherwise be counted twice
+    b = ad.Tensor(np.array([1.0]), requires_grad=True)
+    z = ad.sum_(b * 2.0)
+    z.backward()
+    assert np.array_equal(b.grad, [2.0])
+    with pytest.raises(InvalidInput, match=r"^backward\(\) through a graph that an earlier backward\(\) already freed$"):
+        z.backward()
+    assert np.array_equal(b.grad, [2.0])
+
+
+def test_second_root_sharing_a_freed_subgraph_raises_before_any_gradient():
+    a = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    c = ad.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    shared = a * 3.0
+    ad.sum_(shared).backward()
+    second = ad.sum_(shared * c)
+    with pytest.raises(InvalidInput, match="already freed"):
+        second.backward()
+    assert np.array_equal(a.grad, [3.0, 3.0])
+    assert c.grad is None  # second's own adjoint never ran
+
+
+def test_backward_frees_interior_nodes_and_keeps_leaf_gradients():
+    x = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    hidden = ad.relu(x * 3.0)
+    out = ad.sum_(hidden)
+    out.backward()
+    for node in (hidden, out):
+        assert node.grad is None and node._parents == ()
+    assert np.array_equal(x.grad, [3.0, 0.0])
+
+
 def test_zero_grad_resets_accumulation():
     x = ad.Tensor(np.array([1.0]), requires_grad=True)
     ad.mul(x, 3.0).backward(np.array([1.0]))

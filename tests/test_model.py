@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -271,6 +272,52 @@ def test_predict_peak_memory_is_a_few_hidden_activations():
         tracemalloc.stop()
     hidden = B * (n + 1) * config.mlp_hidden * 8  # bytes of one MLP hidden activation
     assert peak <= 2.25 * hidden
+
+
+def default_batch(config):
+    """A training step's batch at the default config: 32 samples of 16 tokens."""
+    rng = np.random.default_rng(8)
+    return rng.normal(size=(32, 16, config.input_dim)), rng.integers(config.num_classes, size=32)
+
+
+def test_backward_frees_every_interior_activation_of_the_step():
+    config = ModelConfig()
+    params = init_params(config)
+    loss, logits = model_loss(config, params, *default_batch(config))
+    seen, stack, interior = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._backward is not None and node is not loss and node is not logits:
+                interior.append(weakref.ref(node.data))
+            stack.extend(node._parents)
+    node = stack = None  # the walk's last node would keep its array alive
+    assert len(interior) > 50
+    loss.backward()
+    # loss and logits are still held; nothing they were made from is
+    assert sum(ref() is not None for ref in interior) == 0
+    assert all(p.grad is not None and np.all(np.isfinite(p.grad)) for p in params.values())
+
+
+def test_training_step_peak_memory_is_about_the_forward_graph():
+    # backward frees each activation and interior gradient after its last
+    # use, so it adds little to what the forward's graph already holds
+    config = ModelConfig()
+    params = init_params(config)
+    x, labels = default_batch(config)
+    model_loss(config, params, x, labels)[0].backward()  # warm numpy's caches outside the measurement
+    for p in params.values():
+        p.zero_grad()
+    tracemalloc.start()
+    try:
+        loss, _ = model_loss(config, params, x, labels)
+        held = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * held
 
 
 def test_zero_input_has_finite_loss_and_gradients():
