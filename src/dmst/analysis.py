@@ -51,7 +51,6 @@ from .model import (
     tssa_membership,
 )
 from .rng import stream
-from .sparsify import ActivationKind
 
 PGM_MAXVAL = 255
 
@@ -110,8 +109,6 @@ def _chunk_rates(
         if config.attention is AttentionKind.DMSA:
             scores = membership_scores(ad.Tensor(after), params, prefix, rope)
             Pi = sparsify_scores(ad.transpose(scores, (0, 2, 1)), config, gate=False).data
-            if config.activation is ActivationKind.GELU:
-                Pi = np.clip(Pi, 0.0, None)  # rate math needs nonnegative weights
         else:
             Pi = tssa_membership(split_heads(ad.Tensor(after @ value_w), config.heads)).data
         unit = after / np.maximum(np.linalg.norm(after, axis=-1, keepdims=True), 1e-12)

@@ -258,12 +258,7 @@ class GatedChannelParams:
     def heads(self) -> int:
         return self.membership_proj.shape[0]
 
-    def gates(self, Z: TokenMatrix, override: np.ndarray | None = None) -> np.ndarray:
-        if override is not None:
-            g = np.asarray(override, dtype=np.float64)
-            if g.shape != (self.heads, Z.shape[1]):
-                raise InvalidInput(f"gate override must be ({self.heads}, {Z.shape[1]})")
-            return g
+    def gates(self, Z: TokenMatrix) -> np.ndarray:
         return sigmoid(self.membership_proj @ Z)
 
     def second_moment_diag(self, Z: TokenMatrix, gates: np.ndarray) -> np.ndarray:
@@ -274,9 +269,7 @@ class GatedChannelParams:
         return 1.0 / (1.0 + args.T)  # (K, p)
 
 
-def gated_channel_forward(
-    Z: TokenMatrix, params: GatedChannelParams, *, gate_override: np.ndarray | None = None
-) -> np.ndarray:
+def gated_channel_forward(Z: TokenMatrix, params: GatedChannelParams) -> np.ndarray:
     """Gated channel attention, evaluated through per-token gated bases.
 
     For every token ``j`` and head ``k`` the shared basis is scaled by the
@@ -287,7 +280,7 @@ def gated_channel_forward(
     output.
     """
     Z = check_tokens(Z)
-    gates = params.gates(Z, gate_override)
+    gates = params.gates(Z)
     dvecs = params.second_moment_diag(Z, gates)
     W = params.full_space
     out = np.zeros_like(Z)
@@ -298,9 +291,7 @@ def gated_channel_forward(
     return out
 
 
-def gated_channel_reference(
-    Z: TokenMatrix, params: GatedChannelParams, *, gate_override: np.ndarray | None = None
-) -> np.ndarray:
+def gated_channel_reference(Z: TokenMatrix, params: GatedChannelParams) -> np.ndarray:
     """Matmul form of gated channel attention.
 
     The per-token scalar gates commute through the quadratic form, turning
@@ -309,7 +300,7 @@ def gated_channel_reference(
     all-ones gates this is plain channel attention.
     """
     Z = check_tokens(Z)
-    gates = params.gates(Z, gate_override)
+    gates = params.gates(Z)
     dvecs = params.second_moment_diag(Z, gates)
     W = params.full_space
     out = np.zeros_like(Z)

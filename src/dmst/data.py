@@ -66,12 +66,14 @@ class TokenDataset:
     def check_fits(self, input_dim: int, num_classes: int, split: str) -> None:
         """Raise ``DataMismatch`` naming ``split`` unless a model of this shape can score it.
 
-        The split needs a sample, tokens ``input_dim`` wide and one label per
-        sample in ``[0, num_classes)``: unchecked, a label of -1 would score
-        the last class and one of ``num_classes`` would index past the logits.
+        The split needs a sample, tokens in each, ``input_dim`` wide, and one
+        label per sample in ``[0, num_classes)``: unchecked, a label of -1 would
+        score the last class and one of ``num_classes`` would index past the logits.
         """
         if self.size == 0:
             raise DataMismatch(f"{split} split holds no samples")
+        if self.tokens.shape[1] == 0:
+            raise DataMismatch(f"{split} split samples hold no tokens")
         if self.labels.shape != (self.size,):
             raise DataMismatch(
                 f"{split} split has labels of shape {self.labels.shape} for {self.size} samples"

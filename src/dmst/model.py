@@ -61,7 +61,8 @@ class ModelConfig:
     Every field is checked on construction, so a bad value raises
     ``InvalidInput`` whether it comes from Python, a config file or a
     checkpoint header; ``attention`` and ``activation`` also accept their
-    string values. ``topk`` above ``heads`` keeps every head.
+    string values. ``topk`` above ``heads`` keeps every head. Of the
+    (attention, sparsity_axis, activation) cells only the eight distinct ones construct.
     """
 
     depth: int = 4
@@ -89,6 +90,13 @@ class ModelConfig:
             raise InvalidInput(f"dim must be even for rotary pairs, got {self.dim}")
         if self.sparsity_axis not in SPARSITY_AXES:
             raise InvalidInput(f"unknown sparsity_axis {self.sparsity_axis!r}")
+        soft = self.activation is ActivationKind.SOFT_THRESHOLD
+        if self.attention is AttentionKind.TSSA and not (soft and self.sparsity_axis == "head"):
+            raise InvalidInput("attention tssa derives its memberships from its subspaces, so it "
+                               "has no sparsity_axis or activation; keep the defaults head and st")
+        if self.sparsity_axis == "both" and not soft:
+            raise InvalidInput(f"sparsity_axis both with activation {self.activation.value} is the "
+                               "head cell; use sparsity_axis = head")
         if not isinstance(self.use_rope, bool):
             raise InvalidInput(f"use_rope must be true or false, got {self.use_rope!r}")
         check_real("mlp_ratio", self.mlp_ratio, 0.0, strict=True)
@@ -216,18 +224,12 @@ def sparsify_scores(scores: ad.Tensor, config: ModelConfig, *, gate: bool) -> ad
     simplex, except on head-axis blocks, which spend the simplex on the gate
     and keep sigmoid memberships. The other kinds act elementwise.
     """
-    kind = config.activation
-    if kind is ActivationKind.SOFT_THRESHOLD:
-        if gate:
-            return ad.soft_threshold_rows(scores, topk=min(config.topk, scores.shape[-1]))
-        if config.sparsity_axis != "head":
-            return ad.soft_threshold_rows(scores)
-        kind = ActivationKind.SIGMOID
-    if kind is ActivationKind.SIGMOID:
-        return ad.sigmoid(scores)
-    if kind is ActivationKind.RELU:
-        return ad.relu(scores)
-    return ad.gelu(scores)
+    soft = config.activation is ActivationKind.SOFT_THRESHOLD
+    if soft and gate:
+        return ad.soft_threshold_rows(scores, topk=min(config.topk, scores.shape[-1]))
+    if soft and config.sparsity_axis != "head":
+        return ad.soft_threshold_rows(scores)
+    return ad.relu(scores) if config.activation is ActivationKind.RELU else ad.sigmoid(scores)
 
 
 def split_heads(values: ad.Tensor, heads: int) -> ad.Tensor:
@@ -358,8 +360,8 @@ def model_forward(
     """Logits for a batch of token sequences ``(B, n, input_dim)``.
 
     Tokens of another width, with a non-finite entry or a token whose
-    squared norm overflows, or more than ``max_tokens`` of them (class token
-    included) raise ``DataMismatch``.
+    squared norm overflows, samples without tokens, or more than
+    ``max_tokens`` tokens (class token included) raise ``DataMismatch``.
 
     When ``capture`` is a list,
     one dict per block is appended with the block's membership matrix, its
@@ -392,6 +394,8 @@ def model_forward(
     if not np.all(np.isfinite(np.einsum("...i,...i->...", inputs, inputs))):
         raise DataMismatch("inputs contain a token whose squared norm overflows")
     B, n, _ = inputs.shape
+    if n == 0:
+        raise DataMismatch("samples hold no tokens")
     if n + 1 > config.max_tokens:
         raise DataMismatch(f"{n} tokens exceed max_tokens={config.max_tokens} (class token included)")
 

@@ -34,12 +34,11 @@ SPARSITY_AXES = ("head", "token", "both")
 
 
 class ActivationKind(Enum):
-    """Sparsifying nonlinearities applied to raw membership scores."""
+    """Sparsifying nonlinearities applied to raw membership scores; each output is nonnegative."""
 
     SOFT_THRESHOLD = "st"
     SIGMOID = "sigmoid"
     RELU = "relu"
-    GELU = "gelu"
 
 
 def soft_threshold_matrix(X: np.ndarray, topk: int | None = None) -> np.ndarray:

@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from dmst import autodiff as ad
 from dmst.analysis import (
@@ -206,9 +205,9 @@ def reference_curve(config, params, tokens):
                 rotated[:, 0::2] = even * np.cos(angles) - odd * np.sin(angles)
                 rotated[:, 1::2] = even * np.sin(angles) + odd * np.cos(angles)
                 scores = (rotated @ params[f"blocks.{b}.attn.membership_proj"].data).T
-                if config.activation is ActivationKind.GELU:
-                    Pi = np.clip(scores * ndtr(scores), 0.0, None)
-                elif config.sparsity_axis == "head":
+                if config.activation is ActivationKind.RELU:
+                    Pi = np.maximum(scores, 0.0)
+                elif config.activation is ActivationKind.SIGMOID or config.sparsity_axis == "head":
                     Pi = 1.0 / (1.0 + np.exp(-scores))
                 else:
                     Pi = soft_threshold_matrix(scores)
@@ -223,11 +222,13 @@ def reference_curve(config, params, tokens):
 @pytest.mark.parametrize(
     "attention,activation,axis",
     [
-        (AttentionKind.DMSA, ActivationKind.SOFT_THRESHOLD, "head"),
-        (AttentionKind.DMSA, ActivationKind.GELU, "token"),
-        (AttentionKind.TSSA, ActivationKind.SOFT_THRESHOLD, "head"),
+        ("dmsa", "st", "head"), ("dmsa", "st", "token"), ("dmsa", "st", "both"),
+        ("dmsa", "sigmoid", "head"), ("dmsa", "sigmoid", "token"),
+        ("dmsa", "relu", "head"), ("dmsa", "relu", "token"),
+        ("tssa", "st", "head"),
     ],
-    ids=["dmsa-st-head", "dmsa-gelu-token", "tssa"],
+    ids=["dmsa-st-head", "dmsa-st-token", "dmsa-st-both", "dmsa-sigmoid-head", "dmsa-sigmoid-token",
+         "dmsa-relu-head", "dmsa-relu-token", "tssa"],
 )
 def test_layer_rate_curve_matches_a_per_sample_reference(attention, activation, axis):
     config = small_config(attention=attention, activation=activation, sparsity_axis=axis)

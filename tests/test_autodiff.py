@@ -11,7 +11,7 @@ from dmst import autodiff as ad
 from dmst.attention import rope_precompute
 from dmst.errors import DataMismatch, InvalidInput
 from dmst.model import MEMBERSHIP_EPS, ModelConfig, finite_grads, init_params, model_loss, predict
-from dmst.sparsify import SPARSITY_AXES, ActivationKind, soft_threshold_matrix
+from dmst.sparsify import soft_threshold_matrix
 
 FD_H = 1e-6
 FD_TOL = 1e-6
@@ -598,9 +598,10 @@ def test_operator_sugar_matches_functions():
 
 
 def test_every_node_building_op_is_reached_by_some_model_config(monkeypatch):
-    # one forward and backward, and one no-grad forward, on each of the 48
-    # attention x activation x sparsity axis x rope configs: an op that no
-    # config builds belongs in no engine that exists to train this model
+    # one forward and backward, and one no-grad forward, on each of the 8
+    # accepted (attention, sparsity axis, activation) cells with rope on and
+    # off: an op that no config builds belongs in no engine that exists to
+    # train this model
     defined = {
         name for name, fn in vars(ad).items()
         if inspect.isfunction(fn) and fn.__module__ == ad.__name__
@@ -616,9 +617,14 @@ def test_every_node_building_op_is_reached_by_some_model_config(monkeypatch):
     monkeypatch.setattr(ad, "_node", census)
     rng = np.random.default_rng(23)
     x, labels = rng.normal(size=(2, 3, 5)), np.array([0, 1])
-    grid = itertools.product(("dmsa", "tssa"), ActivationKind, SPARSITY_AXES, (True, False))
+    cells = [
+        ("dmsa", "head", "st"), ("dmsa", "token", "st"), ("dmsa", "both", "st"),
+        ("dmsa", "head", "sigmoid"), ("dmsa", "token", "sigmoid"),
+        ("dmsa", "head", "relu"), ("dmsa", "token", "relu"),
+        ("tssa", "head", "st"),
+    ]
     configs = 0
-    for attention, activation, axis, rope in grid:
+    for (attention, axis, activation), rope in itertools.product(cells, (True, False)):
         config = ModelConfig(depth=1, dim=8, heads=2, topk=1, input_dim=5, num_classes=2,
                              attention=attention, activation=activation, sparsity_axis=axis,
                              use_rope=rope)
@@ -626,5 +632,5 @@ def test_every_node_building_op_is_reached_by_some_model_config(monkeypatch):
         model_loss(config, params, x, labels)[0].backward()
         predict(config, params, x)
         configs += 1
-    assert configs == 48
+    assert configs == 16
     assert reached == defined

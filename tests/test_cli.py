@@ -21,7 +21,7 @@ from dmst.cli import (
     main,
     resolve_seed,
 )
-from dmst.data import SyntheticDatasetSpec, generate_synthetic, save_token_dataset
+from dmst.data import SyntheticDatasetSpec, TokenDataset, generate_synthetic, save_token_dataset
 from dmst.errors import DataMismatch, FormatError, InvalidInput, NotPSD, NumericalFault
 from dmst.model import ModelConfig, init_params
 from dmst.train import METRICS_HEADER
@@ -297,6 +297,31 @@ def test_train_token_width_mismatch_exits_mismatch(tmp_path, config_path, capsys
     assert "input_dim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "rates", "membership"])
+def test_samples_without_tokens_exit_mismatch_in_one_line(
+    run_dir, tmp_path, config_path, capsys, command
+):
+    # (N, 0, d) tokens are well-formed, but the model would score the class token alone
+    data_dir = tmp_path / "tokenless"
+    tokenless = TokenDataset(np.zeros((4, 0, 8)), np.array([0, 1, 0, 1]), np.empty((0, 0, 0)))
+    for split in ("train", "test"):
+        save_token_dataset(str(data_dir), split, tokenless)
+    np.save(tmp_path / "sample.npy", np.zeros((0, 8)))
+    checkpoint = str(run_dir / "checkpoint.dmst")
+    argv, message = {
+        "train": (["train", "--config", config_path, "--data", str(data_dir),
+                   "--out", str(tmp_path / "o")], "train split samples hold no tokens"),
+        "rates": (["rates", "--checkpoint", checkpoint, "--data", str(data_dir),
+                   "--csv", str(tmp_path / "r.csv")], "evaluated split samples hold no tokens"),
+        "membership": (["membership", "--checkpoint", checkpoint,
+                        "--input", str(tmp_path / "sample.npy"), "--layer", "0",
+                        "--out", str(tmp_path / "maps")], "samples hold no tokens"),
+    }[command]
+    code = main(argv)
+    assert code == EXIT_MISMATCH
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def dataset_with_label(directory, split, label):
     """A two-class dataset directory whose ``split`` has one sample relabelled ``label``."""
     spec = SyntheticDatasetSpec(
@@ -436,6 +461,8 @@ def rewrite_config(src, dst, **changes):
         {"attention": "bogus"},
         {"attention": "mhsa"},  # the softmax baseline, which is no attention kind
         {"activation": "tanh"},
+        {"activation": "gelu"},  # memberships that can be negative
+        {"sparsity_axis": "both", "activation": "relu"},  # the head cell under another name
         {"colour": "red"},  # an unknown key
         {"heads": 0},
         {"depth": 1.0},  # a float where an integer belongs
@@ -847,9 +874,31 @@ def test_ablate_appends_schema_and_rows(tmp_path, config_path, capsys):
     assert np.isfinite(float(first[5]))
 
 
-def test_ablate_rejects_unknown_axis(tmp_path, config_path):
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_ablate_and_train_reject_the_elementwise_both_cell_in_one_line(
+    tmp_path, config_path, capsys, source
+):
+    results = tmp_path / "r.csv"
+    if source == "flags":
+        argv = ["ablate", "--axis", "both", "--activation", "sigmoid", "--config", config_path,
+                "--results", str(results)]
+    else:
+        conf = tmp_path / "both.conf"
+        conf.write_text(config_text(sparsity_axis="both", activation="sigmoid"))
+        argv = ["train", "--config", str(conf), "--out", str(tmp_path / "o")]
+    code = main(argv)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: sparsity_axis both with activation sigmoid is the head cell; "
+        "use sparsity_axis = head\n"
+    )
+    assert not results.exists() and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("axis,activation", [("channel", "st"), ("head", "gelu")])
+def test_ablate_rejects_an_unknown_axis_or_activation(tmp_path, config_path, axis, activation):
     with pytest.raises(SystemExit) as err:
-        main(["ablate", "--axis", "channel", "--activation", "st",
+        main(["ablate", "--axis", axis, "--activation", activation,
               "--config", config_path, "--results", str(tmp_path / "r.csv")])
     assert err.value.code == EXIT_USAGE
 

@@ -15,7 +15,7 @@ SAMPLE = """
 depth = 2
 dim = 16
 heads = 4
-attention = tssa
+sparsity_axis = token
 activation = relu
 use_rope = false
 
@@ -32,7 +32,7 @@ def test_parse_types_comments_and_blanks():
     values = parse_config_text(SAMPLE)
     assert values["depth"] == 2
     assert values["dim"] == 16
-    assert values["attention"] == "tssa"
+    assert values["activation"] == "relu"
     assert values["use_rope"] is False
     assert values["data_classes"] == 3
     assert values["data_noise_sigma"] == 0.1
@@ -86,7 +86,8 @@ def test_model_config_from_values():
     assert config.depth == 2
     assert config.dim == 16
     assert config.heads == 4
-    assert config.attention is AttentionKind.TSSA
+    assert config.attention is AttentionKind.DMSA  # untouched default
+    assert config.sparsity_axis == "token"
     assert config.activation is ActivationKind.RELU
     assert config.use_rope is False
     assert config.num_classes == 4  # untouched default

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import weakref
 
@@ -15,6 +16,7 @@ from dmst.model import (
     _mlp_sublayer,
     config_from_dict,
     config_to_dict,
+    detach_params,
     finite_grads,
     init_params,
     model_forward,
@@ -46,18 +48,14 @@ def loss_and_grads(config, params, inputs, labels):
 
 
 def test_config_dict_round_trip():
-    config = ModelConfig(
-        depth=2,
-        dim=16,
-        heads=4,
-        attention=AttentionKind.TSSA,
-        activation=ActivationKind.RELU,
-        sparsity_axis="both",
+    relu = ModelConfig(
+        depth=2, dim=16, heads=4, activation=ActivationKind.RELU, sparsity_axis="token"
     )
-    raw = config_to_dict(config)
-    assert raw["attention"] == "tssa"
-    assert raw["activation"] == "relu"
-    assert config_from_dict(raw) == config
+    tssa = ModelConfig(depth=2, dim=16, heads=4, attention=AttentionKind.TSSA)
+    assert config_to_dict(relu)["activation"] == "relu"
+    assert config_to_dict(tssa)["attention"] == "tssa"
+    for config in (relu, tssa):
+        assert config_from_dict(config_to_dict(config)) == config
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -108,9 +106,84 @@ def test_config_rejects_each_bad_field(kwargs):
 
 
 def test_config_takes_enum_string_values():
-    config = ModelConfig(attention="tssa", activation="gelu")
+    config = ModelConfig(attention="tssa", activation="st")
     assert config.attention is AttentionKind.TSSA
-    assert config.activation is ActivationKind.GELU
+    assert config.activation is ActivationKind.SOFT_THRESHOLD
+
+
+# (attention, sparsity_axis, activation) of every distinct model a config builds
+ACCEPTED_CELLS = [
+    ("dmsa", "head", "st"), ("dmsa", "token", "st"), ("dmsa", "both", "st"),
+    ("dmsa", "head", "sigmoid"), ("dmsa", "token", "sigmoid"),
+    ("dmsa", "head", "relu"), ("dmsa", "token", "relu"),
+    ("tssa", "head", "st"),
+]
+# every combination of the values these keys have named, gelu included
+ALL_CELLS = list(itertools.product(
+    ("dmsa", "tssa"), ("head", "token", "both"), ("st", "sigmoid", "relu", "gelu")
+))
+REJECTED_CELLS = [cell for cell in ALL_CELLS if cell not in ACCEPTED_CELLS]
+
+
+def cell_config(cell, **kwargs):
+    attention, axis, activation = cell
+    return small_config(attention=attention, sparsity_axis=axis, activation=activation, **kwargs)
+
+
+@pytest.mark.parametrize("cell", REJECTED_CELLS, ids="-".join)
+def test_config_rejects_each_cell_that_is_ill_posed_or_another_cell_in_one_line(cell):
+    attention, axis, activation = cell
+    with pytest.raises(InvalidInput) as rejected:
+        cell_config(cell)
+    message = str(rejected.value)
+    assert "\n" not in message
+    if activation == "gelu":
+        assert message == "unknown activation 'gelu'"
+    elif attention == "tssa":
+        assert message.startswith("attention tssa derives its memberships from its subspaces")
+    else:
+        assert message == (
+            f"sparsity_axis both with activation {activation} is the head cell; "
+            "use sparsity_axis = head"
+        )
+
+
+def test_every_accepted_cell_builds_a_distinct_model():
+    # one seeded batch through every cell the constructor accepts, from equal
+    # weights wherever two cells share a parameter layout
+    x = np.random.default_rng(12).normal(size=(3, 6, 5))
+    accepted, logits = [], []
+    for cell in ALL_CELLS:
+        try:
+            config = cell_config(cell, depth=2, heads=4, topk=2)
+        except InvalidInput:
+            continue
+        rng = np.random.default_rng(13)
+        params = {
+            name: ad.Tensor(p.data + rng.normal(scale=0.5, size=p.shape))
+            for name, p in init_params(config).items()
+        }
+        accepted.append(cell)
+        logits.append(model_forward(config, params, x).data)
+    assert sorted(accepted) == sorted(ACCEPTED_CELLS)
+    for (i, a), (j, b) in itertools.combinations(enumerate(logits), 2):
+        assert np.max(np.abs(a - b)) > 1e-6, (accepted[i], accepted[j])
+
+
+@pytest.mark.parametrize("cell", [c for c in ACCEPTED_CELLS if c[0] == "dmsa"], ids="-".join)
+def test_every_dmsa_cell_has_nonnegative_memberships_and_gates(cell):
+    config = cell_config(cell, depth=2, heads=4, topk=2)
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        params = {
+            name: ad.Tensor(p.data + rng.normal(scale=2.0, size=p.shape))
+            for name, p in init_params(config).items()
+        }
+        capture = []
+        model_forward(config, params, rng.normal(scale=3.0, size=(4, 7, 5)), capture=capture)
+        for block in capture:
+            assert np.min(block["membership"]) >= 0.0
+            assert np.min(block.get("head_mask", 0.0)) >= 0.0
 
 
 @pytest.mark.parametrize("kwargs", [{"depth": 10**12, "dim": 2, "heads": 2}, {"mlp_ratio": 1e12}])
@@ -235,6 +308,9 @@ def test_forward_input_validation():
     with pytest.raises(DataMismatch, match="squared norm overflows"):
         model_forward(config, params, bad)
     assert np.all(np.isfinite(model_forward(config, params, np.full((2, 4, 5), 1e100)).data))
+    # no tokens: the class token alone would be scored
+    with pytest.raises(DataMismatch, match="^samples hold no tokens$"):
+        model_forward(config, params, np.zeros((2, 0, 5)))
 
 
 @pytest.mark.parametrize("depth,param,norm", [
@@ -413,6 +489,55 @@ def test_model_gradients_match_finite_differences(attention):
     assert worst < 1e-4
 
 
+def loss_and_supports(config, params, inputs, labels):
+    """Loss value, and each block's head-gate and membership supports read through ``capture``."""
+    capture = []
+    logits = model_forward(config, params, inputs, capture=capture)
+    supports = [
+        (block.get("head_mask", np.ones(1)) > 0, block["membership"] > 0) for block in capture
+    ]
+    return float(ad.cross_entropy_mean(logits, labels).data), supports
+
+
+def same_supports(a, b):
+    return all(np.array_equal(x, y) for pair_a, pair_b in zip(a, b) for x, y in zip(pair_a, pair_b))
+
+
+@pytest.mark.parametrize("use_rope", [True, False], ids=["rope", "norope"])
+@pytest.mark.parametrize("cell", ACCEPTED_CELLS, ids="-".join)
+def test_every_cell_gradient_matches_a_directional_difference(cell, use_rope):
+    # the whole model's gradient along a random direction in every parameter,
+    # at random points off init; a point counts only where no gate or
+    # membership support moves within +-h, since a kink there is no adjoint error
+    config = cell_config(cell, depth=2, dim=16, heads=4, topk=2, use_rope=use_rope)
+    rng = np.random.default_rng(15)
+    h, counted = 1e-6, 0
+    for _ in range(48):
+        params = {
+            name: ad.Tensor(p.data + rng.normal(scale=0.3, size=p.shape), requires_grad=True)
+            for name, p in init_params(config).items()
+        }
+        x = rng.normal(size=(2, 5, config.input_dim))
+        y = rng.integers(0, config.num_classes, size=2)
+        direction = {name: rng.normal(size=p.shape) for name, p in params.items()}
+        _, centre = loss_and_supports(config, detach_params(params), x, y)
+        (plus, at_plus), (minus, at_minus) = (
+            loss_and_supports(config, {n: ad.Tensor(p.data + step * direction[n])
+                                       for n, p in params.items()}, x, y)
+            for step in (h, -h)
+        )
+        if not (same_supports(centre, at_plus) and same_supports(centre, at_minus)):
+            continue
+        _, grads = loss_and_grads(config, params, x, y)
+        analytic = sum(float(np.vdot(grads[n], direction[n])) for n in params)
+        numeric = (plus - minus) / (2 * h)
+        assert abs(analytic - numeric) <= 1e-6 * max(abs(analytic), abs(numeric)), counted
+        counted += 1
+        if counted == 12:
+            return
+    pytest.fail(f"only {counted} of 48 points kept their supports within +-h")
+
+
 # ---------------------------------------------------------------------------
 # class-token readout
 # ---------------------------------------------------------------------------
@@ -467,8 +592,13 @@ def test_last_block_mlp_sees_only_the_class_token(monkeypatch, depth):
 
 @pytest.mark.parametrize("depth", [0, 1, 4])
 @pytest.mark.parametrize("use_rope", [True, False], ids=["rope", "norope"])
-@pytest.mark.parametrize("axis", ["head", "token", "both"])
-@pytest.mark.parametrize("attention", [AttentionKind.DMSA, AttentionKind.TSSA])
+@pytest.mark.parametrize(
+    "attention,axis",
+    [(AttentionKind.DMSA, "head"), (AttentionKind.DMSA, "token"), (AttentionKind.DMSA, "both"),
+     (AttentionKind.TSSA, "head")],
+    ids=["AttentionKind.DMSA-head", "AttentionKind.DMSA-token", "AttentionKind.DMSA-both",
+         "AttentionKind.TSSA-head"],
+)
 def test_class_token_readout_matches_an_all_token_forward(attention, axis, use_rope, depth):
     # the MLP and the LayerNorm act on each token alone, so cutting the stream
     # to the class token before them changes no value a caller reads; only a

@@ -133,6 +133,8 @@ def broken(ds, fault):
     """``ds`` with one defect a model of ``CONFIG`` cannot score."""
     if fault == "empty":
         return dataclasses.replace(ds, tokens=ds.tokens[:0], labels=ds.labels[:0])
+    if fault == "no tokens":
+        return dataclasses.replace(ds, tokens=ds.tokens[:, :0])
     if fault == "width":
         return dataclasses.replace(ds, tokens=ds.tokens[:, :, :5])
     if fault == "no labels":
@@ -144,6 +146,7 @@ def broken(ds, fault):
 
 FAULTS = {
     "empty": "holds no samples",
+    "no tokens": "samples hold no tokens",
     "width": "token width 5 does not match model input_dim 8",
     "no labels": r"has labels of shape \(0,\) for 32 samples",
     "label -1": r"labels span -1\.\.1, outside 0\.\.1",
