@@ -16,11 +16,18 @@ it; ``(cos, -sin)`` is the inverse rotation), and two baselines that the
 model does not train: standard multi-head softmax attention with its
 explicit quadratic score matrix, which registers its intermediates with
 :mod:`dmst.memcount` so memory contracts can be asserted on counted floats,
-and gated channel attention with its masked-basis/matmul equivalence. The softmax baseline writes the scores of
-every query chunk into one reused buffer and normalizes after the value
-product; its count still registers each logical activation (scores, weights
-and output of every chunk), so it counts ``2 * heads * n**2 + 7 * n * d``
-floats per forward.
+and gated channel attention with its masked-basis/matmul equivalence.
+
+The softmax baseline makes three passes over each head's scores: the score
+GEMM, an in-place ``exp``, and one GEMM against the head's values with a
+ones column appended, whose last column is each row's weight sum. The usual
+max shift (softmax is invariant to a per-row shift) only keeps ``exp``
+finite, so a head skips it when the Cauchy-Schwarz bound ``max_i |q_i| *
+max_j |k_j|`` on its scores proves ``exp`` cannot overflow or leave the
+normal range; otherwise it shifts as usual. The scores of every query chunk
+go into one reused buffer, and the count still registers each logical
+activation (scores, weights and output of every chunk), so it counts ``2 *
+heads * n**2 + 7 * n * d`` floats per forward.
 
 ``rotate_pairs`` and the softmax baseline take row-major ``(token,
 channel)`` inputs; ``dmsa_operator`` and gated channel attention keep the
@@ -48,6 +55,11 @@ from .functional import sigmoid
 from .memcount import track
 
 ROPE_BASE = 10000.0
+
+# Largest score bound at which the softmax baseline skips its max shift:
+# exp(+-30) spans 9.4e-14 .. 1.1e13, about 25 decades inside each end of
+# float32's normal range (1.2e-38 .. 3.4e38).
+SHIFT_FREE_SCORE_BOUND = 30.0
 
 # The ``(cos, sin)`` pair of rotary tables from :func:`rope_precompute`.
 RopeTable = tuple[np.ndarray, np.ndarray]
@@ -179,17 +191,31 @@ def mhsa_layer_forward(tokens: np.ndarray, params: MhsaLayerParams) -> np.ndarra
 
     Materializes the ``n x n`` score matrix of every head in query chunks of
     ``params.chunk`` rows, all written into one ``(min(chunk, n), n)`` buffer
-    allocated once per call: the scores are computed into it, shifted by
-    their row maxima and exponentiated in place, and each chunk is
-    normalized after the value product, so the divide runs over ``(chunk,
-    head_dim)`` rather than ``(chunk, n)``. The arithmetic runs in the
-    floating dtype of the projected tokens (float32 stays float32).
+    allocated once per call, and makes three passes over it: the score GEMM,
+    an in-place ``exp``, and one GEMM against ``[v_h | 1]``, the head's
+    values with a ones column appended. That product's last column is each
+    row's weight sum, so normalizing divides a ``(chunk, head_dim)`` block
+    and no pass sums the weights.
+
+    Softmax is invariant to a per-row shift; the usual subtraction of each
+    row's maximum only keeps ``exp`` finite. Each head first bounds its
+    scores by Cauchy-Schwarz, ``|q_i . k_j| <= B = max_i |q_i| * max_j
+    |k_j|`` with ``q`` already scaled, in ``O(n * head_dim)`` work. The head
+    skips the shift when ``B <= SHIFT_FREE_SCORE_BOUND``, ``exp(-B)`` is a
+    normal float (so is the weight of every row's maximum, which keeps the
+    row sum away from zero), and ``n * exp(B) * max(1, max |v|)`` is below
+    the dtype's largest float (so no weight, row sum or weighted value sum
+    overflows). Otherwise, as for non-finite inputs, it subtracts each row's
+    maximum first. The decision is per head, so it does not depend on
+    ``chunk``. The arithmetic runs in the floating dtype of the projected
+    tokens (float32 stays float32).
 
     The counted floats model logical activations, not buffers: each chunk
-    registers its scores, its softmax weights and its output although the
-    first two share the buffer, so one forward counts exactly ``2 * heads *
-    n**2 + 7 * n * d`` floats (the q, k and v projections, the head outputs,
-    their merge and the output projection add ``n * d`` each).
+    registers its scores, its softmax weights and its ``(rows, head_dim)``
+    value product although the first two share the buffer, so one forward
+    counts exactly ``2 * heads * n**2 + 7 * n * d`` floats (the q, k and v
+    projections, the head outputs, their merge and the output projection add
+    ``n * d`` each).
     """
     x = np.asarray(tokens)
     if x.ndim != 2 or x.shape[1] != params.dim:
@@ -203,23 +229,39 @@ def mhsa_layer_forward(tokens: np.ndarray, params: MhsaLayerParams) -> np.ndarra
     v = track(x @ params.v_proj.T).reshape(n, K, p).transpose(1, 0, 2)
 
     dtype = np.result_type(q, scale)
+    info = np.finfo(dtype)
+    tiny, huge = float(info.tiny), float(info.max)
     out_heads = track(np.empty((K, n, p), dtype=dtype))
     chunk = params.chunk
     buf = np.empty((min(chunk, n), n), dtype=dtype)
+    v_ones = np.ones((n, p + 1), dtype=dtype)
     for h in range(K):
         q_h = q[h] * scale
         k_t = np.ascontiguousarray(k[h].T)
-        v_h = np.ascontiguousarray(v[h])
+        v_ones[:, :p] = v[h]
+        # Cauchy-Schwarz: |q_i . k_j| <= max_i |q_i| * max_j |k_j|; ``initial``
+        # covers an empty sequence, which has no scores.
+        with np.errstate(over="ignore"):
+            bound = math.sqrt(
+                np.einsum("ij,ij->i", q_h, q_h).max(initial=0.0)
+                * np.einsum("ij,ij->j", k_t, k_t).max(initial=0.0)
+            )
+        v_max = max(1.0, float(np.abs(v[h]).max(initial=0.0)))
+        shift = not (
+            bound <= SHIFT_FREE_SCORE_BOUND
+            and math.exp(-bound) >= tiny
+            and n * math.exp(bound) * v_max < huge
+        )
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
             scores = track(np.matmul(q_h[start:stop], k_t, out=buf[: stop - start]))
-            scores -= scores.max(axis=1, keepdims=True)
+            if shift:
+                scores -= scores.max(axis=1, keepdims=True)
             weights = track(np.exp(scores, out=scores))
-            np.divide(
-                track(weights @ v_h),
-                weights.sum(axis=1, keepdims=True),
-                out=out_heads[h, start:stop],
-            )
+            # The ones column makes the last output column each row's weight sum.
+            prod = weights @ v_ones
+            track(prod[:, :p])
+            np.divide(prod[:, :p], prod[:, p:], out=out_heads[h, start:stop])
     merged = track(out_heads.transpose(1, 0, 2).reshape(n, d))
     out = track(merged @ params.out_proj.T + params.out_bias)
     if not np.all(np.isfinite(out)):

@@ -88,21 +88,14 @@ def soft_threshold(s: np.ndarray, topk: int | None = None) -> np.ndarray:
     return soft_threshold_matrix(s[None, :], topk=topk)[0]
 
 
-def sparse_subspace(S: SubspaceBank, Pi: Membership, axis: str, topk: int = 4) -> SubspaceBank:
-    """Sparsify a subspace bank according to a membership and an axis.
+def sparse_subspace(S: SubspaceBank, Pi: Membership, topk: int = 4) -> SubspaceBank:
+    """Gate the bases of a subspace bank by a membership's head weights.
 
-    ``head``: gate whole bases with ``g = soft_threshold(mean-over-tokens of
-    the membership rows, topk)``, scaling basis ``k`` by ``g_k`` (no
-    renormalization of the bases afterwards). ``token``: the bank is returned
-    unchanged because token-axis sparsity lives in the membership, which the
-    attention weighting consumes directly.
-    ``both`` composes the two, so the bank side again receives the head gate.
+    Basis ``k`` is scaled by ``g_k``, where ``g = soft_threshold(mean-over-tokens
+    of the membership rows, topk)``; the bases are not renormalized
+    afterwards.
     """
-    if axis not in SPARSITY_AXES:
-        raise InvalidInput(f"axis must be one of {'/'.join(SPARSITY_AXES)}, got {axis!r}")
     if Pi.groups != S.count:
         raise InvalidInput(f"membership has {Pi.groups} groups but bank has {S.count}")
-    if axis == "token":
-        return SubspaceBank(S.bases, orthonormal=S.orthonormal)
     gate = soft_threshold(Pi.data.mean(axis=1), topk=min(int(topk), S.count))
     return S.scaled(gate)

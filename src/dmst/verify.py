@@ -256,7 +256,7 @@ def suite_rates(seed: int = 0) -> list[Check]:
             soft_threshold(row) if row.sum() > 1.0 else row for row in Pi.data
         ])
         decoupled = rate_variational_decoupled(
-            Z, Membership(sparse_rows), sparse_subspace(bank, Pi, "head"), cfg
+            Z, Membership(sparse_rows), sparse_subspace(bank, Pi), cfg
         )
         gap = coupled - decoupled
         if gap <= 0:

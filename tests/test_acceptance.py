@@ -157,7 +157,7 @@ def test_sparse_decoupled_rate_strictly_below_coupled():
         # construction guards: dominance with at least one strict decrease
         assert np.all(sparse_rows <= Pi.data + 1e-12)
         assert np.any(sparse_rows < Pi.data - 1e-12)
-        gated = sparse_subspace(bank, Pi, axis="head")
+        gated = sparse_subspace(bank, Pi)
         coupled = rate_variational_coupled(Z, bank, eta=1.0, cfg=cfg)
         decoupled = rate_variational_decoupled(Z, Membership(sparse_rows), gated, cfg)
         margin = coupled - decoupled

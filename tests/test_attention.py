@@ -5,6 +5,7 @@ import pytest
 
 from dmst import autodiff as ad
 from dmst.attention import (
+    SHIFT_FREE_SCORE_BOUND,
     AttentionKind,
     GatedChannelParams,
     MhsaLayerParams,
@@ -479,6 +480,78 @@ def test_mhsa_matches_dense_float64_softmax_reference(chunk):
     assert out32.dtype == np.float32
     ref = dense_softmax_reference(x32, params32)
     assert np.max(np.abs(out32 - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+def score_bounds(x, params):
+    # each head's Cauchy-Schwarz bound max_i |q_i| * max_j |k_j| on its scores,
+    # with q scaled by 1/sqrt(p) as the forward scales it
+    x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape
+    K = params.heads
+    p = d // K
+    q = (x @ np.asarray(params.q_proj, dtype=np.float64).T / np.sqrt(p)).reshape(n, K, p)
+    k = (x @ np.asarray(params.k_proj, dtype=np.float64).T).reshape(n, K, p)
+    return np.linalg.norm(q, axis=2).max(axis=0) * np.linalg.norm(k, axis=2).max(axis=0)
+
+
+def scaled_to_bound(x, params, target, head_bound):
+    # q and k are linear in x, so scaling x by c scales every bound by c**2
+    return x * np.sqrt(target / head_bound(score_bounds(x, params)))
+
+
+@pytest.mark.parametrize("target", [40.0, 1000.0])
+def test_mhsa_scores_beyond_the_guard_take_the_shifted_path(target):
+    # every head's bound exceeds the guard; at 1000 an unshifted float64 exp
+    # would overflow, so matching the reference shows the shift ran
+    rng = np.random.default_rng(22)
+    d, K, n = 12, 3, 97
+    base = mhsa_params(rng, d, K)
+    x = scaled_to_bound(rng.normal(size=(n, d)), base, target, np.min)
+    assert np.min(score_bounds(x, base)) > SHIFT_FREE_SCORE_BOUND
+    for chunk in (7, 1024):
+        params = with_chunk(base, chunk, np.float64)
+        out = mhsa_layer_forward(x, params)
+        assert np.max(np.abs(out - dense_softmax_reference(x, params))) < 1e-12
+
+
+def test_mhsa_float32_just_inside_the_guard_meets_the_relative_bound():
+    # with k_proj = q_proj the largest key's self-score attains the bound
+    rng = np.random.default_rng(23)
+    d, K, n = 12, 3, 97
+    base = mhsa_params(rng, d, K)
+    base.k_proj = base.q_proj
+    x = scaled_to_bound(rng.normal(size=(n, d)), base, 0.98 * SHIFT_FREE_SCORE_BOUND, np.max)
+    assert np.max(score_bounds(x, base)) <= SHIFT_FREE_SCORE_BOUND
+    params32 = with_chunk(base, 1024, np.float32)
+    x32 = x.astype(np.float32)
+    out32 = mhsa_layer_forward(x32, params32)
+    ref = dense_softmax_reference(x32, params32)
+    assert np.max(np.abs(out32 - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+def test_mhsa_large_values_near_the_guard_stay_finite_in_float32():
+    # with k_proj = q_proj the largest key's self-score attains the bound, and
+    # exp(29) * |v| ~ 4e12 * 1e28 overflows float32: the value bound must send
+    # these heads down the shifted path, where weights stay at most 1
+    rng = np.random.default_rng(24)
+    d, K, n = 12, 3, 97
+    base = mhsa_params(rng, d, K)
+    base.k_proj = base.q_proj
+    base.v_proj = base.v_proj * 1e27
+    x = scaled_to_bound(rng.normal(size=(n, d)), base, 29.0, np.max)
+    params32 = with_chunk(base, 1024, np.float32)
+    x32 = x.astype(np.float32)
+    out32 = mhsa_layer_forward(x32, params32)
+    ref = dense_softmax_reference(x32, params32)
+    assert np.all(np.isfinite(out32))
+    assert np.max(np.abs(out32 - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+def test_mhsa_empty_sequence_returns_empty_output():
+    rng = np.random.default_rng(25)
+    params = mhsa_params(rng, 8, 2)
+    out = mhsa_layer_forward(np.zeros((0, 8)), params)
+    assert out.shape == (0, 8)
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 1000])

@@ -153,33 +153,15 @@ def test_sparse_subspace_head_axis_gates_bases():
     bank = SubspaceBank(bases, orthonormal=True)
     Pi = Membership(rng.uniform(0.0, 1.0, size=(3, 8)))
     gate = soft_threshold(Pi.data.mean(axis=1), topk=3)
-    gated = sparse_subspace(bank, Pi, "head", topk=3)
+    gated = sparse_subspace(bank, Pi, topk=3)
     for g, b, original in zip(gate, gated.bases, bases):
         assert np.array_equal(b, g * original)
-
-
-def test_sparse_subspace_token_axis_returns_bank_unchanged():
-    rng = np.random.default_rng(13)
-    bases = tuple(orthonormal_basis(np.random.default_rng(s), 5, 2) for s in range(2))
-    bank = SubspaceBank(bases, orthonormal=True)
-    Pi = Membership(rng.uniform(0.0, 1.0, size=(2, 6)))
-    same = sparse_subspace(bank, Pi, "token")
-    assert same.orthonormal
-    for a, b in zip(same.bases, bank.bases):
-        assert np.array_equal(a, b)
 
 
 def test_sparse_subspace_uniform_membership_splits_gate_evenly():
     bases = tuple(orthonormal_basis(np.random.default_rng(s), 4, 1) for s in range(4))
     bank = SubspaceBank(bases, orthonormal=True)
     Pi = Membership(np.full((4, 5), 0.3))
-    gated = sparse_subspace(bank, Pi, "head", topk=4)
+    gated = sparse_subspace(bank, Pi, topk=4)
     for b, original in zip(gated.bases, bases):
         assert np.max(np.abs(b - 0.25 * original)) < 1e-12
-
-
-def test_sparse_subspace_rejects_unknown_axis():
-    bank = SubspaceBank((np.eye(3)[:, :1],))
-    Pi = Membership(np.ones((1, 2)))
-    with pytest.raises(InvalidInput):
-        sparse_subspace(bank, Pi, "channel")
