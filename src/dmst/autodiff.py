@@ -397,15 +397,9 @@ def relu(a) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    """Exact GELU ``x * Phi(x)``; Phi is kept only for a backward.
-
-    Without one (``a`` requires no gradient) the product is written into
-    Phi's own buffer, so a no-grad forward holds one array instead of two.
-    """
+    """Exact GELU ``x * Phi(x)``; Phi is kept for the backward."""
     a = as_tensor(a)
     cdf = ndtr(a.data)
-    if not a.requires_grad:
-        return _node(np.multiply(a.data, cdf, out=cdf), (a,), None)
 
     def backward(g: np.ndarray) -> None:
         slope = normal_pdf(a.data)

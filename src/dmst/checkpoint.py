@@ -4,19 +4,19 @@ Layout, all little endian::
 
     bytes 0..4    magic b"DMST1"
     bytes 5..9    uint32 length L of the JSON header
-    bytes 9..9+L  UTF-8 JSON: {"config": {...}, "crc32": c,
-                               "tensors": [{name, shape, offset}, ...]}
-    remainder     float32 payload, tensors concatenated in manifest order
+    bytes 9..9+L  UTF-8 JSON: {"config": {...}, "crc32": c}
+    remainder     float32 payload, the config's tensors concatenated
 
-Offsets are float counts from the start of the payload; they must start at
-zero, be contiguous, and strictly increase. The manifest must list the
-tensors of the header's config, with the names and shapes and in the order
-:func:`dmst.model.param_shapes` gives. ``c`` is the ``zlib.crc32`` of the
-payload bytes; it is checked after every structural check, so a flipped
-weight byte is a ``FormatError`` rather than a silently different model.
-The JSON is serialized with sorted keys and fixed separators, so identical
-inputs produce identical bytes and a save/load/save round trip is bit
-exact.
+The config is the only layout: :func:`dmst.model.param_shapes` names the
+tensors, their shapes and their order, so the payload holds exactly
+``param_count(config)`` floats and the loader slices it in that order.
+``c`` is the ``zlib.crc32`` of the payload bytes; it is checked after every
+structural check, so a flipped weight byte is a ``FormatError`` rather than
+a silently different model. The crc32 does not cover the header. Header
+keys the loader does not read are ignored, so files that also carry the
+``tensors`` manifest earlier versions wrote load unchanged. The JSON is
+serialized with sorted keys and fixed separators, so identical inputs
+produce identical bytes and a save/load/save round trip is bit exact.
 """
 
 from __future__ import annotations
@@ -29,23 +29,35 @@ import zlib
 import numpy as np
 
 from .errors import FormatError, InvalidInput
-from .model import ModelConfig, config_from_dict, config_to_dict, param_shapes
+from .model import ModelConfig, config_from_dict, config_to_dict, param_count, param_shapes
 
 MAGIC = b"DMST1"
 
 
 def save_checkpoint(path: str, config: ModelConfig, params: dict[str, np.ndarray]) -> None:
-    """Write config and tensors; float64 tensors are stored as float32."""
-    manifest = []
+    """Write config and tensors; float64 tensors are stored as float32.
+
+    ``params`` must hold exactly the names and shapes of
+    ``param_shapes(config)``; anything else raises ``InvalidInput`` before
+    ``path`` is opened, so no file is written that would not load.
+    """
+    layout = dict(param_shapes(config))
+    extra = [name for name in params if name not in layout]
+    if extra:
+        raise InvalidInput(f"tensor {extra[0]} is not part of the checkpoint's config")
     payload = bytearray()
-    offset = 0
-    for name, value in params.items():
-        arr = np.ascontiguousarray(np.asarray(value, dtype=np.float64), dtype="<f4")
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
+    for name, shape in layout.items():
+        if name not in params:
+            raise InvalidInput(f"params lack tensor {name}, which the checkpoint's config needs")
+        arr = np.ascontiguousarray(np.asarray(params[name], dtype=np.float64), dtype="<f4")
+        if arr.shape != shape:
+            raise InvalidInput(
+                f"tensor {name} has shape {list(arr.shape)}, the checkpoint's config "
+                f"expects {list(shape)}"
+            )
         payload.extend(arr.tobytes())
-        offset += arr.size
     header = json.dumps(
-        {"config": config_to_dict(config), "crc32": zlib.crc32(payload), "tensors": manifest},
+        {"config": config_to_dict(config), "crc32": zlib.crc32(payload)},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
@@ -80,85 +92,30 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         header = json.loads(blob[header_start:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"checkpoint {path} has malformed JSON header: {exc}") from exc
-    if not isinstance(header, dict) or "config" not in header or "tensors" not in header:
-        raise FormatError(f"checkpoint {path} header missing config/tensors")
-
-    payload = blob[header_end:]
-    if len(payload) % 4 != 0:
-        raise FormatError(f"checkpoint {path} payload is not a whole number of float32s")
-    floats = np.frombuffer(payload, dtype="<f4")
-
-    entries = _manifest(path, header["tensors"])
-    params: dict[str, np.ndarray] = {}
-    expected_offset = 0
-    for name, shape, offset in entries:
-        size = math.prod(shape)
-        if offset != expected_offset:
-            raise FormatError(
-                f"checkpoint {path}: tensor {name} at offset {offset}, expected {expected_offset}"
-            )
-        if offset + size > floats.size:
-            raise FormatError(f"checkpoint {path}: tensor {name} overruns the payload")
-        params[name] = floats[offset : offset + size].reshape(shape).copy()
-        expected_offset = offset + size
-    if expected_offset != floats.size:
-        raise FormatError(
-            f"checkpoint {path}: payload holds {floats.size} floats, manifest covers {expected_offset}"
-        )
+    if not isinstance(header, dict) or "config" not in header:
+        raise FormatError(f"checkpoint {path} header missing config")
     try:
         config = config_from_dict(header["config"])
     except (InvalidInput, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint {path} has an invalid config: {exc}") from None
-    _check_layout(path, config, entries)
+
+    payload = blob[header_end:]
+    count = param_count(config)
+    if len(payload) != 4 * count:
+        raise FormatError(
+            f"checkpoint {path}: payload holds {len(payload)} bytes, "
+            f"its config needs {count} float32s ({4 * count} bytes)"
+        )
     crc = header.get("crc32")
-    if not _is_count(crc):
+    if not isinstance(crc, int) or isinstance(crc, bool) or crc < 0:
         raise FormatError(f"checkpoint {path} header has no integer crc32 of its payload")
     if crc != zlib.crc32(payload):
         raise FormatError(f"checkpoint {path}: payload does not match its crc32, the file is corrupt")
+    floats = np.frombuffer(payload, dtype="<f4")
+    params: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, shape in param_shapes(config):
+        size = math.prod(shape)
+        params[name] = floats[offset : offset + size].reshape(shape).copy()
+        offset += size
     return config, params
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _manifest(path: str, tensors) -> list[tuple[str, tuple[int, ...], int]]:
-    """``(name, shape, offset)`` of each manifest entry, type-checked."""
-    if not isinstance(tensors, list):
-        raise FormatError(f"checkpoint {path}: tensors must be a list, got {type(tensors).__name__}")
-    entries = []
-    for i, entry in enumerate(tensors):
-        if not isinstance(entry, dict):
-            raise FormatError(f"checkpoint {path}: tensor entry {i} is not an object")
-        missing = [key for key in ("name", "shape", "offset") if key not in entry]
-        if missing:
-            raise FormatError(f"checkpoint {path}: tensor entry {i} lacks {', '.join(missing)}")
-        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
-        if not isinstance(name, str):
-            raise FormatError(f"checkpoint {path}: tensor entry {i} has a non-string name")
-        if not isinstance(shape, list) or not all(_is_count(s) for s in shape):
-            raise FormatError(
-                f"checkpoint {path}: tensor {name} has shape {shape!r}, "
-                "expected a list of nonnegative integers"
-            )
-        if not _is_count(offset):
-            raise FormatError(f"checkpoint {path}: tensor {name} has offset {offset!r}")
-        entries.append((name, tuple(shape), offset))
-    return entries
-
-
-def _check_layout(path: str, config: ModelConfig, entries) -> None:
-    """The manifest must list exactly the tensors ``init_params(config)`` makes."""
-    expected = param_shapes(config)
-    for name, shape, _ in entries:
-        want = next(expected, None)
-        if want is None:
-            raise FormatError(f"checkpoint {path}: tensor {name} is not part of its config")
-        if (name, shape) != want:
-            raise FormatError(
-                f"checkpoint {path}: tensor {name} {list(shape)} does not match its config, "
-                f"which expects {want[0]} {list(want[1])}"
-            )
-    missing = next(expected, None)
-    if missing is not None:
-        raise FormatError(f"checkpoint {path}: lacks tensor {missing[0]}, which its config needs")

@@ -147,9 +147,9 @@ def param_shapes(
 ) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Name and shape of every trainable tensor, in canonical serialization order.
 
-    A generator, so a checkpoint can be checked against an untrusted config
-    without building the whole layout first. ``depth`` replaces
-    ``config.depth``.
+    The only definition of the layout: a checkpoint's payload holds these
+    tensors in this order. ``depth`` replaces ``config.depth``, so
+    :func:`param_count` can size an untrusted config from zero and one block.
     """
     d, hidden = config.dim, config.mlp_hidden
     yield "embed.weight", (config.input_dim, d)

@@ -233,14 +233,6 @@ def test_no_grad_gelu_equals_grad_gelu_and_keeps_no_backward():
     assert no_grad._backward is None and no_grad._parents == ()
     assert with_grad._backward is not None
     assert np.array_equal(plain.data, x)  # the input is read, never written
-    # without a backward, Phi's buffer becomes the output: one array, not two
-    tracemalloc.start()
-    try:
-        ad.gelu(plain)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * x.nbytes
 
 
 def test_no_grad_linear_gelu_is_the_two_nodes_in_one_array():

@@ -1,13 +1,20 @@
 import json
+import pathlib
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
+from dmst.attention import AttentionKind
 from dmst.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from dmst.errors import FormatError
+from dmst.errors import FormatError, InvalidInput
 from dmst.model import ModelConfig, init_params, param_shapes
+
+# Written by save_checkpoint before the header lost its tensor manifest, from
+# init_params of this config; it must keep loading.
+MANIFEST_CHECKPOINT = pathlib.Path(__file__).parent / "data" / "parent_format_depth1.dmst"
+MANIFEST_CONFIG = ModelConfig(depth=1, dim=8, heads=2, input_dim=4)
 
 
 def tiny_params(rng, config):
@@ -22,14 +29,16 @@ def test_round_trip_preserves_config_and_float32_tensors(tmp_path):
     save_checkpoint(path, config, params)
     loaded_config, loaded = load_checkpoint(path)
     assert loaded_config == config
-    assert list(loaded) == list(params)  # manifest preserves insertion order
+    assert list(loaded) == list(params)  # both in param_shapes order
     for name in params:
         assert loaded[name].dtype == np.float32
         assert np.array_equal(loaded[name], params[name])
 
 
-def test_save_load_save_is_bit_exact(tmp_path):
-    config = ModelConfig(depth=1, dim=8, heads=2, input_dim=5)
+@pytest.mark.parametrize("attention", list(AttentionKind), ids=lambda kind: kind.value)
+def test_save_load_save_is_bit_exact(tmp_path, attention):
+    # TSSA's layout has no membership_proj
+    config = ModelConfig(depth=1, dim=8, heads=2, input_dim=5, attention=attention)
     params = {name: t.data for name, t in init_params(config).items()}
     first = str(tmp_path / "a.dmst")
     second = str(tmp_path / "b.dmst")
@@ -50,24 +59,70 @@ def test_float64_payload_is_stored_as_float32(tmp_path):
     assert loaded["head.bias"][0] == np.float32(1.0)
 
 
-def test_magic_prefix_and_header_layout(tmp_path):
-    path = str(tmp_path / "d.dmst")
-    save_checkpoint(path, ModelConfig(), {"w": np.zeros(2)})
-    blob = open(path, "rb").read()
-    assert blob.startswith(MAGIC)
+def split_checkpoint(blob):
+    """The parsed JSON header of a checkpoint's bytes, and its payload bytes."""
     (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
     header_end = len(MAGIC) + 4 + header_len
-    header = json.loads(blob[len(MAGIC) + 4 : header_end])
-    assert set(header) == {"config", "crc32", "tensors"}
-    assert header["tensors"] == [{"name": "w", "offset": 0, "shape": [2]}]
-    assert header["crc32"] == zlib.crc32(blob[header_end:])
+    return json.loads(blob[len(MAGIC) + 4 : header_end]), blob[header_end:]
 
 
-def test_tensors_other_than_the_config_layout_are_rejected(tmp_path):
-    path = str(tmp_path / "foreign.dmst")
-    save_checkpoint(path, ModelConfig(), {"w": np.zeros(2)})
-    with pytest.raises(FormatError, match="does not match its config"):
-        load_checkpoint(path)
+def test_magic_prefix_and_header_layout(tmp_path):
+    path = str(tmp_path / "d.dmst")
+    config = ModelConfig(depth=1, dim=8, heads=2, input_dim=3)
+    params = tiny_params(np.random.default_rng(1), config)
+    save_checkpoint(path, config, params)
+    blob = open(path, "rb").read()
+    assert blob.startswith(MAGIC)
+    header, payload = split_checkpoint(blob)
+    assert set(header) == {"config", "crc32"}
+    assert header["crc32"] == zlib.crc32(payload)
+    # the payload is the tensors in param_shapes order, nothing else
+    in_order = [params[name].astype("<f4").tobytes() for name, _ in param_shapes(config)]
+    assert payload == b"".join(in_order)
+
+
+def test_manifest_checkpoint_loads_to_its_config_and_arrays():
+    header, _ = split_checkpoint(MANIFEST_CHECKPOINT.read_bytes())
+    assert "tensors" in header  # the file really carries the old manifest
+    config, params = load_checkpoint(str(MANIFEST_CHECKPOINT))
+    assert config == MANIFEST_CONFIG
+    expected = init_params(MANIFEST_CONFIG)
+    assert list(params) == list(expected)
+    for name, tensor in expected.items():
+        assert params[name].dtype == np.float32
+        assert np.array_equal(params[name], tensor.data.astype(np.float32))
+
+
+def test_resaving_a_manifest_checkpoint_drops_only_the_manifest(tmp_path):
+    old_header, old_payload = split_checkpoint(MANIFEST_CHECKPOINT.read_bytes())
+    path = str(tmp_path / "resaved.dmst")
+    save_checkpoint(path, *load_checkpoint(str(MANIFEST_CHECKPOINT)))
+    header, payload = split_checkpoint(open(path, "rb").read())
+    del old_header["tensors"]
+    assert header == old_header
+    assert payload == old_payload
+
+
+def without(params, name):
+    return {key: value for key, value in params.items() if key != name}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda p: without(p, "blocks.0.attn.membership_proj"), "lack tensor blocks.0.attn"),
+        (lambda p: {**p, "w": np.zeros(2)}, "tensor w is not part"),
+        (lambda p: {**p, "embed.weight": p["embed.weight"].T}, r"shape \[8, 4\].*expects \[4, 8\]"),
+    ],
+    ids=["missing-name", "extra-name", "transposed-shape"],
+)
+def test_save_rejects_params_off_the_config_layout_and_writes_no_file(tmp_path, change, message):
+    config = ModelConfig(depth=1, dim=8, heads=2, input_dim=4)
+    params = change(tiny_params(np.random.default_rng(3), config))
+    path = tmp_path / "off-layout.dmst"
+    with pytest.raises(InvalidInput, match=message):
+        save_checkpoint(str(path), config, params)
+    assert not path.exists()
 
 
 def test_truncated_file_is_rejected(tmp_path):
@@ -99,11 +154,14 @@ def test_malformed_json_header_is_rejected(tmp_path):
         load_checkpoint(str(path))
 
 
-def test_header_missing_sections_is_rejected(tmp_path):
-    payload = json.dumps({"config": {}}).encode()
+@pytest.mark.parametrize(
+    "header", [[{"config": {}}], {"crc32": 0}], ids=["not-an-object", "no-config"]
+)
+def test_header_without_a_config_is_rejected(tmp_path, header):
+    payload = json.dumps(header).encode()
     path = tmp_path / "sections.dmst"
     path.write_bytes(MAGIC + struct.pack("<I", len(payload)) + payload)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="header missing config"):
         load_checkpoint(str(path))
 
 
@@ -117,52 +175,25 @@ def corrupt_header(path, mutate):
     return MAGIC + struct.pack("<I", len(new_header)) + new_header + blob[start + header_len :]
 
 
-def test_non_contiguous_offsets_are_rejected(tmp_path):
-    path = str(tmp_path / "gap.dmst")
-    save_checkpoint(path, ModelConfig(), {"a": np.zeros(2), "b": np.zeros(2)})
-    blob = corrupt_header(path, lambda h: h["tensors"][1].update(offset=3))
-    bad = tmp_path / "gap2.dmst"
-    bad.write_bytes(blob)
-    with pytest.raises(FormatError):
-        load_checkpoint(str(bad))
-
-
-def test_tensor_overrunning_payload_is_rejected(tmp_path):
-    path = str(tmp_path / "overrun.dmst")
-    save_checkpoint(path, ModelConfig(), {"a": np.zeros(2)})
-    blob = corrupt_header(path, lambda h: h["tensors"][0].update(shape=[5]))
-    bad = tmp_path / "overrun2.dmst"
-    bad.write_bytes(blob)
-    with pytest.raises(FormatError):
-        load_checkpoint(str(bad))
-
-
-def test_unclaimed_payload_floats_are_rejected(tmp_path):
-    path = str(tmp_path / "extra.dmst")
-    save_checkpoint(path, ModelConfig(), {"a": np.zeros(2)})
-    blob = open(path, "rb").read() + np.zeros(1, dtype="<f4").tobytes()
-    bad = tmp_path / "extra2.dmst"
-    bad.write_bytes(blob)
-    with pytest.raises(FormatError):
-        load_checkpoint(str(bad))
-
-
-def test_ragged_payload_bytes_are_rejected(tmp_path):
-    path = str(tmp_path / "ragged.dmst")
-    save_checkpoint(path, ModelConfig(), {"a": np.zeros(2)})
-    blob = open(path, "rb").read() + b"\x00"
-    bad = tmp_path / "ragged2.dmst"
-    bad.write_bytes(blob)
-    with pytest.raises(FormatError):
-        load_checkpoint(str(bad))
-
-
 def depth_one_checkpoint(path):
     config = ModelConfig(depth=1, dim=8, heads=2, input_dim=3)
     save_checkpoint(str(path), config, tiny_params(np.random.default_rng(2), config))
     blob = path.read_bytes()
     (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
     return blob, len(MAGIC) + 4 + header_len
+
+
+@pytest.mark.parametrize(
+    "resize",
+    [lambda blob: blob[:-4], lambda blob: blob + bytes(4), lambda blob: blob + b"\x00"],
+    ids=["one-float-short", "one-float-extra", "one-stray-byte"],
+)
+def test_payload_of_the_wrong_size_is_rejected(tmp_path, resize):
+    path = tmp_path / "size.dmst"
+    blob, _ = depth_one_checkpoint(path)
+    path.write_bytes(resize(blob))
+    with pytest.raises(FormatError, match="payload holds"):
+        load_checkpoint(str(path))
 
 
 @pytest.mark.parametrize(

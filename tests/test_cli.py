@@ -439,19 +439,22 @@ def test_rates_rejects_garbage_checkpoint(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
-def rewrite_header(src, dst, mutate):
-    """Copy a checkpoint with ``mutate`` applied to its parsed JSON header."""
+def keep(part):
+    return part
+
+
+def rewrite_checkpoint(src, dst, header=keep, payload=keep):
+    """Copy a checkpoint with its parsed JSON header and its payload bytes replaced."""
     blob = src.read_bytes()
     (length,) = struct.unpack_from("<I", blob, 5)
-    header = json.loads(blob[9 : 9 + length])
-    mutate(header)
-    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    dst.write_bytes(blob[:5] + struct.pack("<I", len(text)) + text + blob[9 + length :])
+    new_header = header(json.loads(blob[9 : 9 + length]))
+    text = json.dumps(new_header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    dst.write_bytes(blob[:5] + struct.pack("<I", len(text)) + text + payload(blob[9 + length :]))
 
 
 def rewrite_config(src, dst, **changes):
     """Copy a checkpoint with its header config keys changed."""
-    rewrite_header(src, dst, lambda header: header["config"].update(changes))
+    rewrite_checkpoint(src, dst, header=lambda h: {**h, "config": {**h["config"], **changes}})
 
 
 @pytest.mark.parametrize(
@@ -501,37 +504,47 @@ def test_removed_image_keys_exit_usage_in_one_line(run_dir, tmp_path, capsys, ke
         assert key in err
 
 
-# The run_dir checkpoint is depth 1, dim 16, input_dim 8: its first tensor is
-# embed.weight [8, 16], its second embed.bias [16].
-BAD_MANIFESTS = {
-    "tensors-not-a-list": (lambda h: h.update(tensors={"embed.weight": [8, 16]}), "must be a list"),
-    "entry-not-an-object": (lambda h: h["tensors"].__setitem__(0, "embed.weight"), "not an object"),
-    "entry-lacks-name": (lambda h: h["tensors"][0].pop("name"), "lacks name"),
-    "entry-lacks-shape": (lambda h: h["tensors"][0].pop("shape"), "lacks shape"),
-    "entry-lacks-offset": (lambda h: h["tensors"][0].pop("offset"), "lacks offset"),
-    "negative-shape": (lambda h: h["tensors"][1].update(shape=[-16]), "nonnegative integers"),
-    "fractional-shape": (lambda h: h["tensors"][1].update(shape=[16.0]), "nonnegative integers"),
-    "string-shape": (lambda h: h["tensors"][1].update(shape=["16"]), "nonnegative integers"),
-    "renamed-tensor": (lambda h: h["tensors"][1].update(name="embed.offset"), "does not match"),
-    "transposed-tensor": (lambda h: h["tensors"][0].update(shape=[16, 8]), "does not match"),
-    "depth-too-large": (lambda h: h["config"].update(depth=2), "does not match"),
-    "depth-too-small": (lambda h: h["config"].update(depth=0), "does not match"),
-    "tensor-dropped": (
-        lambda h: h.update(tensors=h["tensors"][:-1]), "payload holds"
-    ),
+def without_key(header, key):
+    return {k: v for k, v in header.items() if k != key}
+
+
+def with_crc32(crc):
+    return lambda h: {**h, "crc32": crc}
+
+
+def with_depth_moved(step):
+    return lambda h: {**h, "config": {**h["config"], "depth": h["config"]["depth"] + step}}
+
+
+# The header holds the config and the payload's crc32; the config alone fixes
+# the payload's size. Each case: (header change, payload change, message).
+BAD_CHECKPOINTS = {
+    "header-not-an-object": (lambda h: [h], keep, "header missing config"),
+    "no-config": (lambda h: without_key(h, "config"), keep, "header missing config"),
+    "crc32-missing": (lambda h: without_key(h, "crc32"), keep, "no integer crc32"),
+    "crc32-string": (with_crc32("0"), keep, "no integer crc32"),
+    "crc32-float": (with_crc32(1.5), keep, "no integer crc32"),
+    "crc32-bool": (with_crc32(True), keep, "no integer crc32"),
+    "crc32-negative": (with_crc32(-1), keep, "no integer crc32"),
+    "depth-plus-one": (with_depth_moved(1), keep, "payload holds"),
+    "depth-minus-one": (with_depth_moved(-1), keep, "payload holds"),
+    "payload-one-float-short": (keep, lambda p: p[:-4], "payload holds"),
+    "payload-one-float-extra": (keep, lambda p: p + bytes(4), "payload holds"),
+    "payload-one-stray-byte": (keep, lambda p: p + b"\x00", "payload holds"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
-def test_rates_rejects_bad_checkpoint_manifest_in_one_line(run_dir, tmp_path, capsys, case):
-    mutate, message = BAD_MANIFESTS[case]
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+def test_rates_rejects_a_bad_checkpoint_in_one_line(run_dir, tmp_path, capsys, case):
+    header, payload, message = BAD_CHECKPOINTS[case]
     bad = tmp_path / "bad.dmst"
-    rewrite_header(run_dir / "checkpoint.dmst", bad, mutate)
+    rewrite_checkpoint(run_dir / "checkpoint.dmst", bad, header, payload)
     code = main(["rates", "--checkpoint", str(bad), "--csv", str(tmp_path / "r.csv")])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_rates_rejects_a_flipped_payload_byte_in_one_line(run_dir, tmp_path, capsys):
