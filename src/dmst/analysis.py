@@ -36,7 +36,7 @@ from .attention import (
     rope_precompute,
 )
 from .coding_rate import CodingRateConfig, Membership, SubspaceBank, rate_variational_decoupled
-from .errors import DataMismatch, InvalidInput
+from .errors import InvalidInput
 from .memcount import count_floats
 from .model import (
     MAX_PARAMS,
@@ -131,8 +131,6 @@ def layer_rate_curve(
     tokens = tokens[:max_samples]
     if tokens.shape[0] == 0:
         raise InvalidInput("rate curve needs at least one sample")
-    if config.depth == 0:
-        raise DataMismatch("rate curve needs at least one block")
     detached = detach_params(params)
     rope = rope_precompute(tokens.shape[1] + 1, config.dim) if config.use_rope else None
     totals = np.zeros(config.depth)
@@ -280,9 +278,12 @@ def profile_attention_memory(
             mhsa_layer_forward(tokens.astype(np.float32), mhsa)
 
     else:
-        # The sublayer alone: a config without blocks, so the cap above governs.
+        # The sublayer alone. Its config has one block with a one-unit MLP, one
+        # input feature and one class: about 2 d^2 weights, so the 4 d^2 cap
+        # above is the one that can reject a dim.
         config = ModelConfig(
-            depth=0, dim=d, heads=heads, topk=min(4, heads), attention=AttentionKind(op)
+            depth=1, dim=d, heads=heads, topk=min(4, heads), attention=AttentionKind(op),
+            mlp_ratio=1 / d, input_dim=1, num_classes=1,
         )
         layer = {"attn.value_proj": ad.Tensor(rng.normal(size=(d, d)) * scale)}
         if op == "dmsa":

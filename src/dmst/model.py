@@ -37,7 +37,7 @@ MEMBERSHIP_EPS = 1e-8
 # Integer fields and their least allowed value; ``max_tokens`` leaves room
 # for the class token and one input token.
 _INT_MINIMUMS = {
-    "depth": 0, "dim": 1, "heads": 1, "num_classes": 1, "input_dim": 1, "topk": 1,
+    "depth": 1, "dim": 1, "heads": 1, "num_classes": 1, "input_dim": 1, "topk": 1,
     "max_tokens": 2, "seed": 0,
 }
 
@@ -287,12 +287,15 @@ def _dmsa_attention(
 
     Values split into heads; memberships come from :func:`membership_scores`.
     Head-axis blocks gate whole heads with the activation of the token-mean
-    membership scores.
+    membership scores. The scores are taken first, so their rotated tokens
+    are freed before the values exist; without a graph to hold it, ``x`` is
+    then freed once the values are read.
     """
     B = x.shape[0]
     K = config.heads
-    w = split_heads(x @ p[f"{prefix}.value_proj"], K)  # (B, K, n, hd)
     scores = membership_scores(x, p, prefix, rope)  # (B, n, K)
+    w = split_heads(x @ p[f"{prefix}.value_proj"], K)  # (B, K, n, hd)
+    del x
 
     if config.sparsity_axis in ("head", "both"):
         mask = sparsify_scores(ad.mean(scores, axis=1), config, gate=True)  # (B, K)
@@ -313,8 +316,12 @@ def _tssa_attention(
     prefix: str,
     capture: dict | None = None,
 ) -> ad.Tensor:
-    """TSSA sublayer (the ToST baseline): memberships coupled to the value heads."""
+    """TSSA sublayer (the ToST baseline): memberships coupled to the value heads.
+
+    Without a graph to hold it, ``x`` is freed once the values are read.
+    """
     w = split_heads(x @ p[f"{prefix}.value_proj"], config.heads)  # (B, K, n, hd)
+    del x
     Pi = tssa_membership(w)
     if capture is not None:
         capture["membership"] = Pi.data.copy()
@@ -329,26 +336,35 @@ def _attention_sublayer(
     rope: RopeTable | None,
     capture: dict | None,
 ) -> ad.Tensor:
-    """Block ``prefix``'s attention sublayer on its pre-norm of the residual stream ``x``."""
+    """Block ``prefix``'s attention sublayer on its pre-norm of the residual stream ``x``.
+
+    The norm is passed straight to the operator, which alone holds it, so
+    without a graph it is freed as soon as the operator is done with it.
+    """
     norm = f"{prefix}.norm1"
-    normed = _layer_norm(x, p[f"{norm}.scale"], p[f"{norm}.shift"], norm)
+    scale, shift = p[f"{norm}.scale"], p[f"{norm}.shift"]
     if config.attention is AttentionKind.DMSA:
-        return _dmsa_attention(normed, config, p, f"{prefix}.attn", rope, capture)
-    return _tssa_attention(normed, config, p, f"{prefix}.attn", capture)
+        return _dmsa_attention(
+            _layer_norm(x, scale, shift, norm), config, p, f"{prefix}.attn", rope, capture
+        )
+    return _tssa_attention(_layer_norm(x, scale, shift, norm), config, p, f"{prefix}.attn", capture)
 
 
 def _mlp_sublayer(x: ad.Tensor, p: dict[str, ad.Tensor], prefix: str) -> ad.Tensor:
     """Block ``prefix``'s two-layer GELU MLP on its pre-norm of the residual stream ``x``.
 
-    Without a graph to hold them, the norm is freed once the first layer has
-    read it, and :func:`ad.linear_gelu` runs GELU in place, so the hidden
-    activation is the only array of its size.
+    Without a graph, :func:`ad.mlp` runs over tiles of token rows, so no
+    array of all tokens at the hidden width exists: beside the stream, the
+    MLP holds the norm, its output (both of the stream's size) and two
+    512-row hidden buffers. On 2 x 2048 tokens at the default config that
+    peaks at 4.5 streams (9.1 MiB with the rotary table), below the
+    attention sublayer's 4.9.
     """
-    norm = f"{prefix}.norm2"
-    normed = _layer_norm(x, p[f"{norm}.scale"], p[f"{norm}.shift"], norm)
-    hidden = ad.linear_gelu(normed, p[f"{prefix}.mlp.fc1.weight"], p[f"{prefix}.mlp.fc1.bias"])
-    del normed
-    return ad.linear(hidden, p[f"{prefix}.mlp.fc2.weight"], p[f"{prefix}.mlp.fc2.bias"])
+    norm, mlp = f"{prefix}.norm2", f"{prefix}.mlp"
+    return ad.mlp(
+        _layer_norm(x, p[f"{norm}.scale"], p[f"{norm}.shift"], norm),
+        p[f"{mlp}.fc1.weight"], p[f"{mlp}.fc1.bias"], p[f"{mlp}.fc2.weight"], p[f"{mlp}.fc2.bias"],
+    )
 
 
 def model_forward(
@@ -373,12 +389,16 @@ def model_forward(
     residual (and its capture) the stream holds only the class token,
     ``(B, d)``: that block's MLP, the final norm and the head run on one
     token per sample, and the last finiteness check covers only that token.
-    With ``depth = 0`` the cut comes just before the final norm.
 
     Each sublayer's temporaries are locals of its function and its output
     is read once, by the residual sum, so a forward on detached parameters
     frees every activation at its last use; a training graph keeps what its
-    backward reads. The rotary table is computed once per forward.
+    backward reads. The rotary table is computed once per forward. On
+    detached parameters at the default config, 2 x 2048 tokens peak at
+    9.8 MiB under tracemalloc, 4.9 times the residual stream: the peak is
+    the second-moment rescaling of an attention sublayer, which holds its
+    head features, their squares and its output beside the stream and the
+    rotary table. The tiled MLP peaks lower, at 4.5 streams.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3:
@@ -399,7 +419,7 @@ def model_forward(
     if n + 1 > config.max_tokens:
         raise DataMismatch(f"{n} tokens exceed max_tokens={config.max_tokens} (class token included)")
 
-    rope = rope_precompute(n + 1, config.dim) if (config.use_rope and config.depth > 0) else None
+    rope = rope_precompute(n + 1, config.dim) if config.use_rope else None
 
     x = ad.linear(inputs, params["embed.weight"], params["embed.bias"])
     cls = ad.broadcast_to(params["cls_token"], (B, 1, config.dim))
@@ -419,8 +439,6 @@ def model_forward(
         x = x + _mlp_sublayer(x, params, prefix)
         if not np.all(np.isfinite(x.data)):
             raise NumericalFault(f"non-finite activations after MLP block {i}")
-    if config.depth == 0:
-        x = x[:, 0, :]
 
     x = _layer_norm(x, params["norm.scale"], params["norm.shift"])
     logits = ad.linear(x, params["head.weight"], params["head.bias"])

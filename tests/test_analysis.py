@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dmst import analysis, model
 from dmst import autodiff as ad
 from dmst.analysis import (
     MembershipMap,
@@ -16,7 +17,7 @@ from dmst.analysis import (
 )
 from dmst.attention import ROPE_BASE, AttentionKind
 from dmst.coding_rate import CodingRateConfig, Membership, SubspaceBank, rate_variational_decoupled
-from dmst.errors import DataMismatch, InvalidInput
+from dmst.errors import InvalidInput
 from dmst.model import ModelConfig, init_params, model_forward, split_heads, tssa_membership
 from dmst.sparsify import ActivationKind, soft_threshold_matrix
 
@@ -268,9 +269,6 @@ def test_layer_rate_curve_input_validation():
     for chunking in ({"batch": 0}, {"batch": -1}, {"max_samples": 0}, {"max_samples": -1}):
         with pytest.raises(InvalidInput):
             layer_rate_curve(config, params, tokens, **chunking)
-    flat = small_config(depth=0)
-    with pytest.raises(DataMismatch, match="at least one block"):
-        layer_rate_curve(flat, init_params(flat), np.zeros((2, 4, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +301,17 @@ def test_profile_validates_arguments():
         for dim, heads in ((0, 8), (-8, 8), (64, 0), (12, 8)):
             with pytest.raises(InvalidInput):
                 profile_attention_memory(op, [8], dim=dim, heads=heads)
+
+
+@pytest.mark.parametrize("op", ["dmsa", "tssa"])
+def test_profile_dim_is_capped_by_its_four_projections_alone(monkeypatch, op):
+    # the sublayer's carrier config holds fewer weights than 4 dim^2, so the
+    # model's own parameter cap never rejects a dim the profile's cap allows
+    monkeypatch.setattr(analysis, "MAX_PARAMS", 4 * 16 * 16)
+    monkeypatch.setattr(model, "MAX_PARAMS", 4 * 16 * 16)
+    assert [n for _, n, _ in profile_attention_memory(op, [8], dim=16, heads=8)] == [8]
+    with pytest.raises(InvalidInput, match="^dim 18 needs 1296 projection weights"):
+        profile_attention_memory(op, [8], dim=18, heads=2)
 
 
 def test_mhsa_profile_counts_are_pinned():

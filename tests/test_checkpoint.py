@@ -49,7 +49,7 @@ def test_save_load_save_is_bit_exact(tmp_path, attention):
 
 
 def test_float64_payload_is_stored_as_float32(tmp_path):
-    config = ModelConfig(depth=0, dim=2, heads=1, input_dim=1, num_classes=1)
+    config = ModelConfig(depth=1, dim=2, heads=1, input_dim=1, num_classes=1)
     params = {name: np.zeros(shape) for name, shape in param_shapes(config)}
     params["head.bias"][0] = 1.0 + 1e-12  # below float32 resolution
     path = str(tmp_path / "c.dmst")

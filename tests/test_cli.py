@@ -205,6 +205,17 @@ def test_config_value_sweep_exits_ok_or_usage_in_one_line(tmp_path, capsys, monk
     assert elapsed < 1.0
 
 
+def test_config_of_depth_zero_exits_usage_in_one_line(tmp_path, capsys):
+    # a model without blocks would score every sample by the class token alone
+    conf = tmp_path / "flat.conf"
+    conf.write_text(config_text(depth="0"))
+    code = main(["train", "--config", str(conf), "--out", str(tmp_path / "out"), "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: depth must be an integer from 1 ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_default_topk_above_two_heads_still_trains(tmp_path, config_path):
     assert "heads = 2" in CONFIG_TEXT and "topk" not in CONFIG_TEXT  # default topk = 4
     argv = ["train", "--config", config_path, "--out", str(tmp_path / "o"), "--epochs", "1"]
@@ -527,7 +538,7 @@ BAD_CHECKPOINTS = {
     "crc32-bool": (with_crc32(True), keep, "no integer crc32"),
     "crc32-negative": (with_crc32(-1), keep, "no integer crc32"),
     "depth-plus-one": (with_depth_moved(1), keep, "payload holds"),
-    "depth-minus-one": (with_depth_moved(-1), keep, "payload holds"),
+    "depth-minus-one": (with_depth_moved(-1), keep, "depth must be an integer from 1 "),
     "payload-one-float-short": (keep, lambda p: p[:-4], "payload holds"),
     "payload-one-float-extra": (keep, lambda p: p + bytes(4), "payload holds"),
     "payload-one-stray-byte": (keep, lambda p: p + b"\x00", "payload holds"),
