@@ -9,10 +9,9 @@ an exact adjoint: ``add``, ``mul``, ``pow_scalar``, ``linear``, ``reshape``,
 ``mean``, ``sigmoid``, ``relu``, ``gelu``, ``softmax``, ``layer_norm``,
 ``second_moment_rescale``, ``soft_threshold_rows`` (the simplex soft
 threshold, through its active-set Jacobian), ``rope_rotate`` (the pairwise
-rotary rotation) and ``cross_entropy_mean``; ``mlp`` builds ``linear``,
-``gelu`` and ``linear`` nodes. ``+``, ``*`` and ``[]`` are ``add``, ``mul``
-and ``getitem``, and ``@`` is ``linear`` without a bias, so its right
-operand is a 2-D weight. LayerNorm and the DMSA/TSSA
+rotary rotation) and ``cross_entropy_mean``. ``+``, ``*`` and ``[]`` are
+``add``, ``mul`` and ``getitem``, and ``@`` is ``linear`` without a bias,
+so its right operand is a 2-D weight. LayerNorm and the DMSA/TSSA
 second-moment rescaling are single nodes with closed-form adjoints, since
 per-node overhead dominates a training step on arrays this small; for the
 same reason a biased projection is one :func:`linear` node, a single GEMM
@@ -30,11 +29,12 @@ activation and interior gradient is freed after its last use and a training
 step peaks at about the memory of its forward graph. The node is then
 consumed, and a second ``backward`` through it, from the same root or from
 another root that shares it, raises ``InvalidInput``. GELU keeps
-Phi (``scipy.special.ndtr``) for its backward. Without a backward,
-:func:`mlp` runs over tiles of token rows, so an MLP holds no hidden
-activation of all its tokens, only two tile-sized buffers. The rotary
-rotation takes the ``(cos, sin)`` pair that a forward computes once and, as
-``(cos, -sin)``, rotates its gradient back.
+Phi (``scipy.special.ndtr``) for its backward. The no-grad forward of
+``dmst.model`` runs over tiles of token rows with these ops and numpy
+directly, and takes the rescaling's channel scales from
+:func:`second_moment_scale`. The rotary rotation takes the ``(cos,
+sin)`` pair that a forward computes once and, as ``(cos, -sin)``, rotates
+its gradient back.
 
 Gradient ownership: an interior node (one with a backward closure) keeps
 the first gradient it receives without a copy, so interior gradients may
@@ -410,52 +410,6 @@ def gelu(a) -> Tensor:
     return _node(a.data * cdf, (a,), backward)
 
 
-# Token rows per tile of a no-grad :func:`mlp`: its two hidden-width buffers
-# hold ``2 * _MLP_TILE`` rows whatever the token count.
-_MLP_TILE = 512
-
-
-def mlp(x, W1, b1, W2, b2) -> Tensor:
-    """``linear(gelu(linear(x, W1, b1)), W2, b2)``: a two-layer GELU MLP over the last axis.
-
-    With a gradient to build, these are the three nodes :func:`linear`,
-    :func:`gelu` and :func:`linear`. Without one, the rows of ``x`` run in
-    tiles of ``_MLP_TILE``: each tile's projection, bias, ``x * Phi(x)``,
-    second projection and bias are computed into two hidden-width buffers
-    allocated once per call, and the tile's result is written straight into
-    the output. So the forward never holds a hidden activation of all rows,
-    only the output and the two buffers. Each output row comes from the same
-    GEMM dot products and IEEE operations either way, so both paths are equal
-    bit for bit; no tile has one row, since BLAS would take a matrix-vector path
-    for it that rounds apart from the matrix product.
-    """
-    x, W1, b1, W2, b2 = (as_tensor(t) for t in (x, W1, b1, W2, b2))
-    parents = (x, W1, b1, W2, b2)
-    if any(t.requires_grad for t in parents):
-        return linear(gelu(linear(x, W1, b1)), W2, b2)
-    if W1.ndim != 2 or W2.ndim != 2:
-        raise InvalidInput(f"mlp expects 2-d (d, h) weights, got shapes {W1.shape} and {W2.shape}")
-    x2 = x.data.reshape(-1, x.shape[-1])
-    rows = x2.shape[0]
-    out = np.empty((rows, W2.shape[1]))
-    # One block for both buffers (2 MiB at the default width), not two of half
-    # the size: with glibc, the halves let the heap be trimmed and refaulted
-    # between forwards (32.8k against 11.7k minor faults per 512-sample rate curve).
-    hidden, cdf = np.empty((2, min(rows, _MLP_TILE), W1.shape[1]))
-    starts = list(range(0, rows, _MLP_TILE))
-    if rows > _MLP_TILE and rows % _MLP_TILE == 1:
-        starts[-1] -= 1  # the last two tiles take _MLP_TILE - 1 and 2 rows
-    for start, stop in zip(starts, starts[1:] + [rows]):
-        h, phi, y = hidden[: stop - start], cdf[: stop - start], out[start:stop]
-        np.matmul(x2[start:stop], W1.data, out=h)
-        h += b1.data
-        ndtr(h, out=phi)
-        h *= phi
-        np.matmul(h, W2.data, out=y)
-        y += b2.data
-    return _node(out.reshape(x.shape[:-1] + W2.shape[-1:]), parents, None)
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     data = _softmax_fwd(a.data, axis)
@@ -507,6 +461,27 @@ def layer_norm(x, scale, shift, eps: float) -> Tensor:
     return _node(out, (x, scale, shift), backward)
 
 
+def second_moment_scale(
+    sq: np.ndarray, Pi: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Membership sums, normalized memberships and channel scales of the rescaling.
+
+    The forward quantities of :func:`second_moment_rescale`, for callers
+    that apply them tile by tile. ``sq`` is the squared head features
+    ``w * w`` ``(..., n, p)`` and ``Pi`` the memberships ``(..., n)``.
+    Returns ``denom = sum(Pi) + eps`` ``(..., 1)``, ``norm = Pi / denom``
+    and ``attn = 1 / (1 + norm @ sq)`` ``(..., 1, p)``, one matrix product
+    per leading index, so a slice of whole leading indices gets the same
+    bits as the full arrays.
+    """
+    denom = Pi.sum(axis=-1, keepdims=True) + eps  # (..., 1)
+    norm = Pi / denom
+    attn = norm[..., None, :] @ sq  # (..., 1, p)
+    attn += 1.0
+    np.divide(1.0, attn, out=attn)
+    return denom, norm, attn
+
+
 def second_moment_rescale(w, Pi, eps: float) -> Tensor:
     """The DMSA/TSSA rescaling ``-w * Pi / (1 + norm @ w^2)`` as one node.
 
@@ -521,12 +496,8 @@ def second_moment_rescale(w, Pi, eps: float) -> Tensor:
         d Pi   = -sum_j g * w * attn + gnorm / D - sum_n(gnorm * Pi) / D^2
     """
     w, Pi = as_tensor(w), as_tensor(Pi)
-    denom = Pi.data.sum(axis=-1, keepdims=True) + eps  # (..., 1)
-    norm = Pi.data / denom
     sq = w.data * w.data
-    attn = norm[..., None, :] @ sq  # (..., 1, p)
-    attn += 1.0
-    np.divide(1.0, attn, out=attn)
+    denom, norm, attn = second_moment_scale(sq, Pi.data, eps)
     weight = Pi.data[..., None]  # (..., n, 1)
     out = np.multiply(w.data, weight)
     np.negative(out, out=out)

@@ -16,9 +16,10 @@ from enum import Enum
 from typing import Iterator
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import autodiff as ad
-from .attention import AttentionKind, RopeTable, rope_precompute
+from .attention import AttentionKind, RopeTable, rope_precompute, rotate_pairs
 from .errors import DataMismatch, InvalidInput, NumericalFault, check_int, check_real
 from .rng import stream
 from .sparsify import SPARSITY_AXES, ActivationKind
@@ -32,6 +33,11 @@ MAX_PARAMS = 50_000_000
 # Guard added to membership normalizers before division, so the layer and
 # the math-form operator agree only up to ~1e-8/n_k.
 MEMBERSHIP_EPS = 1e-8
+
+# Token rows per tile of a no-grad forward: each block's per-token
+# intermediates (norms, rotated tokens, MLP hidden activations, projection
+# outputs) hold at most this many rows, whatever the token count.
+_TILE = 512
 
 
 # Integer fields and their least allowed value; ``max_tokens`` leaves room
@@ -204,8 +210,12 @@ def param_count(config: ModelConfig) -> int:
     return outer + config.depth * (with_block - outer)
 
 
+# LayerNorm's variance guard, shared by the graph and the tiled forward.
+_NORM_EPS = 1e-6
+
+
 def _layer_norm(
-    x: ad.Tensor, scale: ad.Tensor, shift: ad.Tensor, name: str = "norm", eps: float = 1e-6
+    x: ad.Tensor, scale: ad.Tensor, shift: ad.Tensor, name: str = "norm", eps: float = _NORM_EPS
 ) -> ad.Tensor:
     """LayerNorm ``name`` (``norm`` is the final one); an overflow names it."""
     try:
@@ -287,15 +297,12 @@ def _dmsa_attention(
 
     Values split into heads; memberships come from :func:`membership_scores`.
     Head-axis blocks gate whole heads with the activation of the token-mean
-    membership scores. The scores are taken first, so their rotated tokens
-    are freed before the values exist; without a graph to hold it, ``x`` is
-    then freed once the values are read.
+    membership scores.
     """
     B = x.shape[0]
     K = config.heads
     scores = membership_scores(x, p, prefix, rope)  # (B, n, K)
     w = split_heads(x @ p[f"{prefix}.value_proj"], K)  # (B, K, n, hd)
-    del x
 
     if config.sparsity_axis in ("head", "both"):
         mask = sparsify_scores(ad.mean(scores, axis=1), config, gate=True)  # (B, K)
@@ -316,12 +323,8 @@ def _tssa_attention(
     prefix: str,
     capture: dict | None = None,
 ) -> ad.Tensor:
-    """TSSA sublayer (the ToST baseline): memberships coupled to the value heads.
-
-    Without a graph to hold it, ``x`` is freed once the values are read.
-    """
+    """TSSA sublayer (the ToST baseline): memberships coupled to the value heads."""
     w = split_heads(x @ p[f"{prefix}.value_proj"], config.heads)  # (B, K, n, hd)
-    del x
     Pi = tssa_membership(w)
     if capture is not None:
         capture["membership"] = Pi.data.copy()
@@ -336,11 +339,7 @@ def _attention_sublayer(
     rope: RopeTable | None,
     capture: dict | None,
 ) -> ad.Tensor:
-    """Block ``prefix``'s attention sublayer on its pre-norm of the residual stream ``x``.
-
-    The norm is passed straight to the operator, which alone holds it, so
-    without a graph it is freed as soon as the operator is done with it.
-    """
+    """Block ``prefix``'s attention sublayer on its pre-norm of the residual stream ``x``."""
     norm = f"{prefix}.norm1"
     scale, shift = p[f"{norm}.scale"], p[f"{norm}.shift"]
     if config.attention is AttentionKind.DMSA:
@@ -353,18 +352,215 @@ def _attention_sublayer(
 def _mlp_sublayer(x: ad.Tensor, p: dict[str, ad.Tensor], prefix: str) -> ad.Tensor:
     """Block ``prefix``'s two-layer GELU MLP on its pre-norm of the residual stream ``x``.
 
-    Without a graph, :func:`ad.mlp` runs over tiles of token rows, so no
-    array of all tokens at the hidden width exists: beside the stream, the
-    MLP holds the norm, its output (both of the stream's size) and two
-    512-row hidden buffers. On 2 x 2048 tokens at the default config that
-    peaks at 4.5 streams (9.1 MiB with the rotary table), below the
-    attention sublayer's 4.9.
+    The graph form, whose hidden activation of all tokens the backward
+    reads. A forward without a graph runs the same operations over tiles of
+    token rows in :func:`_mlp_rows`, so there no array of all tokens at the
+    hidden width exists: two hidden-width buffers of up to ``_TILE`` rows
+    serve every tile of a block.
     """
     norm, mlp = f"{prefix}.norm2", f"{prefix}.mlp"
-    return ad.mlp(
-        _layer_norm(x, p[f"{norm}.scale"], p[f"{norm}.shift"], norm),
-        p[f"{mlp}.fc1.weight"], p[f"{mlp}.fc1.bias"], p[f"{mlp}.fc2.weight"], p[f"{mlp}.fc2.bias"],
-    )
+    h = _layer_norm(x, p[f"{norm}.scale"], p[f"{norm}.shift"], norm)
+    h = ad.gelu(ad.linear(h, p[f"{mlp}.fc1.weight"], p[f"{mlp}.fc1.bias"]))
+    return ad.linear(h, p[f"{mlp}.fc2.weight"], p[f"{mlp}.fc2.bias"])
+
+
+def _row_tiles(rows: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of consecutive tiles of at most ``_TILE`` of ``rows`` rows.
+
+    No tile has one row unless ``rows`` is one: numpy sends a one-row product
+    to BLAS's gemv, which rounds apart from the matrix product, so a one-row
+    remainder makes the last two tiles ``_TILE - 1`` and 2 rows.
+    """
+    starts = list(range(0, rows, _TILE))
+    if rows > _TILE and rows % _TILE == 1:
+        starts[-1] -= 1
+    return list(zip(starts, starts[1:] + [rows]))
+
+
+def _stream_tiles(B: int, m: int) -> list[tuple[int, int, int, int]]:
+    """Tiles ``(b0, b1, s, e)`` of a ``(B, m, d)`` stream: rows ``s:e`` of samples ``b0:b1``.
+
+    Samples of at most ``_TILE`` rows go whole, as many to a tile as fit; a
+    longer sample is cut into the token ranges of :func:`_row_tiles`. Either
+    way a tile is one contiguous run of the stream's rows, and no tile has
+    one row (``m`` is at least 2).
+    """
+    if m <= _TILE:
+        per = _TILE // m
+        return [(b, min(b + per, B), 0, m) for b in range(0, B, per)]
+    return [(b, b + 1, s, e) for b in range(B) for s, e in _row_tiles(m)]
+
+
+def _norm_rows(x: np.ndarray, p: dict[str, np.ndarray], name: str) -> np.ndarray:
+    """LayerNorm ``name`` of the rows ``x`` without a graph; an overflow names it."""
+    try:
+        return ad.layer_norm(x, p[f"{name}.scale"], p[f"{name}.shift"], _NORM_EPS).data
+    except NumericalFault as exc:
+        raise NumericalFault(f"{name}: {exc}") from None
+
+
+def _attention_moments(
+    x: np.ndarray,
+    config: ModelConfig,
+    p: dict[str, np.ndarray],
+    prefix: str,
+    rope: RopeTable | None,
+    tiles: list[tuple[int, int, int, int]],
+    capture: dict | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block ``prefix``'s attention on the stream ``x`` up to its output rows.
+
+    Pass 1 runs tile by tile: norm, rotation and score GEMM into one ``(B,
+    m, K)`` score array, and the value GEMM into one ``(B, m, d)`` value
+    buffer, the only stream-sized array made here. The head mask and the
+    memberships are then taken from the whole score array (TSSA's from the
+    values) by the graph path's own functions, the mask is applied to the
+    values in place, and the channel scales come from
+    :func:`ad.second_moment_scale` over groups of whole samples. Returns the
+    masked values ``(B, m, K, hd)``, the memberships ``(B, K, m)`` and the
+    channel scales ``(B, K, 1, hd)``.
+    """
+    B, m, d = x.shape
+    K = config.heads
+    layer = f"{prefix}.attn"
+    dmsa = config.attention is AttentionKind.DMSA
+    values = np.empty((B * m, d))
+    scores = np.empty((B * m, K)) if dmsa else None
+    for b0, b1, s, e in tiles:
+        r0, r1 = b0 * m + s, (b1 - 1) * m + e
+        h = _norm_rows(x[b0:b1, s:e], p, f"{prefix}.norm1")
+        if dmsa:
+            rotated = h if rope is None else rotate_pairs(h, (rope[0][s:], rope[1][s:]))
+            np.matmul(rotated.reshape(-1, d), p[f"{layer}.membership_proj"], out=scores[r0:r1])
+            del rotated  # before the value GEMM: pass 1 peaks here on shorter samples
+        np.matmul(h.reshape(-1, d), p[f"{layer}.value_proj"], out=values[r0:r1])
+    values = values.reshape(B, m, K, d // K)
+    w = values.transpose(0, 2, 1, 3)  # (B, K, m, hd), as split_heads lays it out
+
+    if dmsa:
+        scores = ad.Tensor(scores.reshape(B, m, K))
+        if config.sparsity_axis in ("head", "both"):
+            mask = sparsify_scores(ad.mean(scores, axis=1), config, gate=True).data  # (B, K)
+            np.multiply(w, mask.reshape(B, K, 1, 1), out=w)
+            if capture is not None:
+                capture["head_mask"] = mask.copy()
+        Pi = sparsify_scores(ad.transpose(scores, (0, 2, 1)), config, gate=False).data
+        del scores
+    else:
+        Pi = np.empty((B, K, m))
+    scale = np.empty((B, K, 1, d // K))
+    for b0, b1 in dict.fromkeys((b0, b1) for b0, b1, _, _ in tiles):
+        group = w[b0:b1]
+        if dmsa:
+            members = Pi[b0:b1]
+        else:
+            members = Pi[b0:b1] = tssa_membership(ad.Tensor(group)).data
+        scale[b0:b1] = ad.second_moment_scale(group * group, members, MEMBERSHIP_EPS)[2]
+    if capture is not None:
+        capture["membership"] = Pi.copy()
+    return values, Pi, scale
+
+
+def _attention_rows(
+    v: np.ndarray, Pi: np.ndarray, scale: np.ndarray, W: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Attention output rows from head features ``v`` ``(g, r, K, hd)``, rescaled in place.
+
+    ``-v * Pi * scale`` with memberships ``Pi`` ``(g, K, r)`` and channel
+    scales ``(g, K, 1, hd)``, heads merged, through the output projection
+    ``W`` and bias ``b``: the ``(g * r, d)`` rows :func:`second_moment_tail`
+    gives, by the same IEEE operations.
+    """
+    np.multiply(v, Pi.transpose(0, 2, 1)[..., None], out=v)
+    np.negative(v, out=v)
+    v *= scale.transpose(0, 2, 1, 3)
+    y = v.reshape(-1, W.shape[0]) @ W
+    y += b
+    return y
+
+
+def _mlp_rows(x: np.ndarray, p: dict[str, np.ndarray], prefix: str, buffers: np.ndarray) -> None:
+    """Add block ``prefix``'s MLP of its pre-norm to the rows ``x``, in place.
+
+    ``buffers`` holds the fc1 output and its Phi for up to ``_TILE`` rows:
+    fc1, bias, ``x * Phi(x)``, fc2 and bias are the IEEE operations of the
+    three nodes of :func:`_mlp_sublayer`.
+    """
+    mlp = f"{prefix}.mlp"
+    h = _norm_rows(x, p, f"{prefix}.norm2").reshape(-1, x.shape[-1])
+    hidden, cdf = buffers[:, : h.shape[0]]
+    np.matmul(h, p[f"{mlp}.fc1.weight"], out=hidden)
+    hidden += p[f"{mlp}.fc1.bias"]
+    ndtr(hidden, out=cdf)
+    hidden *= cdf
+    y = hidden @ p[f"{mlp}.fc2.weight"]
+    y += p[f"{mlp}.fc2.bias"]
+    x += y.reshape(x.shape)
+
+
+def _tiled_forward(
+    config: ModelConfig,
+    params: dict[str, ad.Tensor],
+    inputs: np.ndarray,
+    rope: RopeTable | None,
+    capture: list[dict] | None,
+) -> ad.Tensor:
+    """:func:`model_forward` on checked inputs when no parameter requires grad.
+
+    The residual stream ``(B, n+1, d)`` is the one array of all tokens that
+    lives through the forward, and every sublayer adds into it in place,
+    tile by tile (:func:`_stream_tiles`). Each block makes one value buffer
+    of the stream's size; everything else is tile-sized or, like the scores
+    and memberships, ``K`` floats per token. Each value is that of the graph
+    path bit for bit: the same GEMMs on the same rows (none of one row where
+    the graph's has more), the same elementwise operations, and the same
+    reductions over whole samples.
+    """
+    p = {name: t.data for name, t in params.items()}
+    B, n, _ = inputs.shape
+    m, d = n + 1, config.dim
+    x = np.empty((B, m, d))
+    stream = x.reshape(B * m, d)
+    x[:, 0] = p["cls_token"][0, 0]
+    tokens = inputs.reshape(B * n, -1)
+    for start, stop in _row_tiles(B * n):
+        rows = np.arange(start, stop)
+        embedded = tokens[start:stop] @ p["embed.weight"]
+        embedded += p["embed.bias"]
+        stream[rows + rows // n + 1] = embedded
+    tiles = _stream_tiles(B, m)
+
+    for i in range(config.depth):
+        prefix = f"blocks.{i}"
+        block_capture: dict | None = {} if capture is not None else None
+        values, Pi, scale = _attention_moments(x, config, p, prefix, rope, tiles, block_capture)
+        W, b = p[f"{prefix}.attn.out_proj"], p[f"{prefix}.attn.out_bias"]
+        for b0, b1, s, e in tiles:
+            rows = _attention_rows(values[b0:b1, s:e], Pi[b0:b1, :, s:e], scale[b0:b1], W, b)
+            x[b0:b1, s:e] += rows.reshape(b1 - b0, e - s, d)
+        del values, Pi, scale
+        if not np.all(np.isfinite(x)):
+            raise NumericalFault(f"non-finite activations after attention block {i}")
+        if block_capture is not None:
+            block_capture["tokens_after_attention"] = x.copy()
+            capture.append(block_capture)
+        if i == config.depth - 1:
+            x = x[:, 0]  # the class token: nothing reads the others from here on
+            mlp_tiles = [x[start:stop] for start, stop in _row_tiles(B)]
+        else:
+            mlp_tiles = [x[b0:b1, s:e] for b0, b1, s, e in tiles]
+        buffers = np.empty((2, max(t.size for t in mlp_tiles) // d, config.mlp_hidden))
+        for t in mlp_tiles:
+            _mlp_rows(t, p, prefix, buffers)
+        del mlp_tiles, buffers
+        if not np.all(np.isfinite(x)):
+            raise NumericalFault(f"non-finite activations after MLP block {i}")
+
+    logits = _norm_rows(x, p, "norm") @ p["head.weight"]
+    logits += p["head.bias"]
+    if not np.all(np.isfinite(logits)):
+        raise NumericalFault("non-finite logits")
+    return ad.Tensor(logits)
 
 
 def model_forward(
@@ -390,15 +586,19 @@ def model_forward(
     ``(B, d)``: that block's MLP, the final norm and the head run on one
     token per sample, and the last finiteness check covers only that token.
 
-    Each sublayer's temporaries are locals of its function and its output
-    is read once, by the residual sum, so a forward on detached parameters
-    frees every activation at its last use; a training graph keeps what its
-    backward reads. The rotary table is computed once per forward. On
-    detached parameters at the default config, 2 x 2048 tokens peak at
-    9.8 MiB under tracemalloc, 4.9 times the residual stream: the peak is
-    the second-moment rescaling of an attention sublayer, which holds its
-    head features, their squares and its output beside the stream and the
-    rotary table. The tiled MLP peaks lower, at 4.5 streams.
+    With parameters that require grad the forward builds the graph that
+    ``backward`` walks; each sublayer is a function of its own, and the
+    graph keeps what its backward reads. When no parameter requires grad
+    (``predict``, ``evaluate``, the rate curve and membership maps), each
+    block runs over tiles of about 512 token rows instead (whole samples
+    when they fit, token ranges of one sample otherwise) and adds each
+    sublayer's output into the residual stream in place. The logits and
+    captures are those of the graph bit for bit. The rotary table is
+    computed once per forward. At the default config, 2 x 2048 tokens then
+    peak at 6.7 MiB under tracemalloc, 3.4 times the residual stream: the
+    stream, the block's value buffer, the rotary table (half a stream),
+    ``K`` floats per token of scores and memberships, and one sample's
+    squared head features while its second moments are taken.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3:
@@ -420,6 +620,8 @@ def model_forward(
         raise DataMismatch(f"{n} tokens exceed max_tokens={config.max_tokens} (class token included)")
 
     rope = rope_precompute(n + 1, config.dim) if config.use_rope else None
+    if not any(t.requires_grad for t in params.values()):
+        return _tiled_forward(config, params, inputs, rope, capture)
 
     x = ad.linear(inputs, params["embed.weight"], params["embed.bias"])
     cls = ad.broadcast_to(params["cls_token"], (B, 1, config.dim))

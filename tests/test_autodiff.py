@@ -1,7 +1,6 @@
 import inspect
 import itertools
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,9 @@ from scipy.special import erf
 from dmst import autodiff as ad
 from dmst.attention import rope_precompute
 from dmst.errors import DataMismatch, InvalidInput
-from dmst.model import MEMBERSHIP_EPS, ModelConfig, finite_grads, init_params, model_loss, predict
+from dmst.model import (
+    MEMBERSHIP_EPS, ModelConfig, _mlp_sublayer, finite_grads, init_params, model_loss, predict,
+)
 from dmst.sparsify import soft_threshold_matrix
 
 FD_H = 1e-6
@@ -235,47 +236,6 @@ def test_no_grad_gelu_equals_grad_gelu_and_keeps_no_backward():
     assert np.array_equal(plain.data, x)  # the input is read, never written
 
 
-def mlp_weights(rng, d, hidden):
-    """fc1 weight and bias, fc2 weight and bias of a ``d -> hidden -> d`` MLP."""
-    return (rng.normal(size=(d, hidden)), rng.normal(size=hidden),
-            rng.normal(size=(hidden, d)), rng.normal(size=d))
-
-
-@pytest.mark.parametrize("shape", [
-    (3, 700, 16),  # 2100 rows: four whole tiles and a remainder
-    (2, 100, 16),  # fewer rows than one tile
-    (1537, 16),  # 2-D, and three tiles plus one row, which the last two tiles share
-    (1, 16),  # a single row
-])
-def test_no_grad_mlp_equals_the_three_nodes(shape):
-    rng = np.random.default_rng(3)
-    x, weights = rng.normal(scale=2.0, size=shape), mlp_weights(rng, 16, 96)
-    no_grad = ad.mlp(x, *weights)
-    hidden = ad.gelu(ad.linear(ad.Tensor(x, requires_grad=True), *weights[:2]))
-    three_nodes = ad.linear(hidden, *weights[2:])
-    assert no_grad.shape == x.shape and not no_grad.requires_grad
-    assert np.array_equal(no_grad.data, three_nodes.data)
-    with_grad = ad.mlp(ad.Tensor(x, requires_grad=True), *weights)
-    assert with_grad._backward is not None
-    assert np.array_equal(with_grad.data, no_grad.data)
-
-
-def test_no_grad_mlp_peaks_at_its_output_and_two_tile_buffers():
-    rng = np.random.default_rng(4)
-    x, weights = rng.normal(size=(8, 1000, 16)), mlp_weights(rng, 16, 96)
-    out_bytes = x.nbytes  # the output has the input's shape
-    tile_bytes = ad._MLP_TILE * 96 * 8
-    ad.mlp(x, *weights)  # warm numpy's caches outside the measurement
-    tracemalloc.start()
-    try:
-        ad.mlp(x, *weights)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the hidden activation of all 8000 rows would be 6 MiB on its own
-    assert peak < out_bytes + 3 * tile_bytes
-
-
 def test_layer_norm_gradient():
     rng = np.random.default_rng(15)
     x = rng.normal(size=(2, 3, 5))
@@ -447,6 +407,13 @@ def _frozen(a):
 
 
 _TABLE = rope_precompute(5, 6)
+_MLP_PARAMS = ("norm2.scale", "norm2.shift", "mlp.fc1.weight", "mlp.fc1.bias",
+               "mlp.fc2.weight", "mlp.fc2.bias")
+
+
+def _mlp_block(x, *weights):
+    """The model's MLP sublayer (its LayerNorm, fc1, GELU and fc2) with these weights."""
+    return _mlp_sublayer(x, {f"b.{name}": w for name, w in zip(_MLP_PARAMS, weights)}, "b")
 
 # Every op, its builder and its input shapes. Inputs are positive so that
 # pow and relu stay on their smooth side.
@@ -456,7 +423,7 @@ BACKWARD_CASES = {
     "pow_scalar": (lambda a: ad.pow_scalar(a, -0.5), [(3, 4)]),
     "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
     "linear_2d": (ad.linear, [(3, 4), (4, 5), (5,)]),
-    "mlp": (ad.mlp, [(2, 3, 4), (4, 5), (5,), (5, 4), (4,)]),
+    "mlp": (_mlp_block, [(2, 3, 4), (4,), (4,), (4, 5), (5,), (5, 4), (4,)]),
     "matmul": (lambda a, b: a @ b, [(3, 4), (4, 2)]),
     "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)]),
     "transpose": (lambda a: ad.transpose(a, (1, 0)), [(3, 4)]),

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from dmst import autodiff as ad
+from dmst import model
 from dmst.attention import AttentionKind, rope_precompute
 from dmst.errors import DataMismatch, InvalidInput, NumericalFault
 from dmst.model import (
     MAX_PARAMS,
     ModelConfig,
+    _TILE,
     _attention_sublayer,
     _layer_norm,
     _mlp_sublayer,
+    _row_tiles,
+    _stream_tiles,
     config_from_dict,
     config_to_dict,
     detach_params,
@@ -329,12 +333,29 @@ def test_stream_overflowing_a_layer_norm_raises_naming_it(param, norm):
         loss_and_grads(config, params, x, np.array([0, 1]))
 
 
+def test_a_layer_norm_overflow_in_a_later_tile_names_the_norm():
+    # 40 samples of 31 rows make three tiles of the no-grad forward; only the
+    # last sample's tokens reach the overflowing embedding, so the first two
+    # tiles normalize cleanly before the third raises
+    config = small_config()
+    params = init_params(config)
+    params["embed.weight"].data *= 1e160
+    x = np.zeros((40, 30, config.input_dim))
+    x[-1] = np.random.default_rng(4).normal(size=(30, config.input_dim))
+    assert len(_stream_tiles(40, 31)) == 3
+    message = r"^blocks\.0\.norm1: LayerNorm variance overflows$"
+    for run in (lambda: predict(config, params, x), lambda: model_forward(config, params, x)):
+        with pytest.raises(NumericalFault, match=message):
+            run()
+
+
 def test_predict_peak_memory_is_a_few_residual_streams():
-    # a no-grad forward frees each activation at its last use: no graph holds
-    # them, each attention operator drops its normed input once it has read
-    # it, and the MLP runs over token tiles, so no (tokens x hidden) array
-    # exists. A forward that held one whole hidden activation peaked at 6.7
-    # streams here.
+    # a no-grad forward runs each block over token tiles and adds every
+    # sublayer into the stream in place: beside the stream, a block holds one
+    # value buffer of its size, the rotary table, and arrays of K floats per
+    # token or of one tile. A forward that made a fresh stream-sized array
+    # per operation peaked at 4.9 streams here, and one that held one whole
+    # hidden activation at 6.7.
     config = ModelConfig()
     params = init_params(config)
     B, n = 2, 2048
@@ -347,7 +368,7 @@ def test_predict_peak_memory_is_a_few_residual_streams():
     finally:
         tracemalloc.stop()
     stream = B * (n + 1) * config.dim * 8  # bytes of the residual stream
-    assert peak <= 5.25 * stream
+    assert peak <= 4.0 * stream
 
 
 def default_batch(config):
@@ -575,19 +596,34 @@ def test_last_block_mlp_sees_only_the_class_token(monkeypatch, depth):
     B, n = 3, 6
     x = np.random.default_rng(8).normal(size=(B, n, config.input_dim))
     shapes = []
-    mlp = ad.mlp
+    mlp_sublayer = model._mlp_sublayer
 
-    def recording_mlp(inputs, *weights):
-        shapes.append(inputs.shape)
-        return mlp(inputs, *weights)
+    def recording_mlp(x, *args):
+        shapes.append(x.shape)
+        return mlp_sublayer(x, *args)
 
-    monkeypatch.setattr(ad, "mlp", recording_mlp)
-    expected = [(B, n + 1, config.dim)] * (depth - 1) + [(B, config.dim)]
-    predict(config, params, x)
-    assert shapes == expected
-    shapes.clear()
+    monkeypatch.setattr(model, "_mlp_sublayer", recording_mlp)
     loss_and_grads(config, params, x, np.array([0, 1, 2]))
-    assert shapes == expected
+    assert shapes == [(B, n + 1, config.dim)] * (depth - 1) + [(B, config.dim)]
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("depth", [1, 4])
+def test_tiled_last_block_mlp_sees_only_the_class_token(monkeypatch, depth, B):
+    config = small_config(depth=depth)
+    params = init_params(config)
+    n = 6
+    x = np.random.default_rng(8).normal(size=(B, n, config.input_dim))
+    mlps = []
+    mlp_rows = model._mlp_rows
+
+    def recording_mlp_rows(rows, *args):
+        mlps.append(rows.shape)
+        return mlp_rows(rows, *args)
+
+    monkeypatch.setattr(model, "_mlp_rows", recording_mlp_rows)
+    predict(config, params, x)
+    assert mlps == [(B, n + 1, config.dim)] * (depth - 1) + [(B, config.dim)]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4])
@@ -629,3 +665,61 @@ def test_class_token_readout_matches_an_all_token_forward(attention, axis, use_r
     for name, ref in ref_grads.items():
         tol = 1e-12 * float(np.max(np.abs(ref)))
         assert np.max(np.abs(grads[name] - ref)) <= tol, name
+
+
+# ---------------------------------------------------------------------------
+# the tiled no-grad forward
+# ---------------------------------------------------------------------------
+
+
+def test_tiles_cover_every_row_once_and_none_has_one_row():
+    for rows in (1, 2, 511, 512, 513, 1024, 1025, 1537, 2050):
+        tiles = _row_tiles(rows)
+        assert [start for start, _ in tiles] == [0] + [stop for _, stop in tiles[:-1]]
+        assert tiles[-1][1] == rows
+        assert all(0 < stop - start <= _TILE for start, stop in tiles)
+        assert rows == 1 or min(stop - start for start, stop in tiles) > 1
+    for B, m in ((1, 2), (513, 2), (40, 31), (3, 512), (2, 513), (2, 1025), (1, 4097)):
+        tiles = _stream_tiles(B, m)
+        covered = np.zeros((B, m), dtype=int)
+        for b0, b1, s, e in tiles:
+            assert 1 < (b1 - b0) * (e - s) <= _TILE
+            assert (s, e) == (0, m) or b1 - b0 == 1  # whole samples, or a range of one
+            covered[b0:b1, s:e] += 1
+        assert np.all(covered == 1)
+        if m <= _TILE:
+            assert len(tiles) == -(-B // (_TILE // m))
+
+
+# (B, n) of the tiled forward's cases: several samples to a tile; n + 1 =
+# 2 * 512 + 1, whose last two tiles take 511 and 2 rows; samples longer than a
+# tile with B = 1, 2 and 3; one token of one sample; and 513 one-token samples,
+# whose last tile is one sample and whose embedding rows leave a remainder of one
+TILED_SHAPES = [(40, 30), (2, 1024), (1, 600), (2, 600), (3, 600), (1, 1), (513, 1)]
+
+
+@pytest.mark.parametrize("use_rope", [True, False], ids=["rope", "norope"])
+@pytest.mark.parametrize("cell", ACCEPTED_CELLS, ids="-".join)
+def test_tiled_forward_equals_the_graph_bit_for_bit(cell, use_rope):
+    # parameters requiring grad take the graph path, the oracle; detached ones
+    # take the tiled path, with and without a capture
+    config = cell_config(cell, depth=2, dim=16, heads=4, topk=2, use_rope=use_rope)
+    rng = np.random.default_rng(12)
+    for off_init in (0.0, 0.3):
+        params = init_params(config)
+        for p in params.values():
+            p.data += rng.normal(scale=off_init, size=p.shape)
+        detached = detach_params(params)
+        for B, n in TILED_SHAPES:
+            x = rng.normal(size=(B, n, config.input_dim))
+            capture, graph_capture = [], []
+            graph = model_forward(config, params, x, capture=graph_capture).data
+            np.testing.assert_array_equal(model_forward(config, detached, x).data, graph)
+            np.testing.assert_array_equal(
+                model_forward(config, detached, x, capture=capture).data, graph
+            )
+            assert len(capture) == len(graph_capture) == config.depth
+            for block, graph_block in zip(capture, graph_capture):
+                assert list(block) == list(graph_block)
+                for key in block:
+                    np.testing.assert_array_equal(block[key], graph_block[key])

@@ -190,6 +190,23 @@ def test_evaluate_matches_direct_forward():
     assert acc == expected_acc
 
 
+def test_evaluate_loss_is_the_graph_paths_bit_for_bit():
+    # evaluate's forward runs over token tiles (200 samples of 7 rows are three
+    # tiles); the forward with parameters requiring grad builds the graph
+    spec = dataclasses.replace(SPEC, samples_per_class=100)
+    ds = generate_synthetic(spec, 0, "train")
+    params = init_params(CONFIG)
+    rng = np.random.default_rng(2)
+    for p in params.values():
+        p.data += rng.normal(scale=0.3, size=p.shape)  # off init: no bias is zero
+    loss, acc = evaluate(CONFIG, params, ds, batch=256)
+    logits = model_forward(CONFIG, params, ds.tokens)
+    assert logits.requires_grad
+    expected = float(ad.cross_entropy_mean(logits, ds.labels).data) * ds.size / ds.size
+    assert loss == expected
+    assert acc == float(np.sum(np.argmax(logits.data, axis=1) == ds.labels)) / ds.size
+
+
 def test_evaluate_is_batch_size_invariant():
     train_ds, _ = datasets()
     params = init_params(CONFIG)
