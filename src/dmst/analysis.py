@@ -1,15 +1,14 @@
 """Post-hoc analyses of trained models: rate curves, membership maps, memory profiles.
 
 The layer-wise rate curve evaluates the decoupled variational rate on each
-attention block's output under that block's own grouping: memberships are
-recomputed from the block output through the model's own score path
-(``model.membership_scores`` for DMSA), and the group dictionaries are the
-value projection's head blocks. Output tokens are normalized to unit length
-first; without that, residual-stream growth across depth swamps the geometry
-the rate is meant to measure. The rate coefficient is evaluated in the
-layer's folded form (``d/eps^2 = 1``). Each chunk of samples takes one
-forward and one stacked rate call per block. A stack that compresses its
-tokens shows a broadly non-increasing curve.
+attention block's output under that block's own grouping: the memberships Pi
+are the ones the block applied, read from the forward's ``capture``, and the
+group dictionaries are the value projection's head blocks. Output tokens are
+normalized to unit length first; without that, residual-stream growth across
+depth swamps the geometry the rate is meant to measure. The rate coefficient
+is evaluated in the layer's folded form (``d/eps^2 = 1``). Each chunk of
+samples takes one forward and one stacked rate call per block. A stack that
+compresses its tokens shows a broadly non-increasing curve.
 
 Membership maps reshape each head's token weights at a chosen block into a
 near-square grid and render them as 8-bit grayscale (PGM, P5) with per-head
@@ -28,13 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (
-    AttentionKind,
-    MhsaLayerParams,
-    RopeTable,
-    mhsa_layer_forward,
-    rope_precompute,
-)
+from .attention import AttentionKind, MhsaLayerParams, mhsa_layer_forward, rope_precompute
 from .coding_rate import CodingRateConfig, Membership, SubspaceBank, rate_variational_decoupled
 from .errors import InvalidInput
 from .memcount import count_floats
@@ -44,11 +37,7 @@ from .model import (
     _dmsa_attention,
     _tssa_attention,
     detach_params,
-    membership_scores,
     model_forward,
-    sparsify_scores,
-    split_heads,
-    tssa_membership,
 )
 from .rng import stream
 
@@ -91,7 +80,6 @@ def _chunk_rates(
     config: ModelConfig,
     params: dict[str, ad.Tensor],
     chunk: np.ndarray,
-    rope: RopeTable | None,
 ) -> Iterator[np.ndarray]:
     """Yield each block's per-sample rates ``(B,)`` on one chunk of samples.
 
@@ -103,16 +91,11 @@ def _chunk_rates(
     model_forward(config, params, chunk, capture=capture)
     for b, entry in enumerate(capture):
         after = entry["tokens_after_attention"]  # (B, n+1, d)
-        prefix = f"blocks.{b}.attn"
-        value_w = params[f"{prefix}.value_proj"].data  # (d, d), columns index output
+        value_w = params[f"blocks.{b}.attn.value_proj"].data  # (d, d), columns index output
         bank = SubspaceBank(tuple(np.split(value_w, config.heads, axis=1)))
-        if config.attention is AttentionKind.DMSA:
-            scores = membership_scores(ad.Tensor(after), params, prefix, rope)
-            Pi = sparsify_scores(ad.transpose(scores, (0, 2, 1)), config, gate=False).data
-        else:
-            Pi = tssa_membership(split_heads(ad.Tensor(after @ value_w), config.heads)).data
         unit = after / np.maximum(np.linalg.norm(after, axis=-1, keepdims=True), 1e-12)
-        yield rate_variational_decoupled(np.swapaxes(unit, -1, -2), Membership(Pi), bank, cfg)
+        Pi = Membership(entry["membership"])  # (B, K, n+1), the Pi the block applied
+        yield rate_variational_decoupled(np.swapaxes(unit, -1, -2), Pi, bank, cfg)
 
 
 def layer_rate_curve(
@@ -132,11 +115,10 @@ def layer_rate_curve(
     if tokens.shape[0] == 0:
         raise InvalidInput("rate curve needs at least one sample")
     detached = detach_params(params)
-    rope = rope_precompute(tokens.shape[1] + 1, config.dim) if config.use_rope else None
     totals = np.zeros(config.depth)
     for start in range(0, tokens.shape[0], batch):
         chunk = tokens[start : start + batch]
-        for b, rates in enumerate(_chunk_rates(config, detached, chunk, rope)):
+        for b, rates in enumerate(_chunk_rates(config, detached, chunk)):
             for rate in rates:  # in sample order, so the sum matches one sample at a time
                 totals[b] += rate
     return RateCurve(values=totals / tokens.shape[0], samples=int(tokens.shape[0]))
@@ -290,7 +272,7 @@ def profile_attention_memory(
             layer["attn.membership_proj"] = ad.Tensor(rng.normal(size=(d, heads)) * scale)
         layer["attn.out_proj"] = ad.Tensor(rng.normal(size=(d, d)) * scale)
         layer["attn.out_bias"] = ad.Tensor(np.zeros(d))
-        rope = rope_precompute(max(token_counts), d)
+        rope = rope_precompute(max(token_counts), d) if op == "dmsa" else None
 
         def forward(tokens: np.ndarray) -> None:
             x = ad.Tensor(tokens[None])

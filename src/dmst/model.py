@@ -214,12 +214,10 @@ def param_count(config: ModelConfig) -> int:
 _NORM_EPS = 1e-6
 
 
-def _layer_norm(
-    x: ad.Tensor, scale: ad.Tensor, shift: ad.Tensor, name: str = "norm", eps: float = _NORM_EPS
-) -> ad.Tensor:
+def _layer_norm(x: ad.Tensor, scale: ad.Tensor, shift: ad.Tensor, name: str = "norm") -> ad.Tensor:
     """LayerNorm ``name`` (``norm`` is the final one); an overflow names it."""
     try:
-        return ad.layer_norm(x, scale, shift, eps)
+        return ad.layer_norm(x, scale, shift, _NORM_EPS)
     except NumericalFault as exc:
         raise NumericalFault(f"{name}: {exc}") from None
 
@@ -277,14 +275,6 @@ def second_moment_tail(
     return ad.linear(merged, out_proj, out_bias)
 
 
-def membership_scores(
-    x: ad.Tensor, p: dict[str, ad.Tensor], prefix: str, rope: RopeTable | None
-) -> ad.Tensor:
-    """DMSA scores ``(B, n, K)``: the (rotary-rotated) tokens through the membership projection."""
-    rotated = ad.rope_rotate(x, rope) if rope is not None else x
-    return rotated @ p[f"{prefix}.membership_proj"]
-
-
 def _dmsa_attention(
     x: ad.Tensor,
     config: ModelConfig,
@@ -295,13 +285,15 @@ def _dmsa_attention(
 ) -> ad.Tensor:
     """DMSA sublayer on ``(B, n, d)`` tokens.
 
-    Values split into heads; memberships come from :func:`membership_scores`.
-    Head-axis blocks gate whole heads with the activation of the token-mean
-    membership scores.
+    Values split into heads; the membership scores are the (rotary-rotated)
+    tokens through the membership projection, and their activation is the
+    membership Pi. Head-axis blocks gate whole heads with the activation of
+    the token-mean membership scores.
     """
     B = x.shape[0]
     K = config.heads
-    scores = membership_scores(x, p, prefix, rope)  # (B, n, K)
+    rotated = ad.rope_rotate(x, rope) if rope is not None else x
+    scores = rotated @ p[f"{prefix}.membership_proj"]  # (B, n, K)
     w = split_heads(x @ p[f"{prefix}.value_proj"], K)  # (B, K, n, hd)
 
     if config.sparsity_axis in ("head", "both"):

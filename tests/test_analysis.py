@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dmst import analysis, model
-from dmst import autodiff as ad
 from dmst.analysis import (
     MembershipMap,
     infer_grid,
@@ -15,11 +14,9 @@ from dmst.analysis import (
     write_membership_artifacts,
     write_pgm,
 )
-from dmst.attention import ROPE_BASE, AttentionKind
 from dmst.coding_rate import CodingRateConfig, Membership, SubspaceBank, rate_variational_decoupled
 from dmst.errors import InvalidInput
-from dmst.model import ModelConfig, init_params, model_forward, split_heads, tssa_membership
-from dmst.sparsify import ActivationKind, soft_threshold_matrix
+from dmst.model import ModelConfig, init_params, model_forward
 
 
 def small_config(**kwargs):
@@ -189,7 +186,8 @@ def test_layer_rate_curve_truncates_to_max_samples():
 
 
 def reference_curve(config, params, tokens):
-    """Per-sample oracle: numpy rotary and activations, one 2-d rate call per sample per block."""
+    """Per-sample oracle: the graph forward's captured Pi, one 2-d rate call per sample."""
+    assert all(p.requires_grad for p in params.values())  # the graph form, not the tiled forward
     d, K = config.dim, config.heads
     p = d // K
     capture = []
@@ -198,22 +196,7 @@ def reference_curve(config, params, tokens):
     for b, entry in enumerate(capture):
         value_w = params[f"blocks.{b}.attn.value_proj"].data
         bank = SubspaceBank(tuple(value_w[:, k * p : (k + 1) * p] for k in range(K)))
-        for x in entry["tokens_after_attention"]:
-            if config.attention is AttentionKind.DMSA:
-                angles = np.outer(np.arange(x.shape[0]), ROPE_BASE ** (-np.arange(0, d, 2) / d))
-                even, odd = x[:, 0::2], x[:, 1::2]
-                rotated = np.empty_like(x)
-                rotated[:, 0::2] = even * np.cos(angles) - odd * np.sin(angles)
-                rotated[:, 1::2] = even * np.sin(angles) + odd * np.cos(angles)
-                scores = (rotated @ params[f"blocks.{b}.attn.membership_proj"].data).T
-                if config.activation is ActivationKind.RELU:
-                    Pi = np.maximum(scores, 0.0)
-                elif config.activation is ActivationKind.SIGMOID or config.sparsity_axis == "head":
-                    Pi = 1.0 / (1.0 + np.exp(-scores))
-                else:
-                    Pi = soft_threshold_matrix(scores)
-            else:
-                Pi = tssa_membership(split_heads(ad.Tensor((x @ value_w)[None]), K)).data[0]
+        for x, Pi in zip(entry["tokens_after_attention"], entry["membership"]):
             unit = x / np.linalg.norm(x, axis=1, keepdims=True)
             cfg = CodingRateConfig(epsilon=float(np.sqrt(d)))
             totals[b] += rate_variational_decoupled(unit.T, Membership(Pi), bank, cfg)
