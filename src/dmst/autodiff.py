@@ -6,18 +6,18 @@ topological order and accumulates gradients into every tensor that requires
 them. Only the 20 operations the classifier builds are provided, each with
 an exact adjoint: ``add``, ``mul``, ``pow_scalar``, ``linear``, ``reshape``,
 ``transpose``, ``broadcast_to``, ``concat``, ``getitem``, ``sum_``,
-``mean``, ``sigmoid``, ``relu``, ``gelu``, ``softmax``, ``layer_norm``,
-``second_moment_rescale``, ``soft_threshold_rows`` (the simplex soft
-threshold, through its active-set Jacobian), ``rope_rotate`` (the pairwise
-rotary rotation) and ``cross_entropy_mean``. ``+``, ``*`` and ``[]`` are
-``add``, ``mul`` and ``getitem``, and ``@`` is ``linear`` without a bias,
-so its right operand is a 2-D weight. LayerNorm and the DMSA/TSSA
-second-moment rescaling are single nodes with closed-form adjoints, since
-per-node overhead dominates a training step on arrays this small; for the
-same reason a biased projection is one :func:`linear` node, a single GEMM
-whose fresh output takes the bias in place. While a :mod:`dmst.memcount`
-counter is active, every node's array is registered with it unless it is a
-view into a parent's array.
+``mean``, ``sigmoid``, ``relu``, ``gelu_linear``, ``softmax``,
+``layer_norm``, ``second_moment_rescale``, ``soft_threshold_rows`` (the
+simplex soft threshold, through its active-set Jacobian), ``rope_rotate``
+(the pairwise rotary rotation) and ``cross_entropy_mean``. ``+``, ``*`` and
+``[]`` are ``add``, ``mul`` and ``getitem``, and ``@`` is ``linear`` without
+a bias, so its right operand is a 2-D weight. LayerNorm, the DMSA/TSSA
+second-moment rescaling and GELU into the MLP's second projection are
+single nodes with closed-form adjoints, since per-node overhead dominates a
+training step on arrays this small; for the same reason a biased projection
+is one :func:`linear` node, a single GEMM whose fresh output takes the bias
+in place. While a :mod:`dmst.memcount` counter is active, every node's array
+is registered with it unless it is a view into a parent's array.
 
 A node links to its parents and keeps its backward closure only when a
 parent requires grad. In a no-grad forward (every input and parameter a
@@ -28,13 +28,27 @@ node drops its closure, its parent links and its gradient, so each
 activation and interior gradient is freed after its last use and a training
 step peaks at about the memory of its forward graph. The node is then
 consumed, and a second ``backward`` through it, from the same root or from
-another root that shares it, raises ``InvalidInput``. GELU keeps
-Phi (``scipy.special.ndtr``) for its backward. The no-grad forward of
-``dmst.model`` runs over tiles of token rows with these ops and numpy
-directly, and takes the rescaling's channel scales from
-:func:`second_moment_scale`. The rotary rotation takes the ``(cos,
-sin)`` pair that a forward computes once and, as ``(cos, -sin)``, rotates
-its gradient back.
+another root that shares it, raises ``InvalidInput``.
+
+A fused node keeps what is small or costly to rebuild and rebuilds the
+rest in its backward by the forward's own IEEE operations on the same
+arrays, so the gradients are bit for bit those of keeping everything:
+
+- ``layer_norm`` keeps each row's ``inv`` and rebuilds ``x-hat``;
+- ``second_moment_rescale`` keeps the normalized memberships and the
+  channel scales and squares ``w`` again;
+- ``gelu_linear`` keeps Phi (``scipy.special.ndtr``) and rebuilds the
+  activation ``h * Phi(h)`` for the weight gradient.
+
+So an adjoint reads its parents' ``.data``, as :func:`linear` always has
+for its weight gradient, and no array a node was made from may change
+between its forward and its backward.
+
+The no-grad forward of ``dmst.model`` runs over tiles of token rows with
+these ops and numpy directly, and takes the rescaling's channel scales from
+:func:`second_moment_scale`. The rotary rotation takes the ``(cos, sin)``
+pair that a forward computes once and, as ``(cos, -sin)``, rotates its
+gradient back.
 
 Gradient ownership: an interior node (one with a backward closure) keeps
 the first gradient it receives without a copy, so interior gradients may
@@ -395,19 +409,33 @@ def relu(a) -> Tensor:
     return _node(np.maximum(a.data, 0.0), (a,), backward)
 
 
-def gelu(a) -> Tensor:
-    """Exact GELU ``x * Phi(x)``; Phi is kept for the backward."""
-    a = as_tensor(a)
-    cdf = ndtr(a.data)
+def gelu_linear(h, W, b) -> Tensor:
+    """``gelu(h) @ W + b``, exact GELU ``h * Phi(h)`` into a biased projection, as one node.
+
+    ``h`` is ``(..., d)``, ``W`` a ``(d, k)`` weight and ``b`` a ``(k,)``
+    bias. The node keeps Phi (``scipy.special.ndtr``) beside ``h``, not the
+    activation ``h * Phi(h)``: the backward multiplies it out again for the
+    weight gradient. The input adjoint is ``(g @ W^T) * (Phi + h * phi)``.
+    """
+    h, W, b = as_tensor(h), as_tensor(W), as_tensor(b)
+    cdf = ndtr(h.data)
+    out = (h.data * cdf).reshape(-1, h.shape[-1]) @ W.data
+    out += b.data
 
     def backward(g: np.ndarray) -> None:
-        slope = normal_pdf(a.data)
-        slope *= a.data
-        slope += cdf
-        slope *= g
-        _accumulate(a, slope)
+        g2 = g.reshape(-1, g.shape[-1])
+        if h.requires_grad:
+            slope = normal_pdf(h.data)
+            slope *= h.data
+            slope += cdf
+            slope *= (g2 @ W.data.T).reshape(h.shape)
+            _accumulate(h, slope)
+        if W.requires_grad:
+            _accumulate(W, (h.data * cdf).reshape(-1, h.shape[-1]).T @ g2)
+        if b.requires_grad:
+            _accumulate(b, g2.sum(axis=0))
 
-    return _node(a.data * cdf, (a,), backward)
+    return _node(out.reshape(h.shape[:-1] + W.shape[-1:]), (h, W, b), backward)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -426,7 +454,9 @@ def layer_norm(x, scale, shift, eps: float) -> Tensor:
 
     With ``xhat = (x - mean) * inv`` and ``inv = (var + eps)^-1/2``, the
     input adjoint is ``inv * (gx - mean(gx) - xhat * mean(gx * xhat))`` for
-    ``gx = g * scale``, all means over the last axis.
+    ``gx = g * scale``, all means over the last axis. The node keeps only
+    ``inv``, one float per row; the backward rebuilds ``xhat`` from ``x`` by
+    the forward's own operations.
 
     A finite entry above about 1e154 overflows its token's variance, which
     would make ``inv`` zero and the output ``shift``; that, and a non-finite
@@ -444,6 +474,8 @@ def layer_norm(x, scale, shift, eps: float) -> Tensor:
     out += shift.data
 
     def backward(g: np.ndarray) -> None:
+        xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+        xhat *= inv
         if x.requires_grad:
             gx = g * scale.data
             gx_mean = gx.mean(axis=-1, keepdims=True)
@@ -494,10 +526,12 @@ def second_moment_rescale(w, Pi, eps: float) -> Tensor:
         d w    = -g * Pi * attn + 2 * gd * norm * w
         gnorm  = sum_j gd * w^2                            (..., n)
         d Pi   = -sum_j g * w * attn + gnorm / D - sum_n(gnorm * Pi) / D^2
+
+    The node keeps ``norm`` and the ``(..., 1, p)`` scales, not ``w^2``: the
+    backward squares ``w`` again for ``gnorm``.
     """
     w, Pi = as_tensor(w), as_tensor(Pi)
-    sq = w.data * w.data
-    denom, norm, attn = second_moment_scale(sq, Pi.data, eps)
+    denom, norm, attn = second_moment_scale(w.data * w.data, Pi.data, eps)
     weight = Pi.data[..., None]  # (..., n, 1)
     out = np.multiply(w.data, weight)
     np.negative(out, out=out)
@@ -507,7 +541,7 @@ def second_moment_rescale(w, Pi, eps: float) -> Tensor:
         gw = g * w.data
         gd = (np.swapaxes(weight, -1, -2) @ gw) * (attn * attn)
         if Pi.requires_grad:
-            gnorm = (sq @ np.swapaxes(gd, -1, -2))[..., 0]
+            gnorm = ((w.data * w.data) @ np.swapaxes(gd, -1, -2))[..., 0]
             direct = (gw @ np.swapaxes(attn, -1, -2))[..., 0]
             spread = (gnorm * Pi.data).sum(axis=-1, keepdims=True) / (denom * denom)
             gPi = gnorm / denom

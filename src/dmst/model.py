@@ -344,16 +344,18 @@ def _attention_sublayer(
 def _mlp_sublayer(x: ad.Tensor, p: dict[str, ad.Tensor], prefix: str) -> ad.Tensor:
     """Block ``prefix``'s two-layer GELU MLP on its pre-norm of the residual stream ``x``.
 
-    The graph form, whose hidden activation of all tokens the backward
-    reads. A forward without a graph runs the same operations over tiles of
-    token rows in :func:`_mlp_rows`, so there no array of all tokens at the
-    hidden width exists: two hidden-width buffers of up to ``_TILE`` rows
-    serve every tile of a block.
+    The graph form: after the norm, two nodes, fc1 (:func:`ad.linear`) and
+    GELU into fc2 (:func:`ad.gelu_linear`), which between them keep the fc1
+    output of all tokens and its Phi for the backward. A forward without a
+    graph runs the same operations over tiles of token rows in
+    :func:`_mlp_rows`, so there no array of all tokens at the hidden width
+    exists: two hidden-width buffers of up to ``_TILE`` rows serve every
+    tile of a block.
     """
     norm, mlp = f"{prefix}.norm2", f"{prefix}.mlp"
     h = _layer_norm(x, p[f"{norm}.scale"], p[f"{norm}.shift"], norm)
-    h = ad.gelu(ad.linear(h, p[f"{mlp}.fc1.weight"], p[f"{mlp}.fc1.bias"]))
-    return ad.linear(h, p[f"{mlp}.fc2.weight"], p[f"{mlp}.fc2.bias"])
+    h = ad.linear(h, p[f"{mlp}.fc1.weight"], p[f"{mlp}.fc1.bias"])
+    return ad.gelu_linear(h, p[f"{mlp}.fc2.weight"], p[f"{mlp}.fc2.bias"])
 
 
 def _row_tiles(rows: int) -> list[tuple[int, int]]:
@@ -476,7 +478,7 @@ def _mlp_rows(x: np.ndarray, p: dict[str, np.ndarray], prefix: str, buffers: np.
 
     ``buffers`` holds the fc1 output and its Phi for up to ``_TILE`` rows:
     fc1, bias, ``x * Phi(x)``, fc2 and bias are the IEEE operations of the
-    three nodes of :func:`_mlp_sublayer`.
+    two nodes after the norm in :func:`_mlp_sublayer`.
     """
     mlp = f"{prefix}.mlp"
     h = _norm_rows(x, p, f"{prefix}.norm2").reshape(-1, x.shape[-1])

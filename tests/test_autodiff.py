@@ -4,11 +4,12 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, ndtr
 
 from dmst import autodiff as ad
 from dmst.attention import rope_precompute
 from dmst.errors import DataMismatch, InvalidInput
+from dmst.functional import normal_pdf
 from dmst.model import (
     MEMBERSHIP_EPS, ModelConfig, _mlp_sublayer, finite_grads, init_params, model_loss, predict,
 )
@@ -211,24 +212,36 @@ def test_sigmoid_relu_gelu_gradients():
     w = weighted(rng, (3, 4))
     check_op(lambda x: w(ad.sigmoid(x)), [a])
     check_op(lambda x: w(ad.relu(x)), [a])
-    check_op(lambda x: w(ad.gelu(x)), [a])
+    check_op(lambda x: w(ad.gelu_linear(x, np.eye(4), np.zeros(4))), [a])
+
+
+def test_gelu_linear_gradient_of_each_operand_alone():
+    rng = np.random.default_rng(19)
+    h, W, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    w = weighted(rng, (2, 3, 5))
+    check_op(lambda a: w(ad.gelu_linear(a, W, b)), [h])
+    check_op(lambda a: w(ad.gelu_linear(h, a, b)), [W])
+    check_op(lambda a: w(ad.gelu_linear(h, W, a)), [b])
 
 
 def test_gelu_gradient_matches_finite_differences():
+    # one input column through a 1 x 1 identity: the product is GELU itself
     rng = np.random.default_rng(1)
-    x = rng.normal(scale=2.0, size=200)
+    x = rng.normal(scale=2.0, size=(200, 1))
+    one, zero = np.ones((1, 1)), np.zeros(1)
     h = 1e-6
-    fd = (ad.gelu(x + h).data - ad.gelu(x - h).data) / (2 * h)
+    fd = (ad.gelu_linear(x + h, one, zero).data - ad.gelu_linear(x - h, one, zero).data) / (2 * h)
     t = ad.Tensor(x, requires_grad=True)
-    ad.gelu(t).backward(np.ones_like(x))
+    ad.gelu_linear(t, one, zero).backward(np.ones_like(x))
     assert np.max(np.abs(t.grad - fd)) < 1e-8
 
 
 def test_no_grad_gelu_equals_grad_gelu_and_keeps_no_backward():
     x = np.random.default_rng(2).normal(scale=3.0, size=(4, 7, 9))
     plain = ad.Tensor(x)
-    no_grad = ad.gelu(plain)
-    with_grad = ad.gelu(ad.Tensor(x, requires_grad=True))
+    eye, zero = np.eye(9), np.zeros(9)
+    no_grad = ad.gelu_linear(plain, eye, zero)
+    with_grad = ad.gelu_linear(ad.Tensor(x, requires_grad=True), eye, zero)
     assert np.array_equal(no_grad.data, with_grad.data)
     assert not no_grad.requires_grad
     assert no_grad._backward is None and no_grad._parents == ()
@@ -271,8 +284,11 @@ def test_fused_ops_match_their_composed_expressions():
     # composed-op expression it replaces, forward and (for the graph) backward
     rng = np.random.default_rng(17)
     x = rng.normal(size=(3, 4, 6))
+    weight, bias = rng.normal(size=(6, 5)), rng.normal(size=5)
     np.testing.assert_allclose(
-        ad.gelu(x).data, x * 0.5 * (1.0 + erf(x / np.sqrt(2.0))), rtol=0, atol=1e-12
+        ad.gelu_linear(x, weight, bias).data,
+        np.einsum("bnd,dh->bnh", x * 0.5 * (1.0 + erf(x / np.sqrt(2.0))), weight) + bias,
+        rtol=0, atol=1e-12,
     )
 
     scale, shift = rng.normal(size=6), rng.normal(size=6)
@@ -282,7 +298,6 @@ def test_fused_ops_match_their_composed_expressions():
         ad.layer_norm(x, scale, shift, 1e-6).data, expected, rtol=0, atol=1e-12
     )
 
-    weight = rng.normal(size=(6, 5))
     np.testing.assert_allclose(
         (ad.Tensor(x) @ weight).data, np.einsum("bnd,dh->bnh", x, weight), rtol=0, atol=1e-12
     )
@@ -308,6 +323,105 @@ def test_fused_ops_match_their_composed_expressions():
         grads.append((out.data, tw.grad, tp.grad))
     for fused, reference in zip(grads[1], grads[0]):
         np.testing.assert_allclose(fused, reference, rtol=0, atol=1e-12)
+
+
+# Reference adjoints that save every forward array their backward reads:
+# x-hat of LayerNorm, w^2 of the rescaling and the GELU activation fed to the
+# projection. The ops rebuild those arrays in backward by the same IEEE
+# operations on the same inputs, so their gradients must match these bit for
+# bit.
+
+
+def saved_layer_norm(x, scale, shift, eps, g):
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    out = np.multiply(xhat, xhat)
+    inv = (out.mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat *= inv
+    np.multiply(xhat, scale, out=out)
+    out += shift
+    gx = g * scale
+    gx_mean = gx.mean(axis=-1, keepdims=True)
+    tmp = np.multiply(gx, xhat)
+    np.multiply(xhat, tmp.mean(axis=-1, keepdims=True), out=tmp)
+    gx -= gx_mean
+    gx -= tmp
+    gx *= inv
+    lead = tuple(range(g.ndim - 1))
+    return out, [gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)]
+
+
+def saved_second_moment_rescale(w, Pi, eps, g):
+    sq = w * w
+    denom, norm, attn = ad.second_moment_scale(sq, Pi, eps)
+    weight = Pi[..., None]
+    out = np.multiply(w, weight)
+    np.negative(out, out=out)
+    out *= attn
+    gw = g * w
+    gd = (np.swapaxes(weight, -1, -2) @ gw) * (attn * attn)
+    gnorm = (sq @ np.swapaxes(gd, -1, -2))[..., 0]
+    direct = (gw @ np.swapaxes(attn, -1, -2))[..., 0]
+    spread = (gnorm * Pi).sum(axis=-1, keepdims=True) / (denom * denom)
+    gPi = gnorm / denom
+    gPi -= spread
+    gPi -= direct
+    gd *= 2.0
+    dw = gd * norm[..., None]
+    dw *= w
+    np.multiply(g, weight, out=gw)
+    gw *= attn
+    dw -= gw
+    return out, [dw, gPi]
+
+
+def saved_gelu_linear(h, W, b, g):
+    cdf = ndtr(h)
+    act = (h * cdf).reshape(-1, h.shape[-1])
+    out = act @ W
+    out += b
+    g2 = g.reshape(-1, g.shape[-1])
+    slope = normal_pdf(h)
+    slope *= h
+    slope += cdf
+    slope *= (g2 @ W.T).reshape(h.shape)
+    return out.reshape(g.shape), [slope, act.T @ g2, g2.sum(axis=0)]
+
+
+def split_heads_view(rng, B, n, K, hd):
+    # (B, K, n, hd) features as a transposed view of (B, n, K * hd) values
+    return rng.normal(size=(B, n, K * hd)).reshape(B, n, K, hd).transpose(0, 2, 1, 3)
+
+
+@pytest.mark.parametrize("case", ["layer_norm", "layer_norm_strided", "rescale_sigmoid",
+                                  "rescale_simplex", "gelu_linear", "gelu_linear_2d"])
+def test_ops_that_rebuild_saved_arrays_match_saving_adjoints_bit_for_bit(case):
+    rng = np.random.default_rng(24)
+    if case.startswith("layer_norm"):
+        x = rng.normal(size=(3, 7, 5))
+        if case == "layer_norm_strided":  # the class token of a stream, as the last block reads it
+            x = x[:, 0, :]
+        inputs = [x, rng.uniform(0.5, 1.5, size=5), rng.normal(size=5)]
+        op = lambda a, s, b: ad.layer_norm(a, s, b, 1e-6)
+        reference = lambda a, s, b, g: saved_layer_norm(a, s, b, 1e-6, g)
+    elif case.startswith("rescale"):
+        zeros = case == "rescale_simplex"
+        membership = simplex_membership_with_zeros if zeros else sigmoid_membership
+        inputs = [split_heads_view(rng, 3, 7, 2, 5), membership(rng, (3, 2, 7))]
+        op = lambda w, P: ad.second_moment_rescale(w, P, MEMBERSHIP_EPS)
+        reference = lambda w, P, g: saved_second_moment_rescale(w, P, MEMBERSHIP_EPS, g)
+    else:
+        lead = (3, 7) if case == "gelu_linear" else (3,)
+        h = rng.normal(scale=2.0, size=lead + (11,))
+        inputs = [h, rng.normal(size=(11, 5)), rng.normal(size=5)]
+        op, reference = ad.gelu_linear, saved_gelu_linear
+    tensors = [ad.Tensor(a, requires_grad=True) for a in inputs]
+    out = op(*tensors)
+    seed = rng.normal(size=out.shape)
+    expected, grads = reference(*inputs, seed)
+    out.backward(seed)
+    assert np.array_equal(out.data, expected)
+    for t, g in zip(tensors, grads):
+        assert np.array_equal(t.grad, g)
 
 
 def test_softmax_gradient():
@@ -434,7 +548,7 @@ BACKWARD_CASES = {
     "mean": (lambda a: ad.mean(a, axis=0, keepdims=True), [(3, 4)]),
     "sigmoid": (ad.sigmoid, [(3, 4)]),
     "relu": (ad.relu, [(3, 4)]),
-    "gelu": (ad.gelu, [(3, 4)]),
+    "gelu_linear": (ad.gelu_linear, [(2, 3, 4), (4, 5), (5,)]),
     "softmax": (ad.softmax, [(3, 4)]),
     "layer_norm": (lambda a, s, b: ad.layer_norm(a, s, b, 1e-6), [(2, 3, 5), (5,), (5,)]),
     "second_moment_rescale": (

@@ -417,6 +417,25 @@ def test_training_step_peak_memory_is_about_the_forward_graph():
     assert peak <= 1.25 * held
 
 
+def test_training_step_forward_graph_holds_at_most_17_hidden_activations():
+    # what the graph keeps for backward, in units of one MLP hidden
+    # activation of the batch. Each block's MLP keeps its fc1 output and its
+    # Phi; LayerNorm keeps no x-hat, the rescaling no w^2, and no node keeps
+    # the GELU output. A graph that also kept those read 22.3 here.
+    config = ModelConfig()
+    params = init_params(config)
+    x, labels = default_batch(config)
+    model_loss(config, params, x, labels)[0].backward()  # warm numpy's caches outside the measurement
+    tracemalloc.start()
+    try:
+        loss, _ = model_loss(config, params, x, labels)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    hidden = x.shape[0] * (x.shape[1] + 1) * config.mlp_hidden * 8  # bytes of one hidden activation
+    assert held <= 17 * hidden
+
+
 def test_zero_input_has_finite_loss_and_gradients():
     config = small_config()
     params = init_params(config)
