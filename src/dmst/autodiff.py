@@ -44,9 +44,11 @@ So an adjoint reads its parents' ``.data``, as :func:`linear` always has
 for its weight gradient, and no array a node was made from may change
 between its forward and its backward.
 
-The no-grad forward of ``dmst.model`` runs over tiles of token rows with
-these ops and numpy directly, and takes the rescaling's channel scales from
-:func:`second_moment_scale`. The rotary rotation takes the ``(cos, sin)``
+The no-grad forward of ``dmst.model`` runs these ops on tiles of token
+rows, where they build no graph. It splits the rescaling's forward in two:
+:func:`second_moment_scale` takes the channel scales over whole samples and
+:func:`second_moment_apply` rescales each tile with them, the two halves of
+:func:`second_moment_rescale`. The rotary rotation takes the ``(cos, sin)``
 pair that a forward computes once and, as ``(cos, -sin)``, rotates its
 gradient back.
 
@@ -416,10 +418,15 @@ def gelu_linear(h, W, b) -> Tensor:
     bias. The node keeps Phi (``scipy.special.ndtr``) beside ``h``, not the
     activation ``h * Phi(h)``: the backward multiplies it out again for the
     weight gradient. The input adjoint is ``(g @ W^T) * (Phi + h * phi)``.
+    When none of ``h``, ``W`` and ``b`` requires grad nothing reads Phi
+    again, so the activation is written over it in place, and the node
+    allocates one array of ``h``'s size beside its output.
     """
     h, W, b = as_tensor(h), as_tensor(W), as_tensor(b)
     cdf = ndtr(h.data)
-    out = (h.data * cdf).reshape(-1, h.shape[-1]) @ W.data
+    graph = h.requires_grad or W.requires_grad or b.requires_grad
+    act = np.multiply(h.data, cdf, out=None if graph else cdf)
+    out = act.reshape(-1, h.shape[-1]) @ W.data
     out += b.data
 
     def backward(g: np.ndarray) -> None:
@@ -514,6 +521,21 @@ def second_moment_scale(
     return denom, norm, attn
 
 
+def second_moment_apply(
+    w: np.ndarray, Pi: np.ndarray, attn: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The rescaled head features ``-w * Pi * attn``, into ``out`` (fresh when ``None``).
+
+    ``w`` is ``(..., n, p)``, ``Pi`` ``(..., n)`` and ``attn`` the channel
+    scales ``(..., 1, p)`` of :func:`second_moment_scale`; ``out`` may be
+    ``w`` itself, for a rescale in place.
+    """
+    out = np.multiply(w, Pi[..., None], out=out)
+    np.negative(out, out=out)
+    out *= attn
+    return out
+
+
 def second_moment_rescale(w, Pi, eps: float) -> Tensor:
     """The DMSA/TSSA rescaling ``-w * Pi / (1 + norm @ w^2)`` as one node.
 
@@ -532,12 +554,10 @@ def second_moment_rescale(w, Pi, eps: float) -> Tensor:
     """
     w, Pi = as_tensor(w), as_tensor(Pi)
     denom, norm, attn = second_moment_scale(w.data * w.data, Pi.data, eps)
-    weight = Pi.data[..., None]  # (..., n, 1)
-    out = np.multiply(w.data, weight)
-    np.negative(out, out=out)
-    out *= attn
+    out = second_moment_apply(w.data, Pi.data, attn)
 
     def backward(g: np.ndarray) -> None:
+        weight = Pi.data[..., None]  # (..., n, 1)
         gw = g * w.data
         gd = (np.swapaxes(weight, -1, -2) @ gw) * (attn * attn)
         if Pi.requires_grad:

@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Iterator
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import autodiff as ad
 from .attention import AttentionKind, RopeTable, rope_precompute, rotate_pairs
@@ -210,14 +209,18 @@ def param_count(config: ModelConfig) -> int:
     return outer + config.depth * (with_block - outer)
 
 
-# LayerNorm's variance guard, shared by the graph and the tiled forward.
+# LayerNorm's variance guard.
 _NORM_EPS = 1e-6
 
 
-def _layer_norm(x: ad.Tensor, scale: ad.Tensor, shift: ad.Tensor, name: str = "norm") -> ad.Tensor:
-    """LayerNorm ``name`` (``norm`` is the final one); an overflow names it."""
+def _layer_norm(x, p: dict, name: str) -> ad.Tensor:
+    """LayerNorm ``name`` of ``x`` (``norm`` is the final one); an overflow names it.
+
+    The scale and shift are ``p``'s ``{name}.scale`` and ``{name}.shift``,
+    tensors or the arrays of a forward without a graph.
+    """
     try:
-        return ad.layer_norm(x, scale, shift, _NORM_EPS)
+        return ad.layer_norm(x, p[f"{name}.scale"], p[f"{name}.shift"], _NORM_EPS)
     except NumericalFault as exc:
         raise NumericalFault(f"{name}: {exc}") from None
 
@@ -332,28 +335,24 @@ def _attention_sublayer(
     capture: dict | None,
 ) -> ad.Tensor:
     """Block ``prefix``'s attention sublayer on its pre-norm of the residual stream ``x``."""
-    norm = f"{prefix}.norm1"
-    scale, shift = p[f"{norm}.scale"], p[f"{norm}.shift"]
+    h = _layer_norm(x, p, f"{prefix}.norm1")
     if config.attention is AttentionKind.DMSA:
-        return _dmsa_attention(
-            _layer_norm(x, scale, shift, norm), config, p, f"{prefix}.attn", rope, capture
-        )
-    return _tssa_attention(_layer_norm(x, scale, shift, norm), config, p, f"{prefix}.attn", capture)
+        return _dmsa_attention(h, config, p, f"{prefix}.attn", rope, capture)
+    return _tssa_attention(h, config, p, f"{prefix}.attn", capture)
 
 
-def _mlp_sublayer(x: ad.Tensor, p: dict[str, ad.Tensor], prefix: str) -> ad.Tensor:
+def _mlp_sublayer(x, p: dict, prefix: str) -> ad.Tensor:
     """Block ``prefix``'s two-layer GELU MLP on its pre-norm of the residual stream ``x``.
 
-    The graph form: after the norm, two nodes, fc1 (:func:`ad.linear`) and
-    GELU into fc2 (:func:`ad.gelu_linear`), which between them keep the fc1
-    output of all tokens and its Phi for the backward. A forward without a
-    graph runs the same operations over tiles of token rows in
-    :func:`_mlp_rows`, so there no array of all tokens at the hidden width
-    exists: two hidden-width buffers of up to ``_TILE`` rows serve every
-    tile of a block.
+    After the norm, two nodes: fc1 (:func:`ad.linear`) and GELU into fc2
+    (:func:`ad.gelu_linear`). In a graph they keep the fc1 output of all
+    tokens and its Phi for the backward. A forward without a graph calls
+    this on tiles of at most ``_TILE`` token rows, where GELU writes the
+    activation over Phi: a tile holds two hidden-width arrays, and no array
+    of all tokens at the hidden width exists.
     """
-    norm, mlp = f"{prefix}.norm2", f"{prefix}.mlp"
-    h = _layer_norm(x, p[f"{norm}.scale"], p[f"{norm}.shift"], norm)
+    mlp = f"{prefix}.mlp"
+    h = _layer_norm(x, p, f"{prefix}.norm2")
     h = ad.linear(h, p[f"{mlp}.fc1.weight"], p[f"{mlp}.fc1.bias"])
     return ad.gelu_linear(h, p[f"{mlp}.fc2.weight"], p[f"{mlp}.fc2.bias"])
 
@@ -385,14 +384,6 @@ def _stream_tiles(B: int, m: int) -> list[tuple[int, int, int, int]]:
     return [(b, b + 1, s, e) for b in range(B) for s, e in _row_tiles(m)]
 
 
-def _norm_rows(x: np.ndarray, p: dict[str, np.ndarray], name: str) -> np.ndarray:
-    """LayerNorm ``name`` of the rows ``x`` without a graph; an overflow names it."""
-    try:
-        return ad.layer_norm(x, p[f"{name}.scale"], p[f"{name}.shift"], _NORM_EPS).data
-    except NumericalFault as exc:
-        raise NumericalFault(f"{name}: {exc}") from None
-
-
 def _attention_moments(
     x: np.ndarray,
     config: ModelConfig,
@@ -422,7 +413,7 @@ def _attention_moments(
     scores = np.empty((B * m, K)) if dmsa else None
     for b0, b1, s, e in tiles:
         r0, r1 = b0 * m + s, (b1 - 1) * m + e
-        h = _norm_rows(x[b0:b1, s:e], p, f"{prefix}.norm1")
+        h = _layer_norm(x[b0:b1, s:e], p, f"{prefix}.norm1").data
         if dmsa:
             rotated = h if rope is None else rotate_pairs(h, (rope[0][s:], rope[1][s:]))
             np.matmul(rotated.reshape(-1, d), p[f"{layer}.membership_proj"], out=scores[r0:r1])
@@ -460,36 +451,14 @@ def _attention_rows(
 ) -> np.ndarray:
     """Attention output rows from head features ``v`` ``(g, r, K, hd)``, rescaled in place.
 
-    ``-v * Pi * scale`` with memberships ``Pi`` ``(g, K, r)`` and channel
-    scales ``(g, K, 1, hd)``, heads merged, through the output projection
-    ``W`` and bias ``b``: the ``(g * r, d)`` rows :func:`second_moment_tail`
-    gives, by the same IEEE operations.
+    :func:`ad.second_moment_apply` with memberships ``Pi`` ``(g, K, r)`` and
+    channel scales ``(g, K, 1, hd)`` writes over ``v``; its rows, heads
+    merged, go through the output projection ``W`` and bias ``b``: the
+    ``(g * r, d)`` rows :func:`second_moment_tail` gives.
     """
-    np.multiply(v, Pi.transpose(0, 2, 1)[..., None], out=v)
-    np.negative(v, out=v)
-    v *= scale.transpose(0, 2, 1, 3)
-    y = v.reshape(-1, W.shape[0]) @ W
-    y += b
-    return y
-
-
-def _mlp_rows(x: np.ndarray, p: dict[str, np.ndarray], prefix: str, buffers: np.ndarray) -> None:
-    """Add block ``prefix``'s MLP of its pre-norm to the rows ``x``, in place.
-
-    ``buffers`` holds the fc1 output and its Phi for up to ``_TILE`` rows:
-    fc1, bias, ``x * Phi(x)``, fc2 and bias are the IEEE operations of the
-    two nodes after the norm in :func:`_mlp_sublayer`.
-    """
-    mlp = f"{prefix}.mlp"
-    h = _norm_rows(x, p, f"{prefix}.norm2").reshape(-1, x.shape[-1])
-    hidden, cdf = buffers[:, : h.shape[0]]
-    np.matmul(h, p[f"{mlp}.fc1.weight"], out=hidden)
-    hidden += p[f"{mlp}.fc1.bias"]
-    ndtr(hidden, out=cdf)
-    hidden *= cdf
-    y = hidden @ p[f"{mlp}.fc2.weight"]
-    y += p[f"{mlp}.fc2.bias"]
-    x += y.reshape(x.shape)
+    w = v.transpose(0, 2, 1, 3)  # (g, K, r, hd), as split_heads lays it out
+    ad.second_moment_apply(w, Pi, scale, out=w)
+    return ad.linear(v.reshape(-1, W.shape[0]), W, b).data
 
 
 def _tiled_forward(
@@ -498,17 +467,20 @@ def _tiled_forward(
     inputs: np.ndarray,
     rope: RopeTable | None,
     capture: list[dict] | None,
-) -> ad.Tensor:
-    """:func:`model_forward` on checked inputs when no parameter requires grad.
+) -> np.ndarray:
+    """The blocks of :func:`model_forward` on checked inputs when no parameter requires grad.
 
-    The residual stream ``(B, n+1, d)`` is the one array of all tokens that
+    Returns the class token's ``(B, d)`` state after the last block. The
+    residual stream ``(B, n+1, d)`` is the one array of all tokens that
     lives through the forward, and every sublayer adds into it in place,
     tile by tile (:func:`_stream_tiles`). Each block makes one value buffer
     of the stream's size; everything else is tile-sized or, like the scores
-    and memberships, ``K`` floats per token. Each value is that of the graph
-    path bit for bit: the same GEMMs on the same rows (none of one row where
-    the graph's has more), the same elementwise operations, and the same
-    reductions over whole samples.
+    and memberships, ``K`` floats per token. The embedding, the norms, the
+    rescaling, the output projection and the MLP are the graph path's own
+    functions on tiles, so each value is that of the graph path bit for
+    bit: the same GEMMs on the same rows (none of one row where the graph's
+    has more), the same elementwise operations, and the same reductions
+    over whole samples.
     """
     p = {name: t.data for name, t in params.items()}
     B, n, _ = inputs.shape
@@ -519,9 +491,8 @@ def _tiled_forward(
     tokens = inputs.reshape(B * n, -1)
     for start, stop in _row_tiles(B * n):
         rows = np.arange(start, stop)
-        embedded = tokens[start:stop] @ p["embed.weight"]
-        embedded += p["embed.bias"]
-        stream[rows + rows // n + 1] = embedded
+        embedded = ad.linear(tokens[start:stop], p["embed.weight"], p["embed.bias"])
+        stream[rows + rows // n + 1] = embedded.data
     tiles = _stream_tiles(B, m)
 
     for i in range(config.depth):
@@ -543,18 +514,11 @@ def _tiled_forward(
             mlp_tiles = [x[start:stop] for start, stop in _row_tiles(B)]
         else:
             mlp_tiles = [x[b0:b1, s:e] for b0, b1, s, e in tiles]
-        buffers = np.empty((2, max(t.size for t in mlp_tiles) // d, config.mlp_hidden))
         for t in mlp_tiles:
-            _mlp_rows(t, p, prefix, buffers)
-        del mlp_tiles, buffers
+            t += _mlp_sublayer(t, p, prefix).data
         if not np.all(np.isfinite(x)):
             raise NumericalFault(f"non-finite activations after MLP block {i}")
-
-    logits = _norm_rows(x, p, "norm") @ p["head.weight"]
-    logits += p["head.bias"]
-    if not np.all(np.isfinite(logits)):
-        raise NumericalFault("non-finite logits")
-    return ad.Tensor(logits)
+    return x
 
 
 def model_forward(
@@ -585,10 +549,12 @@ def model_forward(
     graph keeps what its backward reads. When no parameter requires grad
     (``predict``, ``evaluate``, the rate curve and membership maps), each
     block runs over tiles of about 512 token rows instead (whole samples
-    when they fit, token ranges of one sample otherwise) and adds each
-    sublayer's output into the residual stream in place. The logits and
-    captures are those of the graph bit for bit. The rotary table is
-    computed once per forward. At the default config, 2 x 2048 tokens then
+    when they fit, token ranges of one sample otherwise), calling the graph
+    path's norm, rescaling, projection and MLP functions on each tile, and
+    adds each sublayer's output into the residual stream in place; both
+    paths share the final norm and the head. The logits and captures are
+    those of the graph bit for bit. The rotary table is computed once per
+    forward. At the default config, 2 x 2048 tokens then
     peak at 6.7 MiB under tracemalloc, 3.4 times the residual stream: the
     stream, the block's value buffer, the rotary table (half a stream),
     ``K`` floats per token of scores and memberships, and one sample's
@@ -615,29 +581,27 @@ def model_forward(
 
     rope = rope_precompute(n + 1, config.dim) if config.use_rope else None
     if not any(t.requires_grad for t in params.values()):
-        return _tiled_forward(config, params, inputs, rope, capture)
+        x = _tiled_forward(config, params, inputs, rope, capture)
+    else:
+        x = ad.linear(inputs, params["embed.weight"], params["embed.bias"])
+        cls = ad.broadcast_to(params["cls_token"], (B, 1, config.dim))
+        x = ad.concat([cls, x], axis=1)
+        for i in range(config.depth):
+            prefix = f"blocks.{i}"
+            block_capture: dict | None = {} if capture is not None else None
+            x = x + _attention_sublayer(x, config, params, prefix, rope, block_capture)
+            if not np.all(np.isfinite(x.data)):
+                raise NumericalFault(f"non-finite activations after attention block {i}")
+            if block_capture is not None:
+                block_capture["tokens_after_attention"] = x.data.copy()
+                capture.append(block_capture)
+            if i == config.depth - 1:
+                x = x[:, 0, :]  # the class token: nothing reads the others from here on
+            x = x + _mlp_sublayer(x, params, prefix)
+            if not np.all(np.isfinite(x.data)):
+                raise NumericalFault(f"non-finite activations after MLP block {i}")
 
-    x = ad.linear(inputs, params["embed.weight"], params["embed.bias"])
-    cls = ad.broadcast_to(params["cls_token"], (B, 1, config.dim))
-    x = ad.concat([cls, x], axis=1)
-
-    for i in range(config.depth):
-        prefix = f"blocks.{i}"
-        block_capture: dict | None = {} if capture is not None else None
-        x = x + _attention_sublayer(x, config, params, prefix, rope, block_capture)
-        if not np.all(np.isfinite(x.data)):
-            raise NumericalFault(f"non-finite activations after attention block {i}")
-        if block_capture is not None:
-            block_capture["tokens_after_attention"] = x.data.copy()
-            capture.append(block_capture)
-        if i == config.depth - 1:
-            x = x[:, 0, :]  # the class token: nothing reads the others from here on
-        x = x + _mlp_sublayer(x, params, prefix)
-        if not np.all(np.isfinite(x.data)):
-            raise NumericalFault(f"non-finite activations after MLP block {i}")
-
-    x = _layer_norm(x, params["norm.scale"], params["norm.shift"])
-    logits = ad.linear(x, params["head.weight"], params["head.bias"])
+    logits = ad.linear(_layer_norm(x, params, "norm"), params["head.weight"], params["head.bias"])
     if not np.all(np.isfinite(logits.data)):
         raise NumericalFault("non-finite logits")
     return logits

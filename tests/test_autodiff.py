@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,18 @@ def test_no_grad_gelu_equals_grad_gelu_and_keeps_no_backward():
     assert no_grad._backward is None and no_grad._parents == ()
     assert with_grad._backward is not None
     assert np.array_equal(plain.data, x)  # the input is read, never written
+    # without a graph the activation overwrites Phi: beside its output the op
+    # allocates one array of the input's size and the bias add's 64 KiB ufunc buffer
+    rng = np.random.default_rng(3)
+    h, W, b = rng.normal(size=(512, 256)), rng.normal(size=(256, 64)), np.zeros(64)
+    ad.gelu_linear(h, W, b)  # warm numpy's caches outside the measurement
+    tracemalloc.start()
+    try:
+        out = ad.gelu_linear(h, W, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.data.nbytes < 1.5 * h.nbytes
 
 
 def test_layer_norm_gradient():

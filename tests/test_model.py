@@ -327,10 +327,13 @@ def test_stream_overflowing_a_layer_norm_raises_naming_it(param, norm):
     params = init_params(config)
     params[param].data *= 1e160
     x = np.random.default_rng(4).normal(size=(2, 4, config.input_dim))
-    with pytest.raises(NumericalFault, match=rf"^{norm}: LayerNorm variance overflows$"):
-        model_forward(config, params, x)
-    with pytest.raises(NumericalFault, match=rf"^{norm}: LayerNorm variance overflows$"):
-        loss_and_grads(config, params, x, np.array([0, 1]))
+    for run in (
+        lambda: model_forward(config, params, x),
+        lambda: loss_and_grads(config, params, x, np.array([0, 1])),
+        lambda: predict(config, params, x),  # the tiled forward
+    ):
+        with pytest.raises(NumericalFault, match=rf"^{norm}: LayerNorm variance overflows$"):
+            run()
 
 
 def test_a_layer_norm_overflow_in_a_later_tile_names_the_norm():
@@ -597,7 +600,7 @@ def all_token_forward(config, params, inputs, capture=None):
             block_capture["tokens_after_attention"] = x.data.copy()
             capture.append(block_capture)
         x = x + _mlp_sublayer(x, params, prefix)
-    x = _layer_norm(x, params["norm.scale"], params["norm.shift"])
+    x = _layer_norm(x, params, "norm")
     return ad.linear(x[:, 0, :], params["head.weight"], params["head.bias"])
 
 
@@ -634,13 +637,13 @@ def test_tiled_last_block_mlp_sees_only_the_class_token(monkeypatch, depth, B):
     n = 6
     x = np.random.default_rng(8).normal(size=(B, n, config.input_dim))
     mlps = []
-    mlp_rows = model._mlp_rows
+    mlp_sublayer = model._mlp_sublayer
 
-    def recording_mlp_rows(rows, *args):
+    def recording_mlp(rows, *args):
         mlps.append(rows.shape)
-        return mlp_rows(rows, *args)
+        return mlp_sublayer(rows, *args)
 
-    monkeypatch.setattr(model, "_mlp_rows", recording_mlp_rows)
+    monkeypatch.setattr(model, "_mlp_sublayer", recording_mlp)
     predict(config, params, x)
     assert mlps == [(B, n + 1, config.dim)] * (depth - 1) + [(B, config.dim)]
 
