@@ -6,13 +6,22 @@ log-determinants, finite differences for gradients) and reports one line
 per property with the instance count. A failing check carries the instance
 that broke it, serialized to JSON for replay.
 
-The simplex-projection checks draw their vectors one at a time in a fixed
-order, then run the library's row-wise projection and the row-wise bisection
-oracle once per group of equal-length vectors; results are scattered back to
-draw order, so the instance reported is the one a one-vector-at-a-time loop
-would report. The oracle's 200 halvings are a cap: it stops at the first
-halving that changes no bit of any row's bracket, since every later halving
-would repeat that one, so its output is bit for bit that of all 200.
+The bisection check draws all 10,000 vectors' entries in one call, which
+gives the values and the generator state of drawing them one at a time in
+the same order. The simplex-projection checks run the library's row-wise
+projection and the row-wise bisection oracle once per group of equal-length
+vectors; results are scattered back to draw order, so the instance reported
+is the one a one-vector-at-a-time loop would report. The oracle's 200
+halvings are a cap: it stops at the first halving that changes no bit of any
+row's bracket, since every later halving would repeat that one, so its
+output is bit for bit that of all 200.
+
+The finite-difference gradient scores the 2·d perturbed copies of one token
+column in one stacked rate call, not one call per copy; each copy is built
+as the one-entry loop builds it, so the differences are bit for bit the
+loop's. The stack is bounded to one column to keep the pass's peak memory
+near that of the one-matrix loop; a stack over every entry is faster still
+but doubles that peak.
 """
 
 from __future__ import annotations
@@ -135,12 +144,10 @@ def simplex_project_bisection(s: np.ndarray, iters: int = 200) -> np.ndarray:
     return out[0] if s.ndim == 1 else out
 
 
-def _length_groups(vectors: list[np.ndarray]):
-    """``(indices, rows)`` for each distinct vector length, indices in draw order."""
-    lengths = np.array([v.size for v in vectors])
+def _length_groups(lengths: np.ndarray):
+    """``(n, indices)`` for each distinct vector length ``n``, indices in draw order."""
     for n in np.unique(lengths):
-        idx = np.flatnonzero(lengths == n)
-        yield idx, np.stack([vectors[i] for i in idx])
+        yield int(n), np.flatnonzero(lengths == n)
 
 
 def _rate_total_eig(Z: np.ndarray, cfg: CodingRateConfig) -> float:
@@ -151,14 +158,33 @@ def _rate_total_eig(Z: np.ndarray, cfg: CodingRateConfig) -> float:
 
 
 def _fd_grad(fn, Z: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    g = np.zeros_like(Z)
-    for idx in np.ndindex(Z.shape):
-        zp = Z.copy()
-        zp[idx] += h
-        zm = Z.copy()
-        zm[idx] -= h
-        g[idx] = (fn(zp) - fn(zm)) / (2 * h)
+    """Central differences of ``fn`` at the ``d x n`` matrix ``Z``, one token column per call.
+
+    ``fn`` maps an ``(m, d, n)`` stack to its ``m`` values. Column ``j``'s
+    call holds ``2·d`` copies of ``Z``: copy ``i`` has ``h`` added at
+    ``(i, j)`` and copy ``d + i`` has it subtracted, so each entry of the
+    result is bit for bit the one-entry-per-call loop's. One column bounds
+    the stack to ``2·d`` matrices, which keeps the peak memory near the
+    loop's; stacking all ``2·d·n`` copies at once doubles it.
+    """
+    d, n = Z.shape
+    g = np.empty_like(Z)
+    rows = np.arange(d)
+    for j in range(n):
+        stack = np.repeat(Z[None], 2 * d, axis=0)
+        stack[rows, rows, j] += h
+        stack[d + rows, rows, j] -= h
+        values = fn(stack)
+        g[:, j] = (values[:d] - values[d:]) / (2 * h)
     return g
+
+
+def _project_heavy_rows(P: np.ndarray) -> np.ndarray:
+    """``P`` with each row whose mass exceeds 1 projected onto the simplex, in one call."""
+    heavy = P.sum(axis=1) > 1.0
+    out = P.copy()
+    out[heavy] = soft_threshold_matrix(P[heavy])
+    return out
 
 
 def _random_problem(rng, d: int, n: int, K: int):
@@ -252,11 +278,8 @@ def suite_rates(seed: int = 0) -> list[Check]:
         eta = float(rng.uniform(0.3, 2.0))
         coupled = rate_variational_coupled(Z, bank, eta, cfg)
         Pi = membership_from_subspaces(Z, bank, eta)
-        sparse_rows = np.stack([
-            soft_threshold(row) if row.sum() > 1.0 else row for row in Pi.data
-        ])
         decoupled = rate_variational_decoupled(
-            Z, Membership(sparse_rows), sparse_subspace(bank, Pi), cfg
+            Z, Membership(_project_heavy_rows(Pi.data)), sparse_subspace(bank, Pi), cfg
         )
         gap = coupled - decoupled
         if gap <= 0:
@@ -290,15 +313,19 @@ def suite_sparsify(seed: int = 0) -> list[Check]:
 
     count = 10_000
     lengths = rng.integers(2, 65, size=count)
-    vectors = [rng.normal(scale=2.0, size=int(n)) for n in lengths]
+    # one draw for every entry: the values and generator state of drawing
+    # the vectors one at a time; vector i is values[starts[i]:][:lengths[i]]
+    values = rng.normal(scale=2.0, size=int(lengths.sum()))
+    starts = np.cumsum(lengths) - lengths
     # errors stay in draw order, so argmax picks the first worst vector
     errors = np.empty(count)
-    for idx, S in _length_groups(vectors):
+    for n, idx in _length_groups(lengths):
+        S = values[starts[idx, None] + np.arange(n)]
         diff = soft_threshold_matrix(S) - simplex_project_bisection(S)
         errors[idx] = np.max(np.abs(diff), axis=1)
     first = int(np.argmax(errors))
     worst = float(errors[first])
-    bad = {"s": vectors[first]} if worst > 0.0 else {}
+    bad = {"s": values[starts[first]:][:lengths[first]].copy()} if worst > 0.0 else {}
     checks.append(Check("sparsify", "soft-threshold-vs-bisection", worst < 1e-9, count,
                         f"max abs err {worst:.2e}", bad))
 
@@ -309,7 +336,8 @@ def suite_sparsify(seed: int = 0) -> list[Check]:
         vectors.append(rng.normal(scale=3.0, size=n))
         shifts[i] = rng.normal()
     ok = np.empty(count, dtype=bool)
-    for idx, S in _length_groups(vectors):
+    for _, idx in _length_groups(np.array([v.size for v in vectors])):
+        S = np.stack([vectors[i] for i in idx])
         out = soft_threshold_matrix(S)
         ranked = np.take_along_axis(out, np.argsort(-S, axis=1, kind="stable"), axis=1)
         shifted = soft_threshold_matrix(S + shifts[idx, None])
@@ -353,7 +381,9 @@ def suite_gradients(seed: int = 0) -> list[Check]:
         K = int(rng.integers(1, 4))
         Z, bank, Pi = _random_problem(rng, d, n, K)
         grad = grad_rate_wrt_tokens(Z, Pi, bank, cfg)
-        fd = _fd_grad(lambda W: rate_variational_decoupled(W, Pi, bank, cfg), Z)
+        fd = _fd_grad(lambda W: rate_variational_decoupled(
+            W, Membership(np.broadcast_to(Pi.data, W.shape[:-2] + Pi.data.shape)), bank, cfg
+        ), Z)
         err = float(np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-12))
         if err > worst:
             worst, bad = err, {"Z": Z, "Pi": Pi.data}

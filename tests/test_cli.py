@@ -736,6 +736,13 @@ def empty_split(path):
     other = "test.npz" if path.name == "train.npz" else "train.npz"
     save_npz_bytes(path.parent / other, tokens=SAMPLES, labels=LABELS)
 
+def uint64_max_labels(path):
+    # the uint64 maximum has no int64 value; the other split beside it is valid
+    labels = np.array([0, np.iinfo(np.uint64).max], dtype=np.uint64)
+    save_npz_bytes(path, tokens=SAMPLES, labels=labels)
+    other = "test.npz" if path.name == "train.npz" else "train.npz"
+    save_npz_bytes(path.parent / other, tokens=SAMPLES, labels=LABELS)
+
 # (case, subcommand, file written, writer, extra arguments); each must exit 2 in one line
 BAD_ARRAY_FILES = [
     ("garbage-npy", "membership", "s.npy", lambda p: p.write_bytes(b"garbage " * 16), []),
@@ -765,8 +772,10 @@ BAD_ARRAY_FILES = [
     ("train-fractional-labels", "train", "train.npz", fractional_labels, []),
     ("train-empty-train", "train", "train.npz", empty_split, []),
     ("train-empty-test", "train", "test.npz", empty_split, []),
+    ("train-uint64-max-labels", "train", "train.npz", uint64_max_labels, []),
     ("rates-truncated-npz", "rates", "test.npz", truncated_dataset, []),
     ("rates-empty-test", "rates", "test.npz", empty_split, []),
+    ("rates-uint64-max-labels", "rates", "test.npz", uint64_max_labels, []),
 ]
 
 

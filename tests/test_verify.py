@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 import dmst.verify
+from dmst.coding_rate import (
+    CodingRateConfig,
+    Membership,
+    membership_from_subspaces,
+    rate_variational_decoupled,
+)
 from dmst.errors import InvalidInput
 from dmst.rng import stream
+from dmst.sparsify import soft_threshold
 from dmst.verify import SUITES, Check, run_suite, simplex_project_bisection, write_failure_report
 
 
@@ -161,6 +168,85 @@ def test_gradients_suite_passes():
     assert all(c.passed for c in checks)
     assert all(c.suite == "gradients" for c in checks)
     assert all(c.count >= 1 for c in checks)
+
+
+def loop_fd_grad(fn, Z, h=1e-6):
+    """The one-entry-per-call central differences, kept as the reference for the stacked ones."""
+    g = np.zeros_like(Z)
+    for idx in np.ndindex(Z.shape):
+        zp = Z.copy()
+        zp[idx] += h
+        zm = Z.copy()
+        zm[idx] -= h
+        g[idx] = (fn(zp) - fn(zm)) / (2 * h)
+    return g
+
+
+def gradient_problems(seed):
+    """The ``(Z, bank, Pi)`` problems ``rate-gradient-vs-finite-difference`` draws, in order."""
+    rng = stream(seed, "verify-gradients")
+    for _ in range(25):
+        d, n, K = int(rng.integers(3, 9)), int(rng.integers(3, 9)), int(rng.integers(1, 4))
+        yield dmst.verify._random_problem(rng, d, n, K)
+
+
+def record_fd_calls(monkeypatch):
+    """Record ``(Z, leading shapes of each stacked call)`` for every ``_fd_grad`` call."""
+    original = dmst.verify._fd_grad
+    calls = []
+
+    def recording(fn, Z, *args):
+        shapes = []
+
+        def wrapped(W):
+            shapes.append(W.shape[:-2])
+            return fn(W)
+
+        calls.append((Z.copy(), shapes))
+        return original(wrapped, Z, *args)
+
+    monkeypatch.setattr(dmst.verify, "_fd_grad", recording)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_stacked_finite_differences_equal_the_per_entry_loop(seed, monkeypatch):
+    cfg = CodingRateConfig(epsilon=0.8)
+    problems = list(gradient_problems(seed))
+    stacked_fd_grad = dmst.verify._fd_grad
+    calls = record_fd_calls(monkeypatch)
+    dmst.verify.suite_gradients(seed)
+    # the suite differentiates exactly the problems mirrored here
+    assert len(calls) == len(problems) == 25
+    for (Z, bank, Pi), (seen, _) in zip(problems, calls):
+        assert np.array_equal(seen, Z)
+        stacked = stacked_fd_grad(lambda W: rate_variational_decoupled(
+            W, Membership(np.broadcast_to(Pi.data, W.shape[:-2] + Pi.data.shape)), bank, cfg
+        ), Z)
+        loop = loop_fd_grad(lambda W: rate_variational_decoupled(W, Pi, bank, cfg), Z)
+        assert np.array_equal(stacked.view(np.int64), loop.view(np.int64))
+
+
+def test_finite_differences_stack_one_token_column_per_call(monkeypatch):
+    calls = record_fd_calls(monkeypatch)
+    dmst.verify.suite_gradients(0)
+    assert len(calls) == 25
+    for Z, shapes in calls:
+        d, n = Z.shape
+        assert shapes == [(2 * d,)] * n
+
+
+def test_heavy_rows_projected_in_one_call_equal_each_row_alone():
+    rng = stream(5, "heavy-rows")
+    for _ in range(60):
+        d, K = int(rng.integers(4, 12)), int(rng.integers(2, 5))
+        n = int(rng.integers(K + 1, 16))
+        Z, bank, _ = dmst.verify._random_problem(rng, d, n, K)
+        for P in (membership_from_subspaces(Z, bank, float(rng.uniform(0.3, 2.0))).data,
+                  rng.uniform(0.0, 2.0 / n, size=(K, n))):
+            one_call = dmst.verify._project_heavy_rows(P)
+            per_row = np.stack([soft_threshold(row) if row.sum() > 1.0 else row for row in P])
+            assert np.array_equal(one_call.view(np.int64), per_row.view(np.int64))
 
 
 def test_equivalence_suite_passes():
