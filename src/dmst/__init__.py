@@ -11,11 +11,8 @@ from .analysis import (
 )
 from .attention import (
     AttentionKind,
-    GatedChannelParams,
     MhsaLayerParams,
     dmsa_operator,
-    gated_channel_forward,
-    gated_channel_reference,
     mhsa_layer_forward,
     rope_precompute,
 )
@@ -37,11 +34,7 @@ from .config import load_config, parse_config_text
 from .data import SyntheticDatasetSpec, TokenDataset, generate_synthetic
 from .errors import DataMismatch, DmstError, FormatError, InvalidInput, NotPSD, NumericalFault
 from .model import ModelConfig, init_params, model_forward, predict
-from .sparsify import (
-    ActivationKind,
-    soft_threshold,
-    sparse_subspace,
-)
+from .sparsify import ActivationKind, soft_threshold
 from .train import TrainOptions, TrainResult, evaluate, train
 from .verify import Check, run_suite
 
@@ -55,7 +48,6 @@ __all__ = [
     "DataMismatch",
     "DmstError",
     "FormatError",
-    "GatedChannelParams",
     "InvalidInput",
     "Membership",
     "MembershipMap",
@@ -72,8 +64,6 @@ __all__ = [
     "TrainResult",
     "dmsa_operator",
     "evaluate",
-    "gated_channel_forward",
-    "gated_channel_reference",
     "generate_synthetic",
     "grad_rate_wrt_tokens",
     "infer_grid",
@@ -97,7 +87,6 @@ __all__ = [
     "run_suite",
     "save_checkpoint",
     "soft_threshold",
-    "sparse_subspace",
     "train",
     "write_pgm",
 ]

@@ -1,4 +1,4 @@
-"""Attention operators built on coding-rate descent, plus reference baselines.
+"""Attention operators built on coding-rate descent, plus a softmax baseline.
 
 The central operator, DMSA (decoupled membership-subspace attention), is the
 exact negation of the token gradient of the decoupled variational rate: each
@@ -12,11 +12,16 @@ projections).
 This file keeps the math-form operator (``dmsa_operator``), the rotary
 table the model and the analysis share (``rope_precompute``, a ``(cos,
 sin)`` pair computed once per forward, and ``rotate_pairs``, which applies
-it; ``(cos, -sin)`` is the inverse rotation), and two baselines that the
+it; ``(cos, -sin)`` is the inverse rotation), and one baseline that the
 model does not train: standard multi-head softmax attention with its
 explicit quadratic score matrix, which registers its intermediates with
-:mod:`dmst.memcount` so memory contracts can be asserted on counted floats,
-and gated channel attention with its masked-basis/matmul equivalence.
+:mod:`dmst.memcount` so memory contracts can be asserted on counted floats.
+
+The paper's sparse subspaces derived from the full space S have one math
+form here: ``dmsa_operator`` on ``bank.scaled(g)``, the bank with basis
+``k`` multiplied by the head gate ``g[k]``. The model's head-gated layer
+equals it when ``g`` gates both each head's values and its ``out_proj``
+rows; the model trains the gate on the values only.
 
 The softmax baseline makes three passes over each head's scores: the score
 GEMM, an in-place ``exp``, and one GEMM against the head's values with a
@@ -30,8 +35,8 @@ activation (scores, weights and output of every chunk), so it counts ``2 *
 heads * n**2 + 7 * n * d`` floats per forward.
 
 ``rotate_pairs`` and the softmax baseline take row-major ``(token,
-channel)`` inputs; ``dmsa_operator`` and gated channel attention keep the
-``d x n`` column convention of :mod:`dmst.coding_rate`.
+channel)`` inputs; ``dmsa_operator`` keeps the ``d x n`` column convention
+of :mod:`dmst.coding_rate`.
 """
 
 from __future__ import annotations
@@ -47,11 +52,9 @@ from .coding_rate import (
     Membership,
     SubspaceBank,
     TokenMatrix,
-    check_tokens,
     grad_rate_wrt_tokens,
 )
-from .errors import InvalidInput, NumericalFault
-from .functional import sigmoid
+from .errors import InvalidInput, NumericalFault, check_int
 from .memcount import track
 
 ROPE_BASE = 10000.0
@@ -162,11 +165,8 @@ class MhsaLayerParams:
         self.v_proj = np.asarray(self.v_proj)
         self.out_proj = np.asarray(self.out_proj)
         self.out_bias = np.asarray(self.out_bias)
-        if self.heads < 1:
-            raise InvalidInput(f"heads must be positive, got {self.heads}")
-        if self.chunk < 1 or int(self.chunk) != self.chunk:
-            raise InvalidInput(f"chunk must be a positive integer, got {self.chunk}")
-        self.chunk = int(self.chunk)
+        check_int("heads", self.heads, 1)
+        check_int("chunk", self.chunk, 1)
         if self.q_proj.ndim != 2 or self.q_proj.shape[0] < 1:
             raise InvalidInput(f"q_proj must be d x d with d >= 1, got shape {self.q_proj.shape}")
         d = self.q_proj.shape[0]
@@ -266,87 +266,4 @@ def mhsa_layer_forward(tokens: np.ndarray, params: MhsaLayerParams) -> np.ndarra
     out = track(merged @ params.out_proj.T + params.out_bias)
     if not np.all(np.isfinite(out)):
         raise NumericalFault("MHSA layer produced non-finite output")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Gated channel attention
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GatedChannelParams:
-    """Channel attention with one shared full-space basis and per-head token gates.
-
-    ``full_space`` is the shared ``d x p`` basis; ``membership_proj`` rows
-    produce one scalar gate per token and head through a sigmoid. The rate
-    coefficient is folded, ``d/eps^2 = 1``.
-    """
-
-    full_space: np.ndarray
-    membership_proj: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.full_space = np.asarray(self.full_space, dtype=np.float64)
-        self.membership_proj = np.asarray(self.membership_proj, dtype=np.float64)
-        if self.full_space.ndim != 2:
-            raise InvalidInput("full_space must be d x p")
-        if self.membership_proj.ndim != 2 or (
-            self.membership_proj.shape[1] != self.full_space.shape[0]
-        ):
-            raise InvalidInput("membership_proj must be K x d")
-
-    @property
-    def heads(self) -> int:
-        return self.membership_proj.shape[0]
-
-    def gates(self, Z: TokenMatrix) -> np.ndarray:
-        return sigmoid(self.membership_proj @ Z)
-
-    def second_moment_diag(self, Z: TokenMatrix, gates: np.ndarray) -> np.ndarray:
-        """Per-head diagonal rescalings ``f'`` at the gate-weighted second moments."""
-        proj = self.full_space.T @ Z  # (p, n)
-        weights = gates / gates.sum(axis=1, keepdims=True)
-        args = (proj * proj) @ weights.T  # (p, K)
-        return 1.0 / (1.0 + args.T)  # (K, p)
-
-
-def gated_channel_forward(Z: TokenMatrix, params: GatedChannelParams) -> np.ndarray:
-    """Gated channel attention, evaluated through per-token gated bases.
-
-    For every token ``j`` and head ``k`` the shared basis is scaled by the
-    scalar gate ``g_kj`` (the Hadamard-masked basis) and the resulting
-    quadratic form is applied to the token. This is the literal masked-basis
-    evaluation; :func:`gated_channel_reference` computes the same map in its
-    matmul form with the gate applied elementwise to the channel-attention
-    output.
-    """
-    Z = check_tokens(Z)
-    gates = params.gates(Z)
-    dvecs = params.second_moment_diag(Z, gates)
-    W = params.full_space
-    out = np.zeros_like(Z)
-    for k in range(params.heads):
-        for j in range(Z.shape[1]):
-            gated_basis = W * gates[k, j]
-            out[:, j] += gated_basis @ (dvecs[k] * (gated_basis.T @ Z[:, j]))
-    return out
-
-
-def gated_channel_reference(Z: TokenMatrix, params: GatedChannelParams) -> np.ndarray:
-    """Matmul form of gated channel attention.
-
-    The per-token scalar gates commute through the quadratic form, turning
-    the Hadamard-masked bases into an elementwise (squared) gate on the
-    plain channel-attention output: ``sum_k G_k^2 * (W D_k W^T Z)``. With
-    all-ones gates this is plain channel attention.
-    """
-    Z = check_tokens(Z)
-    gates = params.gates(Z)
-    dvecs = params.second_moment_diag(Z, gates)
-    W = params.full_space
-    out = np.zeros_like(Z)
-    for k in range(params.heads):
-        channel = W @ (dvecs[k][:, None] * (W.T @ Z))
-        out += (gates[k] ** 2)[None, :] * channel
     return out

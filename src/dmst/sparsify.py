@@ -1,14 +1,15 @@
-"""Soft-thresholding onto the probability simplex and membership/subspace sparsifiers.
+"""Soft-thresholding onto the probability simplex, and the sparsity cells' names.
 
 ``soft_threshold`` maps a score vector ``s`` to ``max(s - t, 0)`` with the
 unique threshold ``t`` that makes the outputs sum to one; this is the
 Euclidean projection onto the simplex and typically zeroes a subset of the
 entries. The threshold is solved exactly with a sort and a cumulative-sum
 scan. An optional ``topk`` restricts the support to the k largest scores
-before projecting. ``soft_threshold`` takes one vector and the head gate of
-``sparse_subspace`` uses it; the model reaches the row-wise
-``soft_threshold_matrix`` through ``autodiff.soft_threshold_rows``, which
-holds its active-set adjoint.
+before projecting. ``soft_threshold`` takes one vector; the model reaches
+the row-wise ``soft_threshold_matrix`` through
+``autodiff.soft_threshold_rows``, which holds its active-set adjoint. A
+gate from either one sparsifies a subspace bank through
+``SubspaceBank.scaled``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-from .coding_rate import Membership, SubspaceBank
 from .errors import InvalidInput
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "ActivationKind",
     "soft_threshold",
     "soft_threshold_matrix",
-    "sparse_subspace",
 ]
 
 
@@ -86,16 +85,3 @@ def soft_threshold(s: np.ndarray, topk: int | None = None) -> np.ndarray:
     if s.ndim != 1 or s.size == 0:
         raise InvalidInput(f"scores must be a nonempty 1-d vector, got shape {s.shape}")
     return soft_threshold_matrix(s[None, :], topk=topk)[0]
-
-
-def sparse_subspace(S: SubspaceBank, Pi: Membership, topk: int = 4) -> SubspaceBank:
-    """Gate the bases of a subspace bank by a membership's head weights.
-
-    Basis ``k`` is scaled by ``g_k``, where ``g = soft_threshold(mean-over-tokens
-    of the membership rows, topk)``; the bases are not renormalized
-    afterwards.
-    """
-    if Pi.groups != S.count:
-        raise InvalidInput(f"membership has {Pi.groups} groups but bank has {S.count}")
-    gate = soft_threshold(Pi.data.mean(axis=1), topk=min(int(topk), S.count))
-    return S.scaled(gate)

@@ -8,13 +8,9 @@ instance counts are stated inline next to each check.
 import numpy as np
 import pytest
 
+from dmst import autodiff as ad
 from dmst.analysis import layer_rate_curve, profile_attention_memory
-from dmst.attention import (
-    GatedChannelParams,
-    dmsa_operator,
-    gated_channel_forward,
-    gated_channel_reference,
-)
+from dmst.attention import dmsa_operator
 from dmst.checkpoint import save_checkpoint
 from dmst.coding_rate import (
     CodingRateConfig,
@@ -25,9 +21,16 @@ from dmst.coding_rate import (
     rate_variational_decoupled,
 )
 from dmst.data import SyntheticDatasetSpec, generate_synthetic, nearest_subspace_accuracy
-from dmst.model import ModelConfig, finite_grads, init_params, model_loss
+from dmst.model import (
+    ModelConfig,
+    finite_grads,
+    init_params,
+    model_loss,
+    second_moment_tail,
+    split_heads,
+)
 from dmst.rng import orthonormal_basis
-from dmst.sparsify import soft_threshold, sparse_subspace
+from dmst.sparsify import soft_threshold
 from dmst.train import TrainOptions, format_metrics, train
 
 
@@ -157,7 +160,7 @@ def test_sparse_decoupled_rate_strictly_below_coupled():
         # construction guards: dominance with at least one strict decrease
         assert np.all(sparse_rows <= Pi.data + 1e-12)
         assert np.any(sparse_rows < Pi.data - 1e-12)
-        gated = sparse_subspace(bank, Pi)
+        gated = bank.scaled(soft_threshold(Pi.data.mean(axis=1), topk=min(4, K)))
         coupled = rate_variational_coupled(Z, bank, eta=1.0, cfg=cfg)
         decoupled = rate_variational_decoupled(Z, Membership(sparse_rows), gated, cfg)
         margin = coupled - decoupled
@@ -172,29 +175,37 @@ def test_sparse_decoupled_rate_strictly_below_coupled():
 
 
 # ---------------------------------------------------------------------------
-# 4. gated channel attention: masked bases match the matmul form
+# 4. head-gated layer equals the operator on the gated bank
 # ---------------------------------------------------------------------------
 
 
-def test_gated_channel_forms_agree():
-    # 100 random instances sharing one full-space basis: scaling the basis
-    # by each token's gate must equal gating the matmul outputs.
+def test_head_gated_layer_equals_operator_on_gated_bank():
+    # 100 random instances of the layer's folded form: value heads
+    # g_k U_k^T x, a pinned membership and output columns g_k U_k / n, with
+    # the top-k head gate g on both the values and the out_proj rows, must
+    # equal the operator on the gated bank (basis k scaled by g_k) entrywise
+    # below 1e-6.
     rng = np.random.default_rng(41)
     worst = 0.0
     for _ in range(100):
-        d = int(rng.integers(3, 13))
-        p = int(rng.integers(1, min(d, 7)))
         K = int(rng.integers(1, 5))
+        p = int(rng.integers(1, 4))
+        d = K * p
         n = int(rng.integers(2, 11))
-        params = GatedChannelParams(
-            full_space=orthonormal_basis(rng, d, p),
-            membership_proj=rng.normal(size=(K, d)),
-        )
+        bank = random_bank(rng, d, K, p)
         Z = rng.normal(size=(d, n))
-        gap = np.max(np.abs(gated_channel_forward(Z, params) - gated_channel_reference(Z, params)))
-        worst = max(worst, float(gap))
+        Pi = Membership(rng.uniform(0.05, 1.0, size=(K, n)))
+        g = soft_threshold(rng.normal(size=K), topk=max(1, K - 1))
+        values = ad.Tensor(Z.T[None]) @ ad.Tensor(np.hstack(bank.bases))
+        w = split_heads(values, K) * ad.Tensor(g.reshape(1, K, 1, 1))
+        out_proj = np.vstack([g_k * U.T for g_k, U in zip(g, bank.bases)]) / n
+        layer = second_moment_tail(
+            w, ad.Tensor(Pi.data[None]), ad.Tensor(out_proj), ad.Tensor(np.zeros(d))
+        ).data[0]
+        op = dmsa_operator(Z, Pi, bank.scaled(g), CodingRateConfig(epsilon=float(np.sqrt(d))))
+        worst = max(worst, float(np.max(np.abs(layer.T - op))))
     report(
-        "gated channel attention masked and matmul forms agree on 100 instances",
+        "head-gated layer equals the operator on the gated bank on 100 instances",
         worst < 1e-6,
         f"worst gap {worst:.2e}",
     )

@@ -7,11 +7,8 @@ from dmst import autodiff as ad
 from dmst.attention import (
     SHIFT_FREE_SCORE_BOUND,
     AttentionKind,
-    GatedChannelParams,
     MhsaLayerParams,
     dmsa_operator,
-    gated_channel_forward,
-    gated_channel_reference,
     mhsa_layer_forward,
     rope_precompute,
     rotate_pairs,
@@ -37,7 +34,7 @@ from dmst.model import (
     split_heads,
 )
 from dmst.rng import orthonormal_basis
-from dmst.sparsify import ActivationKind
+from dmst.sparsify import ActivationKind, soft_threshold
 from dmst.verify import simplex_project_bisection
 
 
@@ -298,12 +295,39 @@ def test_dmsa_layer_constant_scores_gate_heads_uniformly():
 # ---------------------------------------------------------------------------
 
 
-def test_dmsa_layer_matches_operator_on_orthonormal_bank():
-    # the rescaling tail with value heads U_k^T x, an all-ones head mask, a
-    # pinned membership and output map U_k / n realizes the math-form
-    # operator; agreement is limited only by the 1e-8 normalizer guard
+def folded_layer(Z, Pi, bank, g, *, gate_out_proj):
+    # the rescaling tail in the operator's folded form: value heads
+    # g_k U_k^T x, the pinned membership, and output columns U_k / n, gated
+    # by g_k too when ``gate_out_proj``
+    K, n = Pi.data.shape
+    out_gate = g if gate_out_proj else np.ones(K)
+    values = ad.Tensor(Z.T[None]) @ ad.Tensor(np.hstack(bank.bases))
+    w = split_heads(values, K) * ad.Tensor(g.reshape(1, K, 1, 1))
+    out_proj = np.vstack([g_k * U.T for g_k, U in zip(out_gate, bank.bases)]) / n
+    return second_moment_tail(
+        w, ad.Tensor(Pi.data[None]), ad.Tensor(out_proj), ad.Tensor(np.zeros(Z.shape[0]))
+    ).data[0].T
+
+
+def all_ones_gate(rng, K):
+    return np.ones(K)
+
+
+def top_k_gate(rng, K):
+    # the model's head gate map: a top-k soft threshold of one score per head
+    return soft_threshold(rng.normal(size=K), topk=max(1, K - 1))
+
+
+@pytest.mark.parametrize("gate", [all_ones_gate, top_k_gate], ids=["all-ones", "top-k"])
+def test_dmsa_layer_matches_operator_on_gated_bank(gate):
+    # with the gate on the values and the out_proj rows the layer realizes
+    # the operator on the gated bank; agreement is limited only by the 1e-8
+    # normalizer guard. The model gates the values only: head k then
+    # carries g_k where the operator carries g_k^2, which agree only for a
+    # gate in {0, 1}.
     rng = np.random.default_rng(12)
     tol = 1e-5
+    fractional = 0
     for _ in range(20):
         K = int(rng.integers(1, 5))
         p = int(rng.integers(1, 4))
@@ -312,16 +336,18 @@ def test_dmsa_layer_matches_operator_on_orthonormal_bank():
         bank = random_bank(rng, d, K, p)
         Z = rng.normal(size=(d, n))
         Pi = Membership(rng.uniform(0.05, 1.0, size=(K, n)))
-        values = ad.Tensor(Z.T[None]) @ ad.Tensor(np.hstack(bank.bases))
-        w = split_heads(values, K) * ad.Tensor(np.ones((1, K, 1, 1)))
-        layer_out = second_moment_tail(
-            w,
-            ad.Tensor(Pi.data[None]),
-            ad.Tensor(np.vstack([U.T for U in bank.bases]) / n),
-            ad.Tensor(np.zeros(d)),
-        ).data[0]
-        op_out = dmsa_operator(Z, Pi, bank, CodingRateConfig(epsilon=float(np.sqrt(d))))
-        assert np.max(np.abs(layer_out.T - op_out)) < tol
+        g = gate(rng, K)
+        op_out = dmsa_operator(Z, Pi, bank.scaled(g), CodingRateConfig(epsilon=float(np.sqrt(d))))
+        both = folded_layer(Z, Pi, bank, g, gate_out_proj=True)
+        assert np.max(np.abs(both - op_out)) < tol
+        values_only_gap = np.max(np.abs(folded_layer(Z, Pi, bank, g, gate_out_proj=False) - op_out))
+        if np.allclose(g * g, g, rtol=0.0, atol=1e-12):  # g in {0, 1}, up to rounding
+            assert values_only_gap < tol
+        else:
+            fractional += 1
+            assert K >= 2 and values_only_gap > 1e-3
+    # only the top-k gate reaches the values-only gap, and it does on some instance
+    assert (fractional > 0) == (gate is top_k_gate)
 
 
 # ---------------------------------------------------------------------------
@@ -577,42 +603,12 @@ def test_mhsa_params_reject_empty_dim_and_nonpositive_chunk():
             with_chunk(base, chunk, np.float64)
 
 
-# ---------------------------------------------------------------------------
-# gated channel attention
-# ---------------------------------------------------------------------------
-
-
-def test_gated_channel_masked_bases_match_matmul_form():
-    rng = np.random.default_rng(19)
-    tol = 1e-6
-    for _ in range(100):
-        d = int(rng.integers(3, 8))
-        p = int(rng.integers(1, d + 1))
-        K = int(rng.integers(1, 4))
-        n = int(rng.integers(2, 7))
-        params = GatedChannelParams(
-            full_space=orthonormal_basis(np.random.default_rng(rng.integers(2**31)), d, p),
-            membership_proj=rng.normal(size=(K, d)),
-        )
-        Z = rng.normal(size=(d, n))
-        assert np.max(
-            np.abs(gated_channel_forward(Z, params) - gated_channel_reference(Z, params))
-        ) < tol
-
-
-def test_gated_channel_all_ones_gate_is_plain_channel_attention():
-    # positive tokens and a positive projection put every score at 60 or
-    # more, where the sigmoid rounds to exactly 1.0
-    rng = np.random.default_rng(20)
-    d, p, K, n = 6, 3, 2, 5
-    W = orthonormal_basis(np.random.default_rng(0), d, p)
-    params = GatedChannelParams(full_space=W, membership_proj=np.full((K, d), 10.0))
-    Z = rng.uniform(1.0, 2.0, size=(d, n))
-    assert np.min(params.membership_proj @ Z) >= 40.0
-    assert np.array_equal(params.gates(Z), np.ones((K, n)))
-    proj = W.T @ Z
-    args = (proj * proj) @ np.full(n, 1.0 / n)
-    dvec = 1.0 / (1.0 + args)
-    plain = W @ (dvec[:, None] * proj)
-    expected = K * plain  # every head sees the same uniform weights
-    assert np.max(np.abs(gated_channel_reference(Z, params) - expected)) < 1e-10
+@pytest.mark.parametrize("field, value", [
+    ("chunk", float("nan")), ("chunk", float("inf")), ("chunk", True),
+    ("heads", 2.0), ("heads", True),
+], ids=["chunk-nan", "chunk-inf", "chunk-bool", "heads-float", "heads-bool"])
+def test_mhsa_params_reject_non_integer_heads_and_chunk(field, value):
+    params = {"heads": 2, "chunk": 1024, field: value}
+    d = 4
+    with pytest.raises(InvalidInput, match=field):
+        MhsaLayerParams(np.eye(d), np.eye(d), np.eye(d), np.eye(d), np.zeros(d), **params)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dmst.coding_rate import Membership, SubspaceBank
+from dmst.coding_rate import SubspaceBank
 from dmst.errors import InvalidInput
 from dmst.rng import orthonormal_basis
-from dmst.sparsify import soft_threshold, soft_threshold_matrix, sparse_subspace
+from dmst.sparsify import soft_threshold, soft_threshold_matrix
 
 
 def bisect_threshold(s, iters=200):
@@ -143,25 +143,20 @@ def test_soft_threshold_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# subspace sparsifier
+# sparse subspaces: the bank scaled by a head gate
 # ---------------------------------------------------------------------------
 
 
-def test_sparse_subspace_head_axis_gates_bases():
+def test_scaled_bank_multiplies_each_basis_by_its_gate():
     rng = np.random.default_rng(12)
     bases = tuple(orthonormal_basis(np.random.default_rng(s), 6, 2) for s in range(3))
     bank = SubspaceBank(bases, orthonormal=True)
-    Pi = Membership(rng.uniform(0.0, 1.0, size=(3, 8)))
-    gate = soft_threshold(Pi.data.mean(axis=1), topk=3)
-    gated = sparse_subspace(bank, Pi, topk=3)
+    gate = soft_threshold(rng.normal(size=3), topk=2)
+    gated = bank.scaled(gate)
+    assert gated.orthonormal is False
+    assert gated.count == 3
     for g, b, original in zip(gate, gated.bases, bases):
-        assert np.array_equal(b, g * original)
-
-
-def test_sparse_subspace_uniform_membership_splits_gate_evenly():
-    bases = tuple(orthonormal_basis(np.random.default_rng(s), 4, 1) for s in range(4))
-    bank = SubspaceBank(bases, orthonormal=True)
-    Pi = Membership(np.full((4, 5), 0.3))
-    gated = sparse_subspace(bank, Pi, topk=4)
-    for b, original in zip(gated.bases, bases):
-        assert np.max(np.abs(b - 0.25 * original)) < 1e-12
+        assert np.array_equal(b.view(np.int64), (g * original).view(np.int64))
+    for wrong in (np.ones(2), np.ones(4), np.ones((3, 1))):
+        with pytest.raises(InvalidInput):
+            bank.scaled(wrong)

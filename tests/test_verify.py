@@ -272,8 +272,7 @@ def test_all_suites_run_each_property_on_its_instance_count_in_order():
         ("sparsify", "topk-support-bound", 500),
         ("gradients", "rate-gradient-vs-finite-difference", 25),
         ("gradients", "operator-is-negated-gradient", 25),
-        ("equivalence", "gated-bases-match-channel-form", 50),
-        ("equivalence", "layer-matches-operator-on-orthonormal-bank", 20),
+        ("equivalence", "layer-matches-operator-on-gated-bank", 20),
     ]
     assert all(c.passed for c in checks)
 
