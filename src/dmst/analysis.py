@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import AttentionKind, MhsaLayerParams, mhsa_layer_forward, rope_precompute
 from .coding_rate import CodingRateConfig, Membership, SubspaceBank, rate_variational_decoupled
-from .errors import InvalidInput
+from .errors import InvalidInput, check_int
 from .memcount import count_floats
 from .model import (
     MAX_PARAMS,
@@ -109,8 +109,9 @@ def layer_rate_curve(
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 3:
         raise InvalidInput(f"tokens must be (N, n, input_dim), got ndim={tokens.ndim}")
-    if batch < 1 or (max_samples is not None and max_samples < 1):
-        raise InvalidInput(f"batch and max_samples must be at least 1, got {batch}, {max_samples}")
+    check_int("batch", batch, 1)
+    if max_samples is not None:
+        check_int("max_samples", max_samples, 1)
     tokens = tokens[:max_samples]
     if tokens.shape[0] == 0:
         raise InvalidInput("rate curve needs at least one sample")
@@ -138,7 +139,8 @@ def membership_map(
     sample_tokens = np.asarray(sample_tokens, dtype=np.float64)
     if sample_tokens.ndim != 2:
         raise InvalidInput(f"sample must be (n, input_dim), got ndim={sample_tokens.ndim}")
-    if not 0 <= layer < config.depth:
+    check_int("layer", layer, 0)
+    if layer >= config.depth:
         raise InvalidInput(f"layer {layer} out of range for depth {config.depth}")
     capture: list[dict] = []
     model_forward(config, detach_params(params), sample_tokens[None], capture=capture)
@@ -229,8 +231,8 @@ def profile_attention_memory(
         raise InvalidInput(f"op must be one of {PROFILE_OPS}, got {op!r}")
     if not token_counts:
         raise InvalidInput("token_counts must be nonempty")
-    if any(n < 1 for n in token_counts):
-        raise InvalidInput("token counts must be positive")
+    for n in token_counts:
+        check_int("token count", n, 1)
     if max(token_counts) > PROFILE_MAX_TOKENS:
         raise InvalidInput(
             f"token counts must be at most {PROFILE_MAX_TOKENS}, got {max(token_counts)}"

@@ -10,6 +10,7 @@ parameter come from the same graph the forward pass builds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -390,60 +391,60 @@ def _attention_moments(
     p: dict[str, np.ndarray],
     prefix: str,
     rope: RopeTable | None,
-    tiles: list[tuple[int, int, int, int]],
-    capture: dict | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block ``prefix``'s attention on the stream ``x`` up to its output rows.
+    spans: list[tuple[int, int]],
+    batch: int,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Block ``prefix``'s attention on one group of whole samples up to its output rows.
 
-    Pass 1 runs tile by tile: norm, rotation and score GEMM into one ``(B,
-    m, K)`` score array, and the value GEMM into one ``(B, m, d)`` value
-    buffer, the only stream-sized array made here. The head mask and the
-    memberships are then taken from the whole score array (TSSA's from the
-    values) by the graph path's own functions, the mask is applied to the
-    values in place, and the channel scales come from
-    :func:`ad.second_moment_scale` over groups of whole samples. Returns the
-    masked values ``(B, m, K, hd)``, the memberships ``(B, K, m)`` and the
-    channel scales ``(B, K, 1, hd)``.
+    ``x`` is the group's ``(g, m, d)`` rows of a stream of ``batch``
+    samples, and ``spans`` the token ranges of its tiles: each tile is rows
+    ``s:e`` of all ``g`` samples. Pass 1 runs tile by tile: norm, rotation
+    and score GEMM into a ``(g, m, K)`` score array, and the value GEMM
+    into a ``(g, m, d)`` value buffer. The head mask and the memberships are
+    then taken from the group's scores (TSSA's from its values) by the
+    graph path's own functions, the mask is applied to the values in place,
+    and the channel scales come from :func:`ad.second_moment_scale`. Returns
+    the masked values ``(g, m, K, hd)``, the head mask ``(g, K)`` (``None``
+    on blocks without a gate), the memberships ``(g, K, m)`` and the channel
+    scales ``(g, K, 1, hd)``.
     """
-    B, m, d = x.shape
+    g, m, d = x.shape
     K = config.heads
     layer = f"{prefix}.attn"
     dmsa = config.attention is AttentionKind.DMSA
-    values = np.empty((B * m, d))
-    scores = np.empty((B * m, K)) if dmsa else None
-    for b0, b1, s, e in tiles:
-        r0, r1 = b0 * m + s, (b1 - 1) * m + e
-        h = _layer_norm(x[b0:b1, s:e], p, f"{prefix}.norm1").data
+    values = np.empty((g * m, d))
+    scores = np.empty((g * m, K)) if dmsa else None
+    for s, e in spans:
+        r0, r1 = s, (g - 1) * m + e  # one run of rows: the span is (0, m) or g is 1
+        h = _layer_norm(x[:, s:e], p, f"{prefix}.norm1").data
         if dmsa:
             rotated = h if rope is None else rotate_pairs(h, (rope[0][s:], rope[1][s:]))
             np.matmul(rotated.reshape(-1, d), p[f"{layer}.membership_proj"], out=scores[r0:r1])
             del rotated  # before the value GEMM: pass 1 peaks here on shorter samples
         np.matmul(h.reshape(-1, d), p[f"{layer}.value_proj"], out=values[r0:r1])
-    values = values.reshape(B, m, K, d // K)
-    w = values.transpose(0, 2, 1, 3)  # (B, K, m, hd), as split_heads lays it out
+    values = values.reshape(g, m, K, d // K)
+    w = values.transpose(0, 2, 1, 3)  # (g, K, m, hd), as split_heads lays it out
 
+    mask = None
     if dmsa:
-        scores = ad.Tensor(scores.reshape(B, m, K))
+        scores = ad.Tensor(scores.reshape(g, m, K))
         if config.sparsity_axis in ("head", "both"):
-            mask = sparsify_scores(ad.mean(scores, axis=1), config, gate=True).data  # (B, K)
-            np.multiply(w, mask.reshape(B, K, 1, 1), out=w)
-            if capture is not None:
-                capture["head_mask"] = mask.copy()
+            mask = sparsify_scores(ad.mean(scores, axis=1), config, gate=True).data  # (g, K)
+            np.multiply(w, mask.reshape(g, K, 1, 1), out=w)
         Pi = sparsify_scores(ad.transpose(scores, (0, 2, 1)), config, gate=False).data
+        soft = config.activation is ActivationKind.SOFT_THRESHOLD
+        if batch > 1 and soft and config.sparsity_axis != "head":
+            # The simplex rows of a batch of several samples come out of a
+            # reshape copy in C order, those of one sample out of a reshape
+            # view in F order, and the matrix product of the second moments
+            # rounds apart between the two: give one sample of a larger
+            # batch the batch's layout.
+            Pi = np.ascontiguousarray(Pi)
         del scores
     else:
-        Pi = np.empty((B, K, m))
-    scale = np.empty((B, K, 1, d // K))
-    for b0, b1 in dict.fromkeys((b0, b1) for b0, b1, _, _ in tiles):
-        group = w[b0:b1]
-        if dmsa:
-            members = Pi[b0:b1]
-        else:
-            members = Pi[b0:b1] = tssa_membership(ad.Tensor(group)).data
-        scale[b0:b1] = ad.second_moment_scale(group * group, members, MEMBERSHIP_EPS)[2]
-    if capture is not None:
-        capture["membership"] = Pi.copy()
-    return values, Pi, scale
+        Pi = tssa_membership(ad.Tensor(w)).data
+    scale = ad.second_moment_scale(w * w, Pi, MEMBERSHIP_EPS)[2]
+    return values, mask, Pi, scale
 
 
 def _attention_rows(
@@ -473,14 +474,21 @@ def _tiled_forward(
     Returns the class token's ``(B, d)`` state after the last block. The
     residual stream ``(B, n+1, d)`` is the one array of all tokens that
     lives through the forward, and every sublayer adds into it in place,
-    tile by tile (:func:`_stream_tiles`). Each block makes one value buffer
-    of the stream's size; everything else is tile-sized or, like the scores
-    and memberships, ``K`` floats per token. The embedding, the norms, the
-    rescaling, the output projection and the MLP are the graph path's own
-    functions on tiles, so each value is that of the graph path bit for
-    bit: the same GEMMs on the same rows (none of one row where the graph's
-    has more), the same elementwise operations, and the same reductions
-    over whole samples.
+    tile by tile (:func:`_stream_tiles`). A block's attention runs one group
+    at a time, a group being the whole samples of one run of tiles (the
+    short samples of one tile, or one long sample): its moments
+    (:func:`_attention_moments`), then its second pass, which rescales,
+    projects and adds each of its tiles into the stream. A group's rows of
+    the stream change only in its own second pass, so each group reads the
+    rows the block began with. The value buffer and the squared head
+    features hold one group; everything else is tile-sized or ``K`` floats
+    per token of one group, and a capture's mask and memberships are
+    written group by group into arrays of the whole batch. The embedding,
+    the norms, the rescaling, the output projection and the MLP are the
+    graph path's own functions on tiles, so each value is that of the graph
+    path bit for bit: the same GEMMs on the same rows (none of one row where
+    the graph's has more), the same elementwise operations, and the same
+    reductions over whole samples.
     """
     p = {name: t.data for name, t in params.items()}
     B, n, _ = inputs.shape
@@ -491,19 +499,31 @@ def _tiled_forward(
     tokens = inputs.reshape(B * n, -1)
     for start, stop in _row_tiles(B * n):
         rows = np.arange(start, stop)
-        embedded = ad.linear(tokens[start:stop], p["embed.weight"], p["embed.bias"])
-        stream[rows + rows // n + 1] = embedded.data
+        stream[rows + rows // n + 1] = ad.linear(
+            tokens[start:stop], p["embed.weight"], p["embed.bias"]
+        ).data  # unnamed: the last tile would otherwise live through every block
     tiles = _stream_tiles(B, m)
+    groups = [
+        (b0, b1, [(s, e) for *_, s, e in run])
+        for (b0, b1), run in itertools.groupby(tiles, key=lambda tile: tile[:2])
+    ]
 
     for i in range(config.depth):
         prefix = f"blocks.{i}"
         block_capture: dict | None = {} if capture is not None else None
-        values, Pi, scale = _attention_moments(x, config, p, prefix, rope, tiles, block_capture)
         W, b = p[f"{prefix}.attn.out_proj"], p[f"{prefix}.attn.out_bias"]
-        for b0, b1, s, e in tiles:
-            rows = _attention_rows(values[b0:b1, s:e], Pi[b0:b1, :, s:e], scale[b0:b1], W, b)
-            x[b0:b1, s:e] += rows.reshape(b1 - b0, e - s, d)
-        del values, Pi, scale
+        for b0, b1, spans in groups:
+            group = x[b0:b1]
+            values, mask, Pi, scale = _attention_moments(group, config, p, prefix, rope, spans, B)
+            for key, part in (("head_mask", mask), ("membership", Pi)):
+                if block_capture is not None and part is not None:
+                    if b0 == 0:
+                        block_capture[key] = np.empty((B, *part.shape[1:]))
+                    block_capture[key][b0:b1] = part
+            for s, e in spans:
+                rows = _attention_rows(values[:, s:e], Pi[:, :, s:e], scale, W, b)
+                group[:, s:e] += rows.reshape(b1 - b0, e - s, d)
+            del values, mask, Pi, scale, rows  # before the next group's buffer
         if not np.all(np.isfinite(x)):
             raise NumericalFault(f"non-finite activations after attention block {i}")
         if block_capture is not None:
@@ -554,11 +574,18 @@ def model_forward(
     adds each sublayer's output into the residual stream in place; both
     paths share the final norm and the head. The logits and captures are
     those of the graph bit for bit. The rotary table is computed once per
-    forward. At the default config, 2 x 2048 tokens then
-    peak at 6.7 MiB under tracemalloc, 3.4 times the residual stream: the
-    stream, the block's value buffer, the rotary table (half a stream),
-    ``K`` floats per token of scores and memberships, and one sample's
-    squared head features while its second moments are taken.
+    forward. Each block's attention finishes one group of whole samples
+    (the short samples of one tile, or one long sample) before the next
+    starts, so its value buffer and squared head features hold one group.
+    At the default config under tracemalloc, 2 x 2048 tokens then peak at
+    5.5 MiB, 2.7 times the residual stream: the stream, the rotary table
+    (half a stream), one sample's values and squared head features while
+    its second moments are taken, and ``K`` floats per token of its scores
+    and memberships; an MLP tile's two hidden-width arrays come within
+    4 KiB of that. They set the peak of 4 x 1024 tokens, 4.9 MiB (2.4
+    streams), and of 16 x 256, 3.4 MiB (1.7 streams). A call repeated on
+    16 x 256 tokens takes no minor page faults, and about 1.2k-1.4k on
+    4 x 1024 and 2 x 2048.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3:

@@ -273,6 +273,33 @@ def test_profile_rows_and_scaling_ratios():
     assert abs(ratios["mhsa"] - 4.0) < 0.6
 
 
+# integer arguments given a bool, or a float even when it holds an integer
+NON_INTEGER_ARGUMENTS = [
+    ("layer_rate_curve", "batch", 2.5), ("layer_rate_curve", "batch", float("nan")),
+    ("layer_rate_curve", "batch", float("inf")), ("layer_rate_curve", "batch", True),
+    ("layer_rate_curve", "max_samples", 2.0), ("layer_rate_curve", "max_samples", True),
+    ("membership_map", "layer", 1.0), ("membership_map", "layer", True),
+    ("profile_attention_memory", "token_counts", [8.0]),
+    ("profile_attention_memory", "token_counts", [True]),
+]
+
+
+@pytest.mark.parametrize(
+    "function,name,value", NON_INTEGER_ARGUMENTS,
+    ids=[f"{f}-{name}-{value}" for f, name, value in NON_INTEGER_ARGUMENTS],
+)
+def test_integer_arguments_reject_bools_and_floats(function, name, value):
+    config = small_config()
+    params = init_params(config)
+    leading = {
+        "layer_rate_curve": (config, params, np.ones((3, 4, 5))),
+        "membership_map": (config, params, np.ones((12, 5))),
+        "profile_attention_memory": ("dmsa",),
+    }[function]
+    with pytest.raises(InvalidInput, match=" must be an integer from "):
+        getattr(analysis, function)(*leading, **{name: value})
+
+
 def test_profile_validates_arguments():
     with pytest.raises(InvalidInput):
         profile_attention_memory("flash", [256])
